@@ -6,7 +6,8 @@ The package is organised in layers:
 * :mod:`mzvkit.words` - words over {x, y}, sparse polynomials, the
   shuffle and harmonic products, the contraction maps.
 * :mod:`mzvkit.indexes` - the formal vector space on indices, star
-  expansion/inversion, cyclic classes and the exact index identities.
+  expansion/inversion, cyclic classes, the exact index identities and the
+  cyclic-sum combinations that the word and numeric checks evaluate.
 * :mod:`mzvkit.posets` - labeled 2-posets, admissibility and the
   linear-extension word map.
 * :mod:`mzvkit.tseries` - truncated t-series of word polynomials and the

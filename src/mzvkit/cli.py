@@ -14,6 +14,7 @@ import random
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from math import comb
 from typing import Callable
 
 from . import indexes, numeval, posets, regularize, tseries, words
@@ -213,8 +214,8 @@ def _poset_cases(args, cfg) -> list[Case]:
         def body():
             for c in range(0, 7):
                 for d in range(0, 7 - c):
-                    lhs = posets.w_map(_double_chain(c, d))
-                    rhs = _binom(c + d, c) * posets.w_map(_double_chain(c + d, 0))
+                    lhs = posets.w_map(posets.double_chain(c, d))
+                    rhs = comb(c + d, c) * posets.w_map(posets.double_chain(c + d, 0))
                     if lhs != rhs:
                         return False, f"c={c} d={d}"
             return True, "all c+d<=6"
@@ -224,7 +225,7 @@ def _poset_cases(args, cfg) -> list[Case]:
     def shifting() -> Report:
         def body():
             for kk in range(1, 5):
-                if not _check_shifting(kk, args.t_order):
+                if not posets.check_shifting(kk, args.t_order):
                     return False, f"k={kk}"
             return True, f"k<=4, order<={args.t_order}"
 
@@ -263,66 +264,6 @@ def _poset_cases(args, cfg) -> list[Case]:
     out.append(("zig-zag-words", chains))
     out.append(("zig-zag-admissibility", admissibility))
     return out
-
-
-def _binom(n, k):
-    from math import comb
-
-    return comb(n, k)
-
-
-def _double_chain(c: int, d: int) -> posets.TwoPoset:
-    """A y root with two incomparable x-chains of lengths c and d above."""
-    labels = ["y"] + ["x"] * (c + d)
-    rels = []
-    prev = 0
-    for i in range(1, c + 1):
-        rels.append((prev, i))
-        prev = i
-    prev = 0
-    for i in range(c + 1, c + d + 1):
-        rels.append((prev, i))
-        prev = i
-    return posets.TwoPoset(labels, rels)
-
-
-def _shift_lhs_chain(k: int, lpp: int, lp: int) -> posets.TwoPoset:
-    """Totally ordered chain reading y x^(k+lpp-1) y x^lp from bottom."""
-    s = "y" + "x" * (k + lpp - 1) + "y" + "x" * lp
-    labels = list(s)
-    rels = [(i, i + 1) for i in range(len(s) - 1)]
-    return posets.TwoPoset(labels, rels)
-
-
-def _shift_rhs_poset(k: int, l: int) -> posets.TwoPoset:
-    """Bottom y, an x-chain of length k-1 capped by a y, and an
-    incomparable x-chain of length l above the same bottom."""
-    labels = ["y"] + ["x"] * (k - 1) + ["y"] + ["x"] * l
-    rels = []
-    for i in range(k):  # chain 0 < 1 < ... < k-1 < cap
-        rels.append((i, i + 1))
-    prev = 0
-    for i in range(k + 1, k + 1 + l):
-        rels.append((prev, i))
-        prev = i
-    return posets.TwoPoset(labels, rels)
-
-
-def _check_shifting(k: int, order: int) -> bool:
-    """Both sides of the chain-shifting series identity through w_map."""
-    from math import comb
-
-    lhs: dict[int, words.NcPoly] = {}
-    for lpp in range(order + 1):
-        for lp in range(order + 1 - lpp):
-            e = lpp + lp
-            term = comb(k + lpp - 1, lpp) * posets.w_map(_shift_lhs_chain(k, lpp, lp))
-            lhs[e] = lhs.get(e, words.NcPoly.zero()) + term
-    for l in range(order + 1):
-        rhs = posets.w_map(_shift_rhs_poset(k, l))
-        if lhs.get(l, words.NcPoly.zero()) != rhs:
-            return False
-    return True
 
 
 def _regularization_cases(args, cfg) -> list[Case]:
@@ -594,13 +535,13 @@ def build_cases(args, cfg) -> list[Case]:
     return cases
 
 
-def run_suite(args, out=None) -> int:
+def _config(args) -> EvalConfig:
+    return EvalConfig(cutoff=args.cutoff_N, tol=args.tol)
+
+
+def run_suite(args, out=None, cfg: EvalConfig | None = None) -> int:
     out = out if out is not None else sys.stdout
-    cfg = EvalConfig(
-        cutoff=args.cutoff_N,
-        tol=args.tol,
-    )
-    cases = build_cases(args, cfg)
+    cases = build_cases(args, cfg if cfg is not None else _config(args))
     all_ok = True
     if args.jobs > 1:
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
@@ -642,6 +583,12 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.max_weight < 1 or args.t_order < 0:
         ap.error("--max-weight must be >= 1 and --t-order >= 0")
+    if args.jobs < 1 or args.cases < 1:
+        ap.error("--jobs and --cases must be >= 1")
+    try:
+        cfg = _config(args)
+    except ValueError as exc:
+        ap.error(f"--cutoff-N/--tol: {exc}")
     if args.index is not None:
         try:
             args.index = parse_index(args.index)
@@ -649,7 +596,7 @@ def main(argv=None) -> int:
             ap.error(f"--index: {exc}")
         if not args.index:
             ap.error("--index: single-case mode needs a non-empty index")
-    return run_suite(args)
+    return run_suite(args, cfg=cfg)
 
 
 if __name__ == "__main__":

@@ -8,13 +8,19 @@ compositions, the signed comma/plus contraction sums (star expansion and
 its inversion), the cyclic contraction sums ``s_m``, and exact verifiers
 for the index-level identities used to reduce the cyclic sum formula of
 the t-adic values to its star form.
+
+The cyclic-sum combinations themselves are defined here, once, as formal
+sums of t-adic symbols {(index, t-power): coeff}, from two generators:
+``rotation_pivots`` (the splice pivots) and ``binomial_shifts`` (the
+binomially shifted, reversed expansion).  ``tseries`` evaluates them as
+word series and ``numeval`` as numbers.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 from typing import Callable, Iterable, Iterator
 
 Index = tuple[int, ...]
@@ -134,6 +140,26 @@ def rotations(k: Index) -> Iterator[Index]:
         yield k[i:] + k[:i]
 
 
+def rotation_pivots(k: Index) -> Iterator[tuple[int, Index]]:
+    """(k_i, (k_{i+1}, ..., k_r, k_1, ..., k_{i-1})) for i = 1..r: each entry
+    as the pivot, with the rest of k read cyclically after it."""
+    for i in range(1, len(k) + 1):
+        yield k[i - 1], k[i:] + k[: i - 1]
+
+
+def last_pivots(members: Iterable[Index]) -> list[tuple[int, Index]]:
+    """(m_r, (m_1, ..., m_{r-1})) per index: the members of a cyclic class
+    pivot on their last entry."""
+    return [(m[-1], m[:-1]) for m in members]
+
+
+def splices(p: int, rest: Index) -> Iterator[Index]:
+    """(j + 1, rest, p - j) for 0 <= j <= p - 2: the pivot p split around
+    the rest, one unit heavier."""
+    for j in range(p - 1):
+        yield (j + 1,) + rest + (p - j,)
+
+
 @dataclass(frozen=True)
 class CyclicClass:
     """Rotation orbit of an index; members lists each distinct rotation once."""
@@ -167,6 +193,20 @@ def weak_compositions_upto(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     for first in range(total + 1):
         for rest in weak_compositions_upto(total - first, parts - 1):
             yield (first,) + rest
+
+
+def binomial_shift(k: Index, ls: tuple[int, ...]) -> tuple[int, Index]:
+    """(prod_j C(k_j + l_j - 1, l_j), (k_r + l_r, ..., k_1 + l_1)): the
+    coefficient and the reversed index of the shift of k by l."""
+    c = prod(comb(kj + lj - 1, lj) for kj, lj in zip(k, ls))
+    return c, tuple(kj + lj for kj, lj in zip(k, ls))[::-1]
+
+
+def binomial_shifts(k: Index, order: int) -> Iterator[tuple[int, int, Index]]:
+    """(|l|, coefficient, reversed shifted index) for every shift l >= 0 of k
+    with |l| <= order: the terms of the binomially shifted expansion."""
+    for ls in weak_compositions_upto(order, len(k)):
+        yield (sum(ls),) + binomial_shift(k, ls)
 
 
 def compositions(k: int, r: int) -> Iterator[Index]:
@@ -242,11 +282,6 @@ def s_m(k: Index, m: int, policy: str = "first") -> IndexCombo:
     return IndexCombo(out)
 
 
-def _rot(l: Index, i: int) -> Index:
-    """(l_{i+1}, ..., l_s, l_1, ..., l_i) for 1 <= i <= s."""
-    return l[i:] + l[:i]
-
-
 @dataclass
 class IdentityReport:
     """Outcome of one exact index-space identity check."""
@@ -261,23 +296,26 @@ class IdentityReport:
 
 def _cyclic_split_lhs(k: Index, j: int) -> IndexCombo:
     """Sum over i of (j+1+k_i, rot) + (j+1, k_i, rot) used on the plain side."""
-    r = len(k)
     out = IndexCombo.zero()
-    for i in range(1, r + 1):
-        head = k[i:] + k[: i - 1]  # k_{i+1}, ..., k_r, k_1, ..., k_{i-1}
-        out = out + IndexCombo.of((j + 1 + k[i - 1],) + head)
-        out = out + IndexCombo.of((j + 1, k[i - 1]) + head)
+    for p, rest in rotation_pivots(k):
+        out = out + IndexCombo.of((j + 1 + p,) + rest) + IndexCombo.of((j + 1, p) + rest)
     return out
 
 
-def _star_over_sm(k: Index, f: Callable[[Index, int], IndexCombo]) -> IndexCombo:
-    """Alternating sum over m and S_m(k) of the star-expanded image of f."""
-    r = len(k)
+def _combo_sum(
+    indices: Iterable[Index], f: Callable[[Index], IndexCombo] = IndexCombo.of
+) -> IndexCombo:
+    """Sum of f(k) over the indices (each index itself by default)."""
+    return sum((f(idx) for idx in indices), IndexCombo.zero())
+
+
+def _star_over_sm(k: Index, f: Callable[[Index], Iterable[Index]]) -> IndexCombo:
+    """Alternating sum over m and S_m(k) of the star expansions of f(l)."""
     out = IndexCombo.zero()
-    for m in range(r):
+    for m in range(len(k)):
         sign = -1 if m & 1 else 1
         for l, mult in s_m(k, m).terms.items():
-            out = out + (sign * mult) * f(l, r - m)
+            out = out + (sign * mult) * _combo_sum(f(l), star_expand)
     return out
 
 
@@ -286,8 +324,7 @@ def cyclic_symmetrized_s_m(k: Index, m: int, policy: str = "first") -> IndexComb
     independent of the cut policy."""
     out = IndexCombo.zero()
     for l, mult in s_m(k, m, policy).terms.items():
-        for i in range(1, len(l) + 1):
-            out = out + mult * IndexCombo.of(_rot(l, i))
+        out = out + mult * _combo_sum(rotations(l))
     return out
 
 
@@ -295,8 +332,7 @@ def _lemma112_once(k: Index, m: int) -> tuple[IndexCombo, IndexCombo]:
     r = len(k)
     lhs = cyclic_symmetrized_s_m(k, m)
     rhs = IndexCombo.zero()
-    for i in range(1, r + 1):
-        rot = _rot(k, i)
+    for rot in rotations(k):
         for mask in _plus_masks(r - 1, m):
             idx = [rot[0]]
             for s in range(1, r):
@@ -306,6 +342,13 @@ def _lemma112_once(k: Index, m: int) -> tuple[IndexCombo, IndexCombo]:
                     idx.append(rot[s])
             rhs = rhs + IndexCombo.of(tuple(idx))
     return lhs, rhs
+
+
+def _full_splices(k: Index) -> Iterator[Index]:
+    """The rotation splices of k plus, per pivot, the end term (k_i, rest, 1)."""
+    for p, rest in rotation_pivots(k):
+        yield from splices(p, rest)
+        yield (p,) + rest + (1,)
 
 
 def verify_index_identity(
@@ -338,105 +381,102 @@ def verify_index_identity(
 
     if name == "prop1":
         lhs = _cyclic_split_lhs(k, j)
-        rhs = _star_over_sm(
-            k,
-            lambda l, s: sum(
-                (star_expand((j + 1,) + _rot(l, i)) for i in range(1, s + 1)),
-                IndexCombo.zero(),
-            ),
-        )
+        rhs = _star_over_sm(k, lambda l: ((j + 1,) + rot for rot in rotations(l)))
         return IdentityReport(name, k, {"j": j}, lhs == rhs, lhs, rhs)
 
     if name == "prop2":
-        def inner(l: Index, s: int) -> IndexCombo:
-            out = IndexCombo.zero()
-            for i in range(1, s + 1):
-                mid = l[i:] + l[: i - 1]
-                for jj in range(l[i - 1]):
-                    out = out + star_expand((jj + 1,) + mid + (l[i - 1] - jj,))
-            return out
-
-        lhs = _star_over_sm(k, inner)
+        lhs = _star_over_sm(k, _full_splices)
         wt = sum(k)
-        rhs = IndexCombo.zero()
-        for i in range(1, r + 1):
-            mid = k[i:] + k[: i - 1]
-            for jj in range(k[i - 1]):
-                rhs = rhs + IndexCombo.of((jj + 1,) + mid + (k[i - 1] - jj,))
         sign = -1 if r & 1 else 1
-        rhs = rhs - (sign * wt) * star_expand((wt + 1,))
+        rhs = _combo_sum(_full_splices(k)) - (sign * wt) * star_expand((wt + 1,))
         return IdentityReport(name, k, {}, lhs == rhs, lhs, rhs)
 
     if name == "prop3":
-        def inner(l: Index, s: int) -> IndexCombo:
-            out = IndexCombo.zero()
-            for i in range(1, s + 1):
-                out = out + star_expand(_rot(l, i - 1) + (1,))
-            return out
-
-        lhs = _star_over_sm(k, inner)
+        lhs = _star_over_sm(k, lambda l: (rot + (1,) for rot in rotations(l)))
         rhs = IndexCombo.zero()
-        for i in range(1, r + 1):
-            rhs = rhs + IndexCombo.of(_rot(k, i) + (1,))
-            rhs = rhs + IndexCombo.of(k[i:] + k[: i - 1] + (k[i - 1] + 1,))
+        for p, rest in rotation_pivots(k):
+            rhs = rhs + IndexCombo.of(rest + (p, 1)) + IndexCombo.of(rest + (p + 1,))
         return IdentityReport(name, k, {}, lhs == rhs, lhs, rhs)
 
     if name == "csf_reduction":
-        lhs = _csf_symbols(k, t_order)
+        lhs = csf_symbols(k, t_order)
         rhs: dict = {}
         for m in range(r):
             sign = -1 if m & 1 else 1
             for l, mult in s_m(k, m).terms.items():
-                _acc_scaled(rhs, _csf_star_symbols(l, sum(k), t_order), sign * mult)
+                for (idx, e), c in csf_star_hat_symbols(l, t_order).items():
+                    for kk, n in star_expand(idx).terms.items():
+                        _add(rhs, (kk, e), sign * mult * c * n)
         equal = lhs == rhs
         return IdentityReport(name, k, {"t_order": t_order}, equal, lhs, rhs)
 
     raise ValueError(f"unknown identity {name!r}")
 
 
-def _acc_scaled(acc: dict, other: dict, c) -> None:
-    for key, v in other.items():
-        nv = acc.get(key, 0) + c * v
-        if nv:
-            acc[key] = nv
-        else:
-            acc.pop(key, None)
+# -- cyclic-sum combinations ---------------------------------------------
+#
+# Each combination is a formal sum of t-adic symbols, {(index, t-power):
+# coeff}.  The exact word checks (tseries), the numeric checks
+# (numeval.verify_csf) and the index check ``csf_reduction`` all evaluate
+# these same dicts.
 
 
-def _csf_symbols(k: Index, t_order: int) -> dict:
-    """The cyclic-sum combination of plain t-adic symbols, as
-    {(index, t-power): coeff}: inner splittings minus the two infinite
-    rotation sums minus the shifted rotation sum."""
-    r = len(k)
+def _add(acc: dict, key, c) -> None:
+    nc = acc.get(key, 0) + c
+    if nc:
+        acc[key] = nc
+    else:
+        acc.pop(key, None)
+
+
+def add_symbols(acc: dict, symbols: dict, c=1, shift: int = 0) -> dict:
+    """acc += c * t^shift * symbols in place (zero coefficients dropped);
+    returns acc."""
+    for (idx, e), v in symbols.items():
+        _add(acc, (idx, e + shift), c * v)
+    return acc
+
+
+def splice_symbols(pivots: Iterable[tuple[int, Index]]) -> dict:
+    """Splice sum over the pivots, at t^0."""
     out: dict = {}
-    for i in range(1, r + 1):
-        head = k[i:] + k[: i - 1]
-        for j in range(k[i - 1] - 1):
-            _acc_scaled(out, {((j + 1,) + head + (k[i - 1] - j,), 0): 1}, 1)
-        for j in range(t_order + 1):
-            _acc_scaled(out, {((k[i - 1] + j + 1,) + head, j): 1}, -1)
-            _acc_scaled(out, {((j + 1,) + head + (k[i - 1],), j): 1}, -1)
-        _acc_scaled(out, {(head + (k[i - 1] + 1,), 0): 1}, -1)
+    for p, rest in pivots:
+        for idx in splices(p, rest):
+            _add(out, (idx, 0), 1)
     return out
 
 
-def _csf_star_symbols(l: Index, wt: int, t_order: int) -> dict:
-    """Star form of the cyclic-sum combination for one index, expanded to
-    plain symbols through the comma/plus contraction sum."""
-    s = len(l)
+def tail_symbols(pivots: Iterable[tuple[int, Index]], t_order: int) -> dict:
+    """Minus the t-shifted tail sums: -(j + 1, rest, p) t^j, 0 <= j <= t_order."""
     out: dict = {}
-
-    def star(idx: Index, tpow: int, c: int) -> None:
-        for kk, mult in star_expand(idx).terms.items():
-            _acc_scaled(out, {(kk, tpow): mult}, c)
-
-    for i in range(1, s + 1):
-        mid = l[i:] + l[: i - 1]
-        for j in range(l[i - 1] - 1):
-            star((j + 1,) + mid + (l[i - 1] - j,), 0, 1)
+    for p, rest in pivots:
         for j in range(t_order + 1):
-            star((j + 1,) + mid + (l[i - 1],), j, -1)
-    star((wt + 1,), 0, -wt)
+            _add(out, ((j + 1,) + rest + (p,), j), -1)
+    return out
+
+
+def csf_star_symbols(k: Index) -> dict:
+    """Star cyclic-sum combination of k: its rotation splice sum minus
+    wt(k) times the single index (wt(k) + 1)."""
+    wt = sum(k)
+    return add_symbols(splice_symbols(rotation_pivots(k)), {((wt + 1,), 0): -wt})
+
+
+def csf_star_hat_symbols(k: Index, t_order: int) -> dict:
+    """Hatted star combination: the star combination plus the t-shifted tail."""
+    return add_symbols(csf_star_symbols(k), tail_symbols(rotation_pivots(k), t_order))
+
+
+def csf_symbols(k: Index, t_order: int) -> dict:
+    """The cyclic-sum combination of plain t-adic symbols: the splice sum
+    and the t-shifted tail, minus the second infinite rotation sum and the
+    shifted rotation sum."""
+    pivots = list(rotation_pivots(k))
+    out = add_symbols(splice_symbols(pivots), tail_symbols(pivots, t_order))
+    for p, rest in pivots:
+        for j in range(t_order + 1):
+            _add(out, ((p + j + 1,) + rest, j), -1)
+        _add(out, (rest + (p + 1,), 0), -1)
     return out
 
 

@@ -20,12 +20,19 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from math import comb
 from typing import Callable
 
 import numpy as np
 
-from .indexes import Index, check_index, star_invert, weak_compositions_upto
+from .indexes import (
+    Index,
+    binomial_shifts,
+    check_index,
+    csf_star_hat_symbols,
+    csf_star_symbols,
+    csf_symbols,
+    star_invert,
+)
 from .reports import Report
 from .words import NcPoly, index_of_word, s_map
 
@@ -349,18 +356,11 @@ def _zeta_hat_uncached(
         value = lambda idx: zeta_reg(idx, product, cfg)  # noqa: E731
 
     out: dict[int, NumericValue] = {}
-    r = len(k)
-    for i in range(r + 1):
+    for i in range(len(k) + 1):
         head = value(k[:i])
-        suffix = k[i:]
-        sign = -1.0 if sum(suffix) & 1 else 1.0
-        for ls in weak_compositions_upto(order, len(suffix)):
-            c = sign
-            for kj, lj in zip(suffix, ls):
-                c *= comb(kj + lj - 1, lj)
-            shifted = tuple(kj + lj for kj, lj in zip(suffix, ls))[::-1]
-            e = sum(ls)
-            term = (head * value(shifted)).scaled(c)
+        sign = -1.0 if sum(k[i:]) & 1 else 1.0
+        for e, c, shifted in binomial_shifts(k[i:], order):
+            term = (head * value(shifted)).scaled(sign * c)
             out[e] = out.get(e, ZERO) + term
     return NumericSeries(order, out)
 
@@ -368,10 +368,29 @@ def _zeta_hat_uncached(
 # -- cyclic sum formula verifiers ---------------------------------------
 
 
-def _rotations_of(k: Index):
-    r = len(k)
-    for i in range(1, r + 1):
-        yield k[i - 1], k[i:] + k[: i - 1]
+def csf_series(
+    which: str, k: Index, order: int = 2, cfg: EvalConfig = DEFAULT_CONFIG
+) -> NumericSeries:
+    """The cyclic-sum combination that ``verify_csf(which, k, order)``
+    checks, evaluated without its all-ones trace term: a series up to
+    t^order, or a constant (order 0) for mzsv."""
+    if which == "mzsv":
+        symbols, variant, order = csf_star_symbols(k), None, 0
+    elif which == "tsmzsv":
+        symbols, variant = csf_star_hat_symbols(k, order), "star_KY"
+    elif which == "tsmzv_exact":
+        symbols, variant = csf_symbols(k, order), "KY_inv"
+    else:
+        raise ValueError(f"unknown cyclic sum check {which!r}")
+    acc = NumericSeries(order)
+    for (idx, e), c in symbols.items():
+        if variant is None:
+            # a depth-1 star sum is the plain sum; its plain key shares the cache
+            term = NumericSeries(0, {0: mzv_num(idx, star=len(idx) > 1, cfg=cfg)})
+        else:
+            term = zeta_hat_num(idx, variant, order - e, cfg).shift(e)
+        acc = acc + term.scaled(float(c))
+    return acc
 
 
 def verify_csf(
@@ -390,71 +409,24 @@ def verify_csf(
     if not k:
         raise ValueError("needs a non-empty index")
     t0 = time.perf_counter()
-    wt = sum(k)
-    ones = all(p == 1 for p in k)
-
-    if which == "mzsv":
-        lhs = ZERO
-        for ki, rest in _rotations_of(k):
-            for j in range(ki - 1):
-                lhs = lhs + mzv_num((j + 1,) + rest + (ki - j,), star=True, cfg=cfg)
-        rhs = mzv_num((wt + 1,), cfg=cfg).scaled(0.0 if ones else float(wt))
-        resid = [abs(lhs.value - rhs.value)]
-        errs = [lhs.err + rhs.err]
-        tol = cfg.tolerance(TOL_PLAIN)
-        order = None
-
-    elif which == "tsmzsv":
-        lhs = NumericSeries(order)
-        rhs = NumericSeries(order)
-        for ki, rest in _rotations_of(k):
-            for j in range(ki - 1):
-                lhs = lhs + zeta_hat_num((j + 1,) + rest + (ki - j,), "star_KY", order, cfg)
-            for j in range(order + 1):
-                rhs = rhs + zeta_hat_num((j + 1,) + rest + (ki,), "star_KY", order - j, cfg).shift(j)
-        rhs = rhs + zeta_hat_num((wt + 1,), "star_KY", order, cfg).scaled(float(wt))
-        if ones:
-            trace = (1.0 + (-1.0) ** (wt + 1)) * wt * mzv_num((wt + 1,), cfg=cfg).value
-            rhs = rhs + NumericSeries(order, {0: NumericValue(-trace, 0.0)})
-        diff = lhs - rhs
-        resid = diff.residuals()
-        errs = diff.errs()
-        tol = cfg.tolerance(TOL_REG)
-
-    elif which == "tsmzv_exact":
-        combo = NumericSeries(order)
-        for ki, rest in _rotations_of(k):
-            for j in range(ki - 1):
-                combo = combo + zeta_hat_num((j + 1,) + rest + (ki - j,), "KY_inv", order, cfg)
-            for j in range(order + 1):
-                combo = combo - zeta_hat_num((ki + j + 1,) + rest, "KY_inv", order - j, cfg).shift(j)
-                combo = combo - zeta_hat_num((j + 1,) + rest + (ki,), "KY_inv", order - j, cfg).shift(j)
-            combo = combo - zeta_hat_num(rest + (ki + 1,), "KY_inv", order, cfg)
-        if ones:
-            trace = -(1.0 + (-1.0) ** (wt + 1)) * wt * mzv_num((wt + 1,), cfg=cfg).value
-            combo = combo - NumericSeries(order, {0: NumericValue(trace, 0.0)})
-        resid = combo.residuals()
-        errs = combo.errs()
-        tol = cfg.tolerance(TOL_REG)
-
-    else:
-        raise ValueError(f"unknown cyclic sum check {which!r}")
-
+    combo = csf_series(which, k, order, cfg)
+    if all(p == 1 for p in k):
+        # all-ones trace; for mzsv it cancels the weight term of an empty splice sum
+        wt = sum(k)
+        c = wt if which == "mzsv" else (1.0 + (-1.0) ** (wt + 1)) * wt
+        trace = NumericValue(c * mzv_num((wt + 1,), cfg=cfg).value, 0.0)
+        combo = combo + NumericSeries(combo.order, {0: trace})
+    resid = combo.residuals()
+    errs = combo.errs()
+    tol = cfg.tolerance(TOL_PLAIN if which == "mzsv" else TOL_REG)
     elapsed = (time.perf_counter() - t0) * 1000
     passed = all(r <= tol + e for r, e in zip(resid, errs))
     return Report(
         identity=f"csf-{which}",
         index=k,
-        order=order,
+        order=None if which == "mzsv" else order,
         residuals=resid,
         tolerance=tol,
         passed=passed,
         elapsed_ms=elapsed,
     )
-
-
-def clear_caches() -> None:
-    """Drop all numeric caches (mainly for tests)."""
-    _MZV_CACHE.clear()
-    _REG_CACHE.clear()
-    _HAT_CACHE.clear()

@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .indexes import weak_compositions_upto
+from .indexes import binomial_shifts
 from .words import NcPoly
 
 Index = tuple[int, ...]
@@ -232,20 +232,65 @@ def x_star_hat(k: Index, t_order: int) -> PosetSeries:
     suffix posets, truncated at total t-power t_order."""
     if t_order < 0:
         raise ValueError("t_order must be >= 0")
-    r = len(k)
     coeffs: dict[int, list[tuple[object, TwoPoset]]] = {}
-    for i in range(r + 1):
+    for i in range(len(k) + 1):
         head = x_star(k[:i])
-        suffix = k[i:]
-        sign = -1 if sum(suffix) & 1 else 1
-        for ls in weak_compositions_upto(t_order, len(suffix)):
-            c = sign
-            for kj, lj in zip(suffix, ls):
-                c *= comb(kj + lj - 1, lj)
-            shifted = tuple(kj + lj for kj, lj in zip(suffix, ls))[::-1]
-            poset = disjoint_union(head, x_star(shifted))
-            coeffs.setdefault(sum(ls), []).append((c, poset))
+        sign = -1 if sum(k[i:]) & 1 else 1
+        for e, c, shifted in binomial_shifts(k[i:], t_order):
+            coeffs.setdefault(e, []).append((sign * c, disjoint_union(head, x_star(shifted))))
     return PosetSeries(t_order, coeffs)
+
+
+# -- fixtures of the chain identities ------------------------------------
+
+
+def double_chain(c: int, d: int) -> TwoPoset:
+    """A y root with two incomparable x-chains of lengths c and d above."""
+    labels = ["y"] + ["x"] * (c + d)
+    rels = []
+    prev = 0
+    for i in range(1, c + 1):
+        rels.append((prev, i))
+        prev = i
+    prev = 0
+    for i in range(c + 1, c + d + 1):
+        rels.append((prev, i))
+        prev = i
+    return TwoPoset(labels, rels)
+
+
+def shift_lhs_chain(k: int, lpp: int, lp: int) -> TwoPoset:
+    """Totally ordered chain reading y x^(k+lpp-1) y x^lp from bottom."""
+    s = "y" + "x" * (k + lpp - 1) + "y" + "x" * lp
+    return TwoPoset(list(s), [(i, i + 1) for i in range(len(s) - 1)])
+
+
+def shift_rhs_poset(k: int, l: int) -> TwoPoset:
+    """Bottom y, an x-chain of length k-1 capped by a y, and an
+    incomparable x-chain of length l above the same bottom."""
+    labels = ["y"] + ["x"] * (k - 1) + ["y"] + ["x"] * l
+    rels = []
+    for i in range(k):  # chain 0 < 1 < ... < k-1 < cap
+        rels.append((i, i + 1))
+    prev = 0
+    for i in range(k + 1, k + 1 + l):
+        rels.append((prev, i))
+        prev = i
+    return TwoPoset(labels, rels)
+
+
+def check_shifting(k: int, order: int) -> bool:
+    """Both sides of the chain-shifting series identity through w_map."""
+    lhs: dict[int, NcPoly] = {}
+    for lpp in range(order + 1):
+        for lp in range(order + 1 - lpp):
+            e = lpp + lp
+            term = comb(k + lpp - 1, lpp) * w_map(shift_lhs_chain(k, lpp, lp))
+            lhs[e] = lhs.get(e, NcPoly.zero()) + term
+    for l in range(order + 1):
+        if lhs.get(l, NcPoly.zero()) != w_map(shift_rhs_poset(k, l)):
+            return False
+    return True
 
 
 def random_2poset(rng: random.Random, n_min: int = 1, n_max: int = 8, admissible: bool = False) -> TwoPoset:

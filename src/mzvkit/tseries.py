@@ -2,11 +2,11 @@
 
 ``WordSeries`` is a power series in t, truncated at a fixed order, whose
 coefficients are NcPolys.  On top of it this module builds the binomially
-shifted reversed series F, the two-sided star series w_star_hat, the
-cyclic-sum combinations (per index and per cyclic class), the A/B/C
-splitting of the double splice sum, and exact verifiers for the expansion
-of the hatted cyclic-sum combination over plain ones, per index and per
-cyclic class.
+shifted reversed series F, the two-sided star series w_star_hat, the word
+values of the cyclic-sum combinations defined in ``indexes`` (per index and
+per cyclic class), the A/B/C splitting of the double splice sum, and exact
+verifiers for the expansion of the hatted cyclic-sum combination over plain
+ones, per index and per cyclic class.
 
 All w_star values and series are cached by index; the caches are
 write-once and safe to share.
@@ -15,10 +15,22 @@ write-once and safe to share.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
-from .indexes import CyclicClass, Index, check_index, weak_compositions_upto
-from .posets import PosetSeries, w_map, x_star
+from .indexes import (
+    CyclicClass,
+    Index,
+    add_symbols,
+    binomial_shift,
+    binomial_shifts,
+    check_index,
+    csf_star_hat_symbols,
+    csf_star_symbols,
+    last_pivots,
+    splice_symbols,
+    splices,
+    tail_symbols,
+)
+from .posets import w_map, x_star
 from .words import NcPoly, shuffle
 
 
@@ -138,17 +150,8 @@ def f_series(k: Index, order: int) -> WordSeries:
     if got is not None:
         return got
     sign = -1 if sum(k) & 1 else 1
-    out: dict[int, NcPoly] = {}
-    for ls in weak_compositions_upto(order, len(k)):
-        c = sign
-        for kj, lj in zip(k, ls):
-            c *= comb(kj + lj - 1, lj)
-        shifted = tuple(kj + lj for kj, lj in zip(k, ls))[::-1]
-        e = sum(ls)
-        term = c * w_star(shifted)
-        q = out.get(e)
-        out[e] = term if q is None else q + term
-    return _F_CACHE.setdefault(key, WordSeries(order, out))
+    symbols = {(shifted, e): sign * c for e, c, shifted in binomial_shifts(k, order)}
+    return _F_CACHE.setdefault(key, _star_words(symbols, order))
 
 
 def w_star_hat(k: Index, order: int) -> WordSeries:
@@ -165,19 +168,44 @@ def w_star_hat(k: Index, order: int) -> WordSeries:
     return _W_STAR_HAT_CACHE.setdefault(key, acc)
 
 
-def w_series_of_posets(ps: PosetSeries) -> WordSeries:
-    """w_map applied coefficientwise to a poset series."""
-    return ps.w_image()
-
-
 # -- cyclic-sum combinations ------------------------------------------
+#
+# The combinations are the symbol dicts {(index, t-power): coeff} built in
+# ``indexes``; these two evaluators read them as word series.
 
 
-def _rotations_of(k: Index):
-    r = len(k)
-    for i in range(1, r + 1):
-        # pivot k_i; remaining entries in cyclic order after i
-        yield k[i - 1], k[i:] + k[: i - 1]
+def _star_words(symbols: dict, order: int) -> WordSeries:
+    """Each symbol (k, e) as w_star(k) t^e."""
+    out: dict[int, NcPoly] = {}
+    for (idx, e), c in symbols.items():
+        term = c * w_star(idx)
+        q = out.get(e)
+        out[e] = term if q is None else q + term
+    return WordSeries(order, out)
+
+
+def _star_hat_words(symbols: dict, order: int) -> WordSeries:
+    """Each symbol (k, e) as w_star_hat(k, order - e) t^e."""
+    acc = WordSeries.zero(order)
+    for (idx, e), c in symbols.items():
+        acc = acc + c * w_star_hat(idx, order - e).shift(e)
+    return acc
+
+
+def _member_splices(m: Index) -> dict:
+    """Splice sum of m pivoting on its last entry, as class members do."""
+    return splice_symbols(last_pivots([m]))
+
+
+def _shifted_sum(build, members, order: int) -> dict:
+    """(-1)^(wt+1) times build(s) t^|l| summed over the binomially shifted,
+    reversed indices s of every member."""
+    out: dict = {}
+    for m in members:
+        sign = 1 if sum(m) & 1 else -1  # (-1)^(wt+1)
+        for e, c, s in binomial_shifts(m, order):
+            add_symbols(out, build(s), sign * c, e)
+    return out
 
 
 def w_csf(k: Index) -> NcPoly:
@@ -186,12 +214,7 @@ def w_csf(k: Index) -> NcPoly:
     k = check_index(k)
     if not k:
         raise ValueError("needs a non-empty index")
-    wt = sum(k)
-    acc = NcPoly.zero()
-    for ki, rest in _rotations_of(k):
-        for j in range(ki - 1):
-            acc = acc + w_star((j + 1,) + rest + (ki - j,))
-    return acc - wt * w_star((wt + 1,))
+    return _star_words(csf_star_symbols(k), 0).coefficient(0)
 
 
 def w_csf_hat(k: Index, order: int) -> WordSeries:
@@ -200,14 +223,7 @@ def w_csf_hat(k: Index, order: int) -> WordSeries:
     k = check_index(k)
     if not k:
         raise ValueError("needs a non-empty index")
-    wt = sum(k)
-    acc = WordSeries.zero(order)
-    for ki, rest in _rotations_of(k):
-        for j in range(ki - 1):
-            acc = acc + w_star_hat((j + 1,) + rest + (ki - j,), order)
-        for j in range(order + 1):
-            acc = acc - w_star_hat((j + 1,) + rest + (ki,), order - j).shift(j)
-    return acc - wt * w_star_hat((wt + 1,), order)
+    return _star_hat_words(csf_star_hat_symbols(k, order), order)
 
 
 @dataclass
@@ -230,19 +246,8 @@ def verify_csf_hat(k: Index, order: int) -> SeriesReport:
     plain one with binomially shifted reversed arguments."""
     k = check_index(k)
     lhs = w_csf_hat(k, order)
-    wt = sum(k)
-    sign = 1 if wt & 1 else -1  # (-1)^(wt+1)
-    out: dict[int, NcPoly] = {0: w_csf(k)}
-    for ls in weak_compositions_upto(order, len(k)):
-        c = sign
-        for kj, lj in zip(k, ls):
-            c *= comb(kj + lj - 1, lj)
-        shifted = tuple(kj + lj for kj, lj in zip(k, ls))[::-1]
-        e = sum(ls)
-        term = c * w_csf(shifted)
-        q = out.get(e)
-        out[e] = term if q is None else q + term
-    rhs = WordSeries(order, out)
+    symbols = add_symbols(_shifted_sum(csf_star_symbols, [k], order), csf_star_symbols(k))
+    rhs = _star_words(symbols, order)
     return SeriesReport("csf-hat-expansion", k, order, lhs == rhs, lhs, rhs)
 
 
@@ -252,54 +257,31 @@ def verify_csf_hat(k: Index, order: int) -> SeriesReport:
 def class_csf(alpha: CyclicClass) -> NcPoly:
     """Splice sum over the distinct members of a cyclic class, pivoting on
     the last entry of each member."""
-    acc = NcPoly.zero()
-    for mem in alpha.members:
-        rest = mem[:-1]
-        for j in range(mem[-1] - 1):
-            acc = acc + w_star((j + 1,) + rest + (mem[-1] - j,))
-    return acc
+    return _star_words(splice_symbols(last_pivots(alpha.members)), 0).coefficient(0)
 
 
 def class_csf_hat(alpha: CyclicClass, order: int) -> WordSeries:
     """Hatted class splice sum minus the t-shifted member tail sums."""
-    acc = WordSeries.zero(order)
-    for mem in alpha.members:
-        rest = mem[:-1]
-        for j in range(mem[-1] - 1):
-            acc = acc + w_star_hat((j + 1,) + rest + (mem[-1] - j,), order)
-        for j in range(order + 1):
-            acc = acc - w_star_hat((j + 1,) + mem, order - j).shift(j)
-    return acc
+    pivots = last_pivots(alpha.members)
+    symbols = add_symbols(splice_symbols(pivots), tail_symbols(pivots, order))
+    return _star_hat_words(symbols, order)
 
 
 def class_u_csf(alpha: CyclicClass, ls: tuple[int, ...]) -> NcPoly:
     """Binomially weighted splice sum of the shifted reversed members."""
-    acc = NcPoly.zero()
+    symbols: dict = {}
     for mem in alpha.members:
-        c = 1
-        for kj, lj in zip(mem, ls):
-            c *= comb(kj + lj - 1, lj)
-        shifted = tuple(kj + lj for kj, lj in zip(mem, ls))
-        head = shifted[0]
-        rest = shifted[1:][::-1]
-        for j in range(head - 1):
-            acc = acc + c * w_star((j + 1,) + rest + (head - j,))
-    return acc
+        c, shifted = binomial_shift(mem, ls)
+        add_symbols(symbols, _member_splices(shifted), c)
+    return _star_words(symbols, 0).coefficient(0)
 
 
 def verify_class_csf_hat(alpha: CyclicClass, order: int) -> SeriesReport:
     """Exact check of the cyclic-class expansion: the hatted class splice
     sum equals the plain one plus the signed, binomially shifted ones."""
     lhs = class_csf_hat(alpha, order)
-    wt = alpha.weight
-    sign = 1 if wt & 1 else -1  # (-1)^(wt+1)
-    out: dict[int, NcPoly] = {0: class_csf(alpha)}
-    for ls in weak_compositions_upto(order, alpha.depth):
-        e = sum(ls)
-        term = sign * class_u_csf(alpha, ls)
-        q = out.get(e)
-        out[e] = term if q is None else q + term
-    rhs = WordSeries(order, out)
+    u_sum = _shifted_sum(_member_splices, alpha.members, order)
+    rhs = _star_words(add_symbols(u_sum, splice_symbols(last_pivots(alpha.members))), order)
     return SeriesReport("class-csf-expansion", alpha, order, lhs == rhs, lhs, rhs)
 
 
@@ -333,21 +315,13 @@ def abc_split(alpha: CyclicClass, order: int) -> SpliceParts:
     B = WordSeries.zero(order)
     C = WordSeries.zero(order)
     direct = WordSeries.zero(order)
-    for mem in alpha.members:
-        kr = mem[-1]
-        body = mem[:-1]
-        r = len(mem)
-        for a in range(kr):  # a + b = kr - 1, b >= 1
-            b = kr - 1 - a
-            if b < 1:
-                continue
-            for i in range(r):  # prefix (1+a, k_1..k_i), suffix (k_{i+1}..k_{r-1}, 1+b)
-                A = A + poly_shuffle_series(
-                    w_star((1 + a,) + body[:i]), f_series(body[i:] + (1 + b,), order)
-                )
-            B = B + WordSeries.from_poly(w_star((1 + a,) + body + (1 + b,)), order)
-            C = C + f_series((1 + a,) + body + (1 + b,), order)
-            direct = direct + w_star_hat((1 + a,) + body + (1 + b,), order)
+    for p, body in last_pivots(alpha.members):
+        for idx in splices(p, body):
+            for i in range(1, len(idx)):  # non-empty prefix and suffix
+                A = A + poly_shuffle_series(w_star(idx[:i]), f_series(idx[i:], order))
+            B = B + WordSeries.from_poly(w_star(idx), order)
+            C = C + f_series(idx, order)
+            direct = direct + w_star_hat(idx, order)
 
     total_ok = (A + B + C) == direct
 
@@ -363,16 +337,7 @@ def abc_split(alpha: CyclicClass, order: int) -> SpliceParts:
     b_ok = B == WordSeries.from_poly(class_csf(alpha), order)
 
     # Chu-Vandermonde closed form of C
-    wt = alpha.weight
-    sign = 1 if wt & 1 else -1  # (-1)^(wt+1)
-    c_closed = WordSeries.zero(order)
-    u_terms: dict[int, NcPoly] = {}
-    for ls in weak_compositions_upto(order, alpha.depth):
-        e = sum(ls)
-        term = sign * class_u_csf(alpha, ls)
-        q = u_terms.get(e)
-        u_terms[e] = term if q is None else q + term
-    c_closed = c_closed + WordSeries(order, u_terms)
+    c_closed = _star_words(_shifted_sum(_member_splices, alpha.members, order), order)
     for mem in alpha.members:
         for l in range(order + 1):
             c_closed = c_closed + f_series((1 + l,) + mem, order - l).shift(l)

@@ -90,15 +90,15 @@ def test_criterion_04_poset_laws():
         done += 1
     from math import comb
 
-    from mzvkit.cli import _check_shifting, _double_chain
+    from mzvkit.posets import check_shifting, double_chain
 
     for c in range(0, 7):
         for d in range(0, 7 - c):
-            assert w_map(_double_chain(c, d)) == comb(c + d, c) * w_map(
-                _double_chain(c + d, 0)
+            assert w_map(double_chain(c, d)) == comb(c + d, c) * w_map(
+                double_chain(c + d, 0)
             )
     for kk in range(1, 5):
-        assert _check_shifting(kk, 3), kk
+        assert check_shifting(kk, 3), kk
     for kk in range(1, 9):
         assert w_map(x_star((kk,))) == NcPoly.from_index((kk,))
     assert w_map(x_star((2, 2))) == NcPoly({word("yxyx"): 1, word("yyxx"): 4})

@@ -2,6 +2,7 @@
 
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -86,6 +87,29 @@ def test_bad_weight_exits_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--jobs", "0"],
+        ["--jobs", "-3"],
+        ["--cases", "0"],
+        ["--cases", "-5"],
+        ["--cutoff-N", "1"],
+        ["--tol", "0"],
+    ],
+)
+def test_bad_values_exit_2_before_any_work(flags, monkeypatch):
+    import mzvkit.cli as cli_mod
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the flags were checked")
+
+    monkeypatch.setattr(cli_mod, "run_suite", no_work)  # the thread pool lives there
+    with pytest.raises(SystemExit) as exc:
+        main(["--suite", "csf-mzsv", *flags])
+    assert exc.value.code == 2
+
+
 def test_deterministic_output():
     args = _args(["--suite", "algebra-laws", "--max-weight", "4", "--cases", "10", "--jobs", "1"])
     buf1, buf2 = io.StringIO(), io.StringIO()
@@ -136,3 +160,36 @@ def test_build_cases_all_suite():
     names = [n for n, _ in build_cases(args, None)]
     # every concrete suite contributes at least one case
     assert len(names) > 8
+
+
+GOLDEN = Path(__file__).with_name("golden_suite_all.jsonl")
+GOLDEN_ARGV = [
+    "--suite", "all", "--jobs", "1", "--json", "--max-weight", "4",
+    "--t-order", "2", "--cutoff-N", "100000", "--cases", "5",
+]
+
+
+def test_suite_all_matches_golden(capsys):
+    """Every row of ``--suite all`` at a small scale against a saved run.
+
+    Exact rows (no tolerance) must be equal apart from elapsed_ms; numeric
+    rows must agree in every other key and in their residuals to 1e-12.
+    Regenerate the file with::
+
+        mzvkit --suite all --jobs 1 --json --max-weight 4 --t-order 2 \
+            --cutoff-N 100000 --cases 5 > tests/golden_suite_all.jsonl
+    """
+    assert main(GOLDEN_ARGV) == 0
+    got = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+    want = [json.loads(l) for l in GOLDEN.read_text().splitlines()]
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        for row in (g, w):
+            del row["elapsed_ms"]
+        if w["tolerance"] is None:
+            assert g == w
+        else:
+            gr, wr = g.pop("residuals"), w.pop("residuals")
+            assert g == w
+            assert len(gr) == len(wr)
+            assert all(abs(a - b) <= 1e-12 for a, b in zip(gr, wr)), (w, gr, wr)

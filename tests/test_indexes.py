@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 from mzvkit.indexes import (
     IndexCombo,
     all_cyclic_classes,
+    binomial_shifts,
     compositions,
     cyclic_classes,
     cyclic_symmetrized_s_m,
     indices_up_to,
+    rotation_pivots,
     s_m,
     star_expand,
     star_invert,
@@ -194,3 +196,25 @@ def test_all_cyclic_classes_count():
     # weight 4: depth 1: (4); depth 2: (1,3),(2,2); depth 3: (1,1,2); depth 4: (1,1,1,1)
     reps = [c.representative for c in all_cyclic_classes(4) if c.weight == 4]
     assert reps == [(4,), (1, 3), (2, 2), (1, 1, 2), (1, 1, 1, 1)]
+
+
+def test_binomial_shifts_against_generating_function():
+    # C(order + r, r) shifts l with |l| <= order; at each |l| = e the weights
+    # sum to C(wt + e - 1, e), the coefficient of x^e in (1 - x)^-wt
+    for k in indices_up_to(6):
+        r, wt = len(k), sum(k)
+        for order in range(4):
+            terms = list(binomial_shifts(k, order))
+            assert len(terms) == _binom(order + r, r), (k, order)
+            sums = {}
+            for e, c, shifted in terms:
+                assert len(shifted) == r and sum(shifted) == wt + e, (k, shifted)
+                assert all(a >= b for a, b in zip(shifted, k[::-1])), (k, shifted)
+                sums[e] = sums.get(e, 0) + c
+            assert sums == {e: _binom(wt + e - 1, e) for e in range(order + 1)}, (k, order)
+
+
+def test_rotation_pivots_are_the_rotations_in_order():
+    for k in indices_up_to(6):
+        got = [rest + (pivot,) for pivot, rest in rotation_pivots(k)]
+        assert got == [k[i:] + k[:i] for i in range(1, len(k) + 1)], k

@@ -10,6 +10,7 @@ from mzvkit.numeval import (
     EvalConfig,
     NumericSeries,
     NumericValue,
+    csf_series,
     mzv_num,
     raw_partial_sum,
     verify_csf,
@@ -18,6 +19,7 @@ from mzvkit.numeval import (
     zeta_hat_num,
     zeta_reg,
 )
+from mzvkit.tseries import w_csf_hat
 from mzvkit.words import NcPoly, harmonic, random_word, shuffle
 
 FAST = EvalConfig(cutoff=20000)
@@ -218,3 +220,16 @@ def test_reported_errors_are_honest():
     assert abs(v.value - math.pi**2 / 6) <= v.err + 1e-12
     v = mzv_num((2, 2), cfg=FAST)
     assert abs(v.value - math.pi**4 / 120) <= v.err + 1e-12
+
+
+def test_word_and_numeric_csf_hat_agree():
+    # the word series of the hatted star combination, regularised
+    # coefficientwise, against the same combination evaluated through
+    # zeta_hat_num (the tsmzsv difference series without the all-ones trace)
+    cfg = EvalConfig(cutoff=10**5)
+    for k in indices_up_to(4):
+        words = w_csf_hat(k, 2)
+        numeric = csf_series("tsmzsv", k, 2, cfg)
+        for e in range(3):
+            exact = z_reg_num(words.coefficient(e), "sh", cfg=cfg).value
+            assert abs(exact - numeric.coefficient(e).value) <= 1e-9, (k, e)
