@@ -535,13 +535,9 @@ def build_cases(args, cfg) -> list[Case]:
     return cases
 
 
-def _config(args) -> EvalConfig:
-    return EvalConfig(cutoff=args.cutoff_N, tol=args.tol)
-
-
-def run_suite(args, out=None, cfg: EvalConfig | None = None) -> int:
+def run_suite(args, out=None) -> int:
     out = out if out is not None else sys.stdout
-    cases = build_cases(args, cfg if cfg is not None else _config(args))
+    cases = build_cases(args, EvalConfig(cutoff=args.cutoff_N, tol=args.tol))
     all_ok = True
     if args.jobs > 1:
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
@@ -585,8 +581,8 @@ def main(argv=None) -> int:
         ap.error("--max-weight must be >= 1 and --t-order >= 0")
     if args.jobs < 1 or args.cases < 1:
         ap.error("--jobs and --cases must be >= 1")
-    try:
-        cfg = _config(args)
+    try:  # EvalConfig holds the cutoff and tolerance rules; run_suite builds it again
+        EvalConfig(cutoff=args.cutoff_N, tol=args.tol)
     except ValueError as exc:
         ap.error(f"--cutoff-N/--tol: {exc}")
     if args.index is not None:
@@ -596,7 +592,7 @@ def main(argv=None) -> int:
             ap.error(f"--index: {exc}")
         if not args.index:
             ap.error("--index: single-case mode needs a non-empty index")
-    return run_suite(args, cfg=cfg)
+    return run_suite(args)
 
 
 if __name__ == "__main__":

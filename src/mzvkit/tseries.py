@@ -197,15 +197,20 @@ def _member_splices(m: Index) -> dict:
     return splice_symbols(last_pivots([m]))
 
 
-def _shifted_sum(build, members, order: int) -> dict:
-    """(-1)^(wt+1) times build(s) t^|l| summed over the binomially shifted,
-    reversed indices s of every member."""
+def _shifted_sum(build, terms) -> dict:
+    """c * build(s) t^e summed over the shift terms (e, c, s)."""
     out: dict = {}
-    for m in members:
-        sign = 1 if sum(m) & 1 else -1  # (-1)^(wt+1)
-        for e, c, s in binomial_shifts(m, order):
-            add_symbols(out, build(s), sign * c, e)
+    for e, c, s in terms:
+        add_symbols(out, build(s), c, e)
     return out
+
+
+def _signed_shifts(members, order: int):
+    """The binomial_shifts terms of every member, signed by (-1)^(wt+1)."""
+    for m in members:
+        sign = 1 if sum(m) & 1 else -1
+        for e, c, s in binomial_shifts(m, order):
+            yield e, sign * c, s
 
 
 def w_csf(k: Index) -> NcPoly:
@@ -246,8 +251,8 @@ def verify_csf_hat(k: Index, order: int) -> SeriesReport:
     plain one with binomially shifted reversed arguments."""
     k = check_index(k)
     lhs = w_csf_hat(k, order)
-    symbols = add_symbols(_shifted_sum(csf_star_symbols, [k], order), csf_star_symbols(k))
-    rhs = _star_words(symbols, order)
+    u_sum = _shifted_sum(csf_star_symbols, _signed_shifts([k], order))
+    rhs = _star_words(add_symbols(u_sum, csf_star_symbols(k)), order)
     return SeriesReport("csf-hat-expansion", k, order, lhs == rhs, lhs, rhs)
 
 
@@ -268,19 +273,22 @@ def class_csf_hat(alpha: CyclicClass, order: int) -> WordSeries:
 
 
 def class_u_csf(alpha: CyclicClass, ls: tuple[int, ...]) -> NcPoly:
-    """Binomially weighted splice sum of the shifted reversed members."""
-    symbols: dict = {}
-    for mem in alpha.members:
-        c, shifted = binomial_shift(mem, ls)
-        add_symbols(symbols, _member_splices(shifted), c)
-    return _star_words(symbols, 0).coefficient(0)
+    """Binomially weighted splice sum of the members shifted by ls and
+    reversed: one term of the class u-sum, without its sign and t-power."""
+    terms = ((0,) + binomial_shift(m, ls) for m in alpha.members)
+    return _star_words(_shifted_sum(_member_splices, terms), 0).coefficient(0)
+
+
+def _class_u_sum(alpha: CyclicClass, order: int) -> dict:
+    """The signed class u-sums t^|l| over every shift l with |l| <= order."""
+    return _shifted_sum(_member_splices, _signed_shifts(alpha.members, order))
 
 
 def verify_class_csf_hat(alpha: CyclicClass, order: int) -> SeriesReport:
     """Exact check of the cyclic-class expansion: the hatted class splice
     sum equals the plain one plus the signed, binomially shifted ones."""
     lhs = class_csf_hat(alpha, order)
-    u_sum = _shifted_sum(_member_splices, alpha.members, order)
+    u_sum = _class_u_sum(alpha, order)
     rhs = _star_words(add_symbols(u_sum, splice_symbols(last_pivots(alpha.members))), order)
     return SeriesReport("class-csf-expansion", alpha, order, lhs == rhs, lhs, rhs)
 
@@ -337,7 +345,7 @@ def abc_split(alpha: CyclicClass, order: int) -> SpliceParts:
     b_ok = B == WordSeries.from_poly(class_csf(alpha), order)
 
     # Chu-Vandermonde closed form of C
-    c_closed = _star_words(_shifted_sum(_member_splices, alpha.members, order), order)
+    c_closed = _star_words(_class_u_sum(alpha, order), order)
     for mem in alpha.members:
         for l in range(order + 1):
             c_closed = c_closed + f_series((1 + l,) + mem, order - l).shift(l)
