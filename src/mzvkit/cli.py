@@ -9,11 +9,9 @@ one verification failed, 2 means the invocation itself was invalid.
 from __future__ import annotations
 
 import argparse
-import os
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from math import comb
 from typing import Callable
 
@@ -105,7 +103,7 @@ def _algebra_cases(args, cfg) -> list[Case]:
 
     def law(name, check, count) -> Case:
         def run():
-            rng = random.Random(f"{_SEED}:{name}")  # per-case: safe under --jobs
+            rng = random.Random(f"{_SEED}:{name}")  # per case: independent of the cases run before
 
             def body():
                 for i in range(count):
@@ -539,17 +537,10 @@ def run_suite(args, out=None) -> int:
     out = out if out is not None else sys.stdout
     cases = build_cases(args, EvalConfig(cutoff=args.cutoff_N, tol=args.tol))
     all_ok = True
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            reports = pool.map(lambda c: c[1](), cases)
-            for rep in reports:
-                all_ok &= rep.passed
-                print(rep.to_json() if args.json else rep.text_row(), file=out)
-    else:
-        for _, thunk in cases:
-            rep = thunk()
-            all_ok &= rep.passed
-            print(rep.to_json() if args.json else rep.text_row(), file=out)
+    for _, thunk in cases:
+        rep = thunk()
+        all_ok &= rep.passed
+        print(rep.to_json() if args.json else rep.text_row(), file=out)
     return 0 if all_ok else 1
 
 
@@ -566,7 +557,7 @@ def make_parser() -> argparse.ArgumentParser:
     ap.add_argument("--tol", type=float, default=None, help="override comparison tolerance")
     ap.add_argument("--json", action="store_true", help="one JSON object per line")
     ap.add_argument(
-        "--jobs", type=int, default=os.cpu_count() or 1, help="parallel workers (default: cores)"
+        "--jobs", type=int, default=1, help="kept for compatibility; cases run serially (default 1)"
     )
     ap.add_argument(
         "--cases", type=int, default=200, help="random cases per law check (default 200)"

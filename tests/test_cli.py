@@ -104,7 +104,7 @@ def test_bad_values_exit_2_before_any_work(flags, monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the flags were checked")
 
-    monkeypatch.setattr(cli_mod, "run_suite", no_work)  # the thread pool lives there
+    monkeypatch.setattr(cli_mod, "run_suite", no_work)
     with pytest.raises(SystemExit) as exc:
         main(["--suite", "csf-mzsv", *flags])
     assert exc.value.code == 2

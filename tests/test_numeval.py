@@ -1,8 +1,11 @@
 """Numerics: corrected nested sums against closed-form oracles."""
 
+import itertools
 import math
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from mzvkit.indexes import indices_up_to, star_expand
@@ -10,6 +13,7 @@ from mzvkit.numeval import (
     EvalConfig,
     NumericSeries,
     NumericValue,
+    _outer_terms,
     csf_series,
     mzv_num,
     raw_partial_sum,
@@ -212,6 +216,93 @@ def test_verify_csf_rejects():
         verify_csf("nope", (2,))
     with pytest.raises(ValueError):
         verify_csf("mzsv", ())
+
+
+def test_pass_means_residual_within_tolerance():
+    # at N = 10^4 the residual is about 30x the tolerance; a large error
+    # estimate must not turn that into a pass
+    rep = verify_csf("tsmzsv", (1, 1, 1, 1), 2, EvalConfig(cutoff=10**4))
+    assert max(rep.residuals) > rep.tolerance
+    assert not rep.passed
+
+
+def _exact_outer_terms(k, star, N):
+    """The kernel's P(n)/n^{k_r}, n = 1..N, in Fraction arithmetic."""
+    P = [Fraction(1)] * N
+    for i, s in enumerate(k):
+        P = [p / n**s for n, p in enumerate(P, start=1)]
+        if i == len(k) - 1:
+            return P
+        partial = list(itertools.accumulate(P))
+        P = partial if star else [Fraction(0)] + partial[:-1]
+
+
+def _pow_outer_terms(k, star, N, dtype):
+    """Reference kernel built on numpy powers ``n**s`` (pow per element)."""
+    n = np.arange(1, N + 1, dtype=dtype)
+    P = np.ones(N, dtype=dtype)
+    for s in k[:-1]:
+        c = np.cumsum(P / n**s)
+        P = c if star else np.concatenate(([0.0], c[:-1])).astype(dtype)
+    return P / n ** k[-1]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_kernel_against_exact_nested_sum(dtype):
+    N, eps = 60, Fraction(float(np.finfo(dtype).eps))
+    for depth in (1, 2, 3):
+        for k in itertools.product(range(1, 7), repeat=depth):
+            for star in (False, True):
+                got = _outer_terms(k, star, N, dtype)
+                for n, (g, e) in enumerate(zip(got, _exact_outer_terms(k, star, N)), 1):
+                    exact_g = Fraction(*g.as_integer_ratio())
+                    assert abs(exact_g - e) <= 8 * eps * e, (k, star, n)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_kernel_matches_pow_formula_bitwise_up_to_cubes(dtype):
+    # n^2 and n^3 are exact integers at N = 10^5, so products and pow agree
+    N = 10**5
+    for depth in (1, 2, 3):
+        for k in itertools.product(range(1, 4), repeat=depth):
+            for star in (False, True):
+                expected = _pow_outer_terms(k, star, N, dtype)
+                assert np.array_equal(_outer_terms(k, star, N, dtype), expected), (k, star)
+
+
+def _zeta_even(n):
+    """zeta(2n) for n <= 6, as a rational multiple of pi^(2n)."""
+    q = {1: Fraction(1, 6), 2: Fraction(1, 90), 3: Fraction(1, 945), 4: Fraction(1, 9450),
+         5: Fraction(1, 93555), 6: Fraction(691, 638512875)}[n]
+    return float(q) * math.pi ** (2 * n)
+
+
+# zeta(3), zeta(5), zeta(7) to 20 digits; even values come from _zeta_even
+_ZETA_ODD = {3: 1.2020569031595942854, 5: 1.0369277551433699263, 7: 1.0083492773819228268}
+
+
+def _zeta(s):
+    return _zeta_even(s // 2) if s % 2 == 0 else _ZETA_ODD[s]
+
+
+# Closed forms in this library's ordering (the last entry is the outermost
+# sum): (index, star, value).  None of them is computed by the kernel.
+_ORACLES = (
+    [((2,) * n, False, math.pi ** (2 * n) / math.factorial(2 * n + 1)) for n in range(1, 7)]
+    + [((2,) * n, True, 2 * (1 - 2.0 ** (1 - 2 * n)) * _zeta_even(n)) for n in range(1, 7)]
+    + [((1,) * (n - 1) + (2,), True, n * _zeta(n + 1)) for n in range(1, 7)]
+    + [((1,) * (n - 1) + (2,), False, _zeta(n + 1)) for n in range(2, 7)]
+    + [((1, 3) * n, False, 2 * math.pi ** (4 * n) / math.factorial(4 * n + 2)) for n in range(1, 4)]
+)
+
+
+@pytest.mark.parametrize(
+    "k, star, value", _ORACLES, ids=[f"{'star' if s else 'plain'}{k}" for k, s, _ in _ORACLES]
+)
+def test_closed_form_oracles(k, star, value):
+    v = mzv_num(k, star, EvalConfig(cutoff=10**6))
+    assert abs(v.value - value) <= 1e-8, (v.value, value)
+    assert v.err <= 1e-8
 
 
 def test_reported_errors_are_honest():
