@@ -9,6 +9,7 @@ one verification failed, 2 means the invocation itself was invalid.
 from __future__ import annotations
 
 import argparse
+import numbers
 import random
 import sys
 import time
@@ -71,16 +72,43 @@ def _timed(identity: str, index, fn: Callable[[], tuple[bool, str | None]], orde
     )
 
 
+_DETAIL_TERMS = 4  # terms of lhs - rhs shown when an exact check fails
+
+
+def _labelled_terms(x, prefix: str = ""):
+    """(label, coefficient) pairs of an index combination, a word
+    polynomial or series, or a dict of coefficients or of combinations."""
+    if isinstance(x, words.NcPoly):
+        for w, c in x.terms.items():
+            yield prefix + (words.word_str(w) or "1"), c
+    elif isinstance(x, indexes.IndexCombo):
+        for k, c in x.terms.items():
+            yield prefix + str(k), c
+    elif isinstance(x, tseries.WordSeries):
+        for e, p in x.coeffs.items():
+            yield from _labelled_terms(p, f"{prefix}t^{e}:")
+    else:
+        for key, v in x.items():
+            if isinstance(v, numbers.Number):
+                yield prefix + str(key), v
+            else:
+                yield from _labelled_terms(v, f"{prefix}{key}:")
+
+
 def _exact(rep) -> tuple[bool, str | None]:
+    """Pass, or fail with the first few terms of lhs - rhs and their count
+    (the sides themselves can have thousands of terms)."""
     if rep.equal:
         return True, None
-    return False, f"lhs != rhs: lhs={rep.lhs} rhs={rep.rhs}"
-
-
-def _series_exact(rep) -> tuple[bool, str | None]:
-    if rep.equal:
-        return True, None
-    return False, f"difference: {rep.diff()}"
+    diff: dict = {}
+    for side, sign in ((rep.lhs, 1), (rep.rhs, -1)):
+        for label, c in _labelled_terms(side):
+            diff[label] = diff.get(label, 0) + sign * c
+    terms = [f"{c}*{label}" for label, c in diff.items() if c]
+    shown = " + ".join(terms[:_DETAIL_TERMS])
+    if len(terms) > _DETAIL_TERMS:
+        shown += " + ..."
+    return False, f"lhs - rhs has {len(terms)} terms: {shown}"
 
 
 Case = tuple[str, Callable[[], Report]]
@@ -419,7 +447,7 @@ def _second_main_cases(args, cfg) -> list[Case]:
             lambda k=k: _timed(
                 "csf-hat-expansion",
                 k,
-                lambda: _series_exact(tseries.verify_csf_hat(k, args.t_order)),
+                lambda: _exact(tseries.verify_csf_hat(k, args.t_order)),
                 order=args.t_order,
             ),
         )
@@ -436,7 +464,7 @@ def _key_prop_cases(args, cfg) -> list[Case]:
                 lambda al=al: _timed(
                     "class-csf-expansion",
                     al.representative,
-                    lambda: _series_exact(tseries.verify_class_csf_hat(al, args.t_order)),
+                    lambda: _exact(tseries.verify_class_csf_hat(al, args.t_order)),
                     order=args.t_order,
                 ),
             )

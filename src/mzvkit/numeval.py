@@ -14,8 +14,10 @@ The kernel (``_outer_terms``) costs about weight + depth passes over N
 elements: for each index entry k_i, k_i - 1 multiplications build n^k_i
 (products, exact up to n^3, not pow calls), one division applies it
 and, for all but the last entry, a cumulative sum forms the next
-partial sums.  It runs in place on three N-element arrays and keeps no
-array between calls; only the finished values are cached.
+partial sums.  It runs in place in one module-level workspace of three
+N-element arrays (n = 1..N, the partial sums and a power buffer), kept
+for the last (N, dtype) used and replaced when either changes; besides
+that workspace only the finished values are cached.
 
 Every value carries a heuristic error estimate: the difference between
 the corrected values at N and N/2, plus a rounding allowance from the
@@ -133,23 +135,43 @@ def _harmonic_pow_tail(i: int, kappa: int, N: int, star: bool) -> float:
 # -- nested-sum dynamic programme --------------------------------------
 
 
+# (N, dtype) -> (n, P, pw); holds at most one entry, the last one used
+_WORKSPACE: dict = {}
+
+
+def _workspace(N: int, dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    key = (N, dtype)
+    got = _WORKSPACE.get(key)
+    if got is None:
+        _WORKSPACE.clear()  # drop the old arrays before allocating the new ones
+        n = np.arange(1, N + 1, dtype=dtype)
+        got = _WORKSPACE[key] = (n, np.empty_like(n), np.empty_like(n))
+    return got
+
+
 def _outer_terms(k: Index, star: bool, N: int, dtype) -> np.ndarray:
     """Array of P(n)/n^{k_r} for n = 1..N, P the inner nested partial sum
     (strict inner inequalities; weak for the star variant).
 
-    Works in place on three N-element arrays: n, P and one buffer for
-    n^s, built by repeated multiplication rather than pow: n^2 and n^3
+    Works in place in the module's workspace: n = 1..N, P and one buffer
+    for n^s, built by repeated multiplication rather than pow: n^2 and n^3
     are exact integers below 2^64, n^4 is correctly rounded, and each
-    further factor adds one rounding.
+    further factor adds one rounding.  The returned array is the
+    workspace's P, valid only until the next kernel call (any call, at
+    any N); the workspace is not thread-safe.
     """
-    n = np.arange(1, N + 1, dtype=dtype)
-    P = np.ones(N, dtype=dtype)
-    pw = np.empty_like(n)
+    n, P, pw = _workspace(N, dtype)
     for i, s in enumerate(k):
-        np.copyto(pw, n)
-        for _ in range(s - 1):
-            pw *= n
-        P /= pw
+        d = n
+        if s > 1:
+            np.multiply(n, n, out=pw)
+            for _ in range(s - 2):
+                pw *= n
+            d = pw
+        if i == 0:
+            np.divide(1, d, out=P)
+        else:
+            P /= d
         if i == len(k) - 1:
             break
         np.cumsum(P, out=P)
@@ -160,11 +182,15 @@ def _outer_terms(k: Index, star: bool, N: int, dtype) -> np.ndarray:
 
 
 def raw_partial_sum(k: Index, star: bool = False, N: int | None = None, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
-    """Uncorrected partial sum with all variables cut off at N."""
+    """Uncorrected partial sum with all variables cut off at N (default:
+    the config's cutoff)."""
     k = check_index(k)
+    if N is None:
+        N = cfg.cutoff
+    if N < 1:
+        raise ValueError(f"N must be >= 1, got {N}")
     if not k:
         return 1.0
-    N = N or cfg.cutoff
     return float(_outer_terms(k, star, N, cfg.dtype).sum())
 
 
@@ -201,8 +227,10 @@ def mzv_num(k: Index, star: bool = False, cfg: EvalConfig = DEFAULT_CONFIG) -> N
         return got
 
     N = cfg.cutoff
-    terms = _outer_terms(k, star, N, cfg.dtype)
+    # before the kernel: uncached prefix values call mzv_num, which reuses
+    # the kernel's workspace and would overwrite ``terms``
     coeffs = _prefix_reg_values(k[:-1], star, cfg)
+    terms = _outer_terms(k, star, N, cfg.dtype)
 
     def corrected(limit: int) -> float:
         v = float(terms[:limit].sum())

@@ -3,11 +3,15 @@
 import io
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from mzvkit.cli import build_cases, main, make_parser, parse_index, run_suite
+from mzvkit.cli import _exact, build_cases, main, make_parser, parse_index, run_suite
+from mzvkit.indexes import IndexCombo
 from mzvkit.reports import Report
+from mzvkit.tseries import WordSeries
+from mzvkit.words import NcPoly, word_of_index
 
 
 def test_parse_index_examples():
@@ -194,3 +198,30 @@ def test_suite_all_matches_golden(capsys):
             assert g == w
             assert len(gr) == len(wr)
             assert all(abs(a - b) <= 1e-12 for a, b in zip(gr, wr)), (w, gr, wr)
+
+
+def test_exact_failure_detail_is_bounded():
+    # sides of 300 terms that differ in 200: the detail names the count and
+    # a few terms of lhs - rhs, not the sides themselves
+    lhs = IndexCombo({(i, 2): 1 for i in range(1, 301)})
+    rhs = IndexCombo({(i, 2): 1 for i in range(101, 301)} | {(i, 3): 1 for i in range(1, 101)})
+    sides = [
+        (lhs, rhs),  # prop1-3
+        ({0: lhs, 1: lhs}, {0: rhs, 1: lhs}),  # lemma112: one combination per m
+        (
+            {(k, e): c for e in range(2) for k, c in lhs.terms.items()},
+            {(k, e): c for e in range(2) for k, c in rhs.terms.items()},
+        ),  # csf_reduction: {(index, t-power): coeff}
+        (
+            WordSeries(1, {1: NcPoly({word_of_index((i, 2)): 1 for i in range(1, 201)})}),
+            WordSeries(1),
+        ),  # series expansions
+    ]
+    for (l, r), count in zip(sides, (200, 200, 400, 200)):
+        ok, detail = _exact(SimpleNamespace(equal=False, lhs=l, rhs=r))
+        assert not ok
+        assert detail.startswith(f"lhs - rhs has {count} terms: ")
+        assert len(detail) < 200, detail
+    ok, detail = _exact(SimpleNamespace(equal=False, lhs=IndexCombo.of((1, 2)), rhs=IndexCombo.of((3,))))
+    assert detail == "lhs - rhs has 2 terms: 1*(1, 2) + -1*(3,)"
+    assert _exact(SimpleNamespace(equal=True, lhs=lhs, rhs=lhs)) == (True, None)

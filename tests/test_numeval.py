@@ -10,6 +10,8 @@ import pytest
 
 from mzvkit.indexes import indices_up_to, star_expand
 from mzvkit.numeval import (
+    _MZV_CACHE,
+    _WORKSPACE,
     EvalConfig,
     NumericSeries,
     NumericValue,
@@ -103,6 +105,13 @@ def test_monotone_cutoff_consistency():
         d1 = abs(raw_partial_sum(k, N=4000) - raw_partial_sum(k, N=8000))
         d2 = abs(raw_partial_sum(k, N=8000) - raw_partial_sum(k, N=16000))
         assert d1 / d2 > 2 ** (k[-1] - 1) / 10, k
+
+
+def test_raw_partial_sum_rejects_bad_cutoff():
+    for N in (0, -5):
+        with pytest.raises(ValueError):
+            raw_partial_sum((2,), N=N)
+    assert raw_partial_sum((2,), cfg=FAST) == raw_partial_sum((2,), N=FAST.cutoff)
 
 
 def test_corrected_beats_raw():
@@ -257,6 +266,56 @@ def test_kernel_against_exact_nested_sum(dtype):
                 for n, (g, e) in enumerate(zip(got, _exact_outer_terms(k, star, N)), 1):
                     exact_g = Fraction(*g.as_integer_ratio())
                     assert abs(exact_g - e) <= 8 * eps * e, (k, star, n)
+
+
+def _alloc_outer_terms(k, star, N, dtype):
+    """Reference kernel allocating its arrays per call: powers by repeated
+    multiplication of a copy of n, P started from ones."""
+    n = np.arange(1, N + 1, dtype=dtype)
+    P = np.ones(N, dtype=dtype)
+    pw = np.empty_like(n)
+    for i, s in enumerate(k):
+        np.copyto(pw, n)
+        for _ in range(s - 1):
+            pw *= n
+        P /= pw
+        if i == len(k) - 1:
+            break
+        np.cumsum(P, out=P)
+        if not star:
+            P[1:] = P[:-1]
+            P[0] = 0.0
+    return P
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_kernel_matches_allocating_kernel_bitwise(dtype):
+    N = 10**5
+    for depth in (1, 2, 3):
+        for k in itertools.product(range(1, 9), repeat=depth):
+            for star in (False, True):
+                expected = _alloc_outer_terms(k, star, N, dtype)
+                assert np.array_equal(_outer_terms(k, star, N, dtype), expected), (k, star)
+
+
+def test_workspace_reuse_is_safe():
+    # a cold depth-4 star value computes its prefix coefficients through
+    # mzv_num, on the same workspace its own kernel call uses
+    k, cfg = (2, 1, 1, 2), EvalConfig(cutoff=12345)
+    assert not any(key[2] == cfg.cutoff for key in _MZV_CACHE)
+    cold = mzv_num(k, True, cfg)
+    del _MZV_CACHE[(k, True, cfg.cutoff, cfg.precision)]
+    assert mzv_num(k, True, cfg) == cold  # now with every prefix value cached
+
+    calls = [((1, 3), N, dtype) for N in (1000, 3000) for dtype in (np.float64, np.longdouble)]
+    fresh = {}
+    for call in calls:
+        _WORKSPACE.clear()
+        fresh[call] = _outer_terms(call[0], False, *call[1:]).copy()
+    for call in calls + calls[::-1] + calls[::2]:
+        assert np.array_equal(_outer_terms(call[0], False, *call[1:]), fresh[call]), call
+    assert len(_WORKSPACE) == 1
+    assert sum(a.size for a in next(iter(_WORKSPACE.values()))) == 3 * calls[::2][-1][1]
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
