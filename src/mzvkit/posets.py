@@ -9,9 +9,14 @@ chains and splits non-comparable pairs.  The zig-zag posets built by
 index entry, with the previous chain's root hung below the next chain's
 top.
 
-``w_map`` runs a DP over subsets: W(S) for a remaining vertex set S is
-assembled from W(S - v) over the minimal vertices v of S, on dense
-per-size word vectors, memoised on the subset bitmask.
+``w_map`` runs a DP over subsets: W(S) for a remaining vertex set S (an
+up-set of the poset) is assembled from W(S - v) over the minimal
+vertices v of S, memoised on the subset bitmask.  Each W(S) is a dense
+word vector packed into one Python int, one 64-bit lane per word of
+weight |S| (lane b holds the word with letter bits b, first letter
+most significant): prepending x to a vector leaves it as it is,
+prepending y shifts it up by 2^(|S|-1) lanes, and sums are int
+additions.  The result is unpacked once through numpy.
 """
 
 from __future__ import annotations
@@ -137,7 +142,10 @@ def disjoint_union(p: TwoPoset, q: TwoPoset) -> TwoPoset:
     return p.relabeled_union(q)
 
 
-_MAX_WMAP_VERTICES = 20  # linear-extension counts stay inside int64
+# Every coefficient of w_map is a count of linear extensions, at most
+# n! < 2^63 for n <= 20, so it fits one signed 64-bit lane of the packed
+# word vectors and no lane carries into the next.
+_MAX_WMAP_VERTICES = 20
 
 
 def w_map(p: TwoPoset) -> NcPoly:
@@ -149,33 +157,30 @@ def w_map(p: TwoPoset) -> NcPoly:
         raise ValueError(f"poset too large for w_map ({n} vertices)")
     below = p.below
     ybit = [1 if l == "y" else 0 for l in p.labels]
-    vbits = [1 << v for v in range(n)]
-    memo: dict[int, np.ndarray] = {0: np.ones(1, dtype=np.int64)}
+    memo: dict[int, int] = {0: 1}
 
-    def rec(S: int) -> np.ndarray:
-        got = memo.get(S)
-        if got is not None:
-            return got
-        m = S.bit_count()
-        half = 1 << (m - 1)
-        vec = np.zeros(2 * half, dtype=np.int64)
+    def rec(S: int) -> int:
+        ylane = 64 << (S.bit_count() - 1)  # bit offset of the y-first half
+        vec = 0
         rest = S
         while rest:
-            v = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
             if below[v] & S:
                 continue  # not minimal in S
-            sub = rec(S & ~vbits[v])
-            if ybit[v]:
-                vec[half:] += sub
-            else:
-                vec[:half] += sub
+            T = S ^ low
+            sub = memo.get(T)
+            if sub is None:
+                sub = rec(T)
+            vec += sub << ylane if ybit[v] else sub
         memo[S] = vec
         return vec
 
-    vec = rec((1 << n) - 1)
+    vec = np.frombuffer(rec((1 << n) - 1).to_bytes(8 << n, "little"), np.int64)
+    nz = np.flatnonzero(vec)
     sentinel = 1 << n
-    return NcPoly({sentinel | int(b): int(vec[b]) for b in np.flatnonzero(vec)})
+    return NcPoly({sentinel | b: c for b, c in zip(nz.tolist(), vec[nz].tolist())})
 
 
 def x_star(k: Index) -> TwoPoset:

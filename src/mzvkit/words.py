@@ -280,7 +280,7 @@ def _shuffle_dense(A: np.ndarray, p: int, B: np.ndarray, q: int) -> np.ndarray:
             j = k - i
             if j < q:
                 Xr = S.reshape(1 << k, 1 << (p - i), 2, 1 << (q - j - 1))
-                Xr = np.moveaxis(Xr, 2, 1).reshape(1 << (k + 1), 1 << (p - i), 1 << (q - j - 1))
+                Xr = Xr.swapaxes(1, 2).reshape(1 << (k + 1), 1 << (p - i), 1 << (q - j - 1))
                 if i in new:
                     new[i] = new[i] + Xr
                 else:
@@ -315,10 +315,9 @@ def shuffle(a: NcPoly, b: NcPoly) -> NcPoly:
             dtype = np.int64 if exact and bound < _INT64_SAFE else object
             vec = _shuffle_dense(_dense(ap, p, dtype), p, _dense(bp, q, dtype), q)
             sentinel = 1 << (p + q)
-            for bits in np.flatnonzero(vec):
-                w = sentinel | int(bits)
-                c = vec[bits]
-                c = int(c) if dtype is np.int64 else c
+            nz = np.flatnonzero(vec)
+            for bits, c in zip(nz.tolist(), vec[nz].tolist()):
+                w = sentinel | bits
                 nc = out.get(w, 0) + c
                 if nc:
                     out[w] = nc

@@ -2,7 +2,9 @@
 
 import itertools
 import random
+from math import comb, factorial
 
+import numpy as np
 import pytest
 
 from mzvkit.indexes import indices_up_to
@@ -33,6 +35,43 @@ def w_map_oracle(p: TwoPoset) -> NcPoly:
             s = "".join(p.labels[v] for v in perm)
             out[s] = out.get(s, 0) + 1
     return NcPoly({word(s): c for s, c in out.items()})
+
+
+def _numpy_w_map(p: TwoPoset) -> NcPoly:
+    """The previous w_map, kept verbatim as the reference: the same subset
+    DP on one int64 numpy vector per state."""
+    n = p.n
+    if n == 0:
+        return NcPoly.one()
+    below = p.below
+    ybit = [1 if l == "y" else 0 for l in p.labels]
+    vbits = [1 << v for v in range(n)]
+    memo: dict[int, np.ndarray] = {0: np.ones(1, dtype=np.int64)}
+
+    def rec(S: int) -> np.ndarray:
+        got = memo.get(S)
+        if got is not None:
+            return got
+        m = S.bit_count()
+        half = 1 << (m - 1)
+        vec = np.zeros(2 * half, dtype=np.int64)
+        rest = S
+        while rest:
+            v = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            if below[v] & S:
+                continue  # not minimal in S
+            sub = rec(S & ~vbits[v])
+            if ybit[v]:
+                vec[half:] += sub
+            else:
+                vec[:half] += sub
+        memo[S] = vec
+        return vec
+
+    vec = rec((1 << n) - 1)
+    sentinel = 1 << n
+    return NcPoly({sentinel | int(b): int(vec[b]) for b in np.flatnonzero(vec)})
 
 
 def test_constructor_validates():
@@ -90,6 +129,43 @@ def test_w_map_matches_permutation_oracle():
     for _ in range(150):
         p = random_2poset(rng, 1, 7)
         assert w_map(p) == w_map_oracle(p), p.describe()
+
+
+def _same_terms_in_order(p: TwoPoset) -> None:
+    # term order matters too: z_num sums a word series in it
+    assert list(w_map(p).terms.items()) == list(_numpy_w_map(p).terms.items()), p.describe()
+
+
+def test_w_map_matches_numpy_reference_on_zigzags():
+    for k in indices_up_to(9):
+        _same_terms_in_order(x_star(k))
+    for k in [(10,), (1, 2, 3, 4), (2, 1, 1, 3, 1, 2), (1,) * 10, (3, 1, 4, 1, 2), (2,) * 5 + (1,)]:
+        _same_terms_in_order(x_star(k))
+
+
+def test_w_map_matches_numpy_reference_on_random_posets():
+    rng = random.Random(41)
+    for _ in range(100):
+        _same_terms_in_order(random_2poset(rng, 1, 12))
+
+
+def test_w_map_vertex_guard():
+    chain = [(i, i + 1) for i in range(20)]
+    assert w_map(TwoPoset(["y"] + ["x"] * 19, chain[:19])) == NcPoly.from_index((20,))
+    with pytest.raises(ValueError):
+        w_map(TwoPoset(["y"] + ["x"] * 20, chain))
+
+
+def test_w_map_antichain_counts():
+    # every arrangement of a y's and b x's is read off by a! b! extensions,
+    # the largest coefficients an n-vertex poset can spread over its words
+    n = 12
+    for a in range(n + 1):
+        b = n - a
+        got = w_map(TwoPoset(["y"] * a + ["x"] * b))
+        assert len(got) == comb(n, a)
+        assert set(got.terms.values()) == {factorial(a) * factorial(b)}
+        assert all(bin(w).count("1") == a + 1 for w in got.terms)  # sentinel + a y's
 
 
 def test_w_map_h0_iff_admissible():

@@ -3,15 +3,19 @@
 import itertools
 import random
 from fractions import Fraction
+from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mzvkit.indexes import compositions, star_expand
 from mzvkit.words import (
+    _INT64_SAFE,
     EMPTY_WORD,
     NcPoly,
+    _dense,
     harmonic,
     in_h0,
     in_h1,
@@ -63,6 +67,64 @@ def stuffle_oracle(a: tuple, b: tuple) -> dict[tuple, int]:
 
     walk(0, 0, ())
     return out
+
+
+def _moveaxis_shuffle_dense(A, p, B, q):
+    """The previous _shuffle_dense, kept verbatim (np.moveaxis)."""
+    if p == 0:
+        return B * A[0]
+    if q == 0:
+        return A * B[0]
+    state = {0: np.multiply.outer(A, B).reshape(1, 1 << p, 1 << q)}
+    for k in range(p + q):
+        new = {}
+        for i, S in state.items():
+            j = k - i
+            if j < q:
+                Xr = S.reshape(1 << k, 1 << (p - i), 2, 1 << (q - j - 1))
+                Xr = np.moveaxis(Xr, 2, 1).reshape(1 << (k + 1), 1 << (p - i), 1 << (q - j - 1))
+                if i in new:
+                    new[i] = new[i] + Xr
+                else:
+                    new[i] = Xr
+            if i < p:
+                Xr = S.reshape(1 << (k + 1), 1 << (p - i - 1), 1 << (q - j))
+                if i + 1 in new:
+                    new[i + 1] = new[i + 1] + Xr
+                else:
+                    new[i + 1] = Xr
+        state = new
+    return state[p].reshape(-1)
+
+
+def moveaxis_shuffle(a: NcPoly, b: NcPoly) -> NcPoly:
+    """The previous shuffle, kept verbatim as the term-order reference:
+    it decodes one numpy scalar at a time."""
+    out: dict = {}
+    pa, pb = a.homogeneous_parts(), b.homogeneous_parts()
+    for p, ap in pa.items():
+        for q, bp in pb.items():
+            exact = all(isinstance(c, int) for c in ap.values()) and all(
+                isinstance(c, int) for c in bp.values()
+            )
+            bound = (
+                sum(abs(c) for c in ap.values())
+                * sum(abs(c) for c in bp.values())
+                * comb(p + q, min(p, q))
+            )
+            dtype = np.int64 if exact and bound < _INT64_SAFE else object
+            vec = _moveaxis_shuffle_dense(_dense(ap, p, dtype), p, _dense(bp, q, dtype), q)
+            sentinel = 1 << (p + q)
+            for bits in np.flatnonzero(vec):
+                w = sentinel | int(bits)
+                c = vec[bits]
+                c = int(c) if dtype is np.int64 else c
+                nc = out.get(w, 0) + c
+                if nc:
+                    out[w] = nc
+                else:
+                    out.pop(w, None)
+    return NcPoly(out)
 
 
 def poly_from_strs(d: dict[str, object]) -> NcPoly:
@@ -158,6 +220,33 @@ def test_shuffle_fraction_coefficients_exact():
     b = NcPoly({word("y"): Fraction(3, 5)})
     got = shuffle(a, b)
     assert got.terms[word("yyx")] == Fraction(2, 5)  # two interleavings put y first
+
+
+def test_shuffle_object_fallback_matches_oracle():
+    # 2^40 on each side of a weight-4 pair puts the bound at 70 * 2^80,
+    # past _INT64_SAFE, so the product runs on Python ints
+    rng = random.Random(8)
+    big = 1 << 40
+    for _ in range(20):
+        u = "".join(rng.choice("xy") for _ in range(4))
+        v = "".join(rng.choice("xy") for _ in range(4))
+        cu, cv = big + rng.randint(-9, 9), -big - rng.randint(0, 9)
+        got = shuffle(NcPoly.from_str(u, cu), NcPoly.from_str(v, cv))
+        assert got == poly_from_strs(
+            {w: cu * cv * m for w, m in shuffle_oracle(u, v).items()}
+        ), (u, v)
+        assert all(type(c) is int and abs(c) > _INT64_SAFE for c in got.terms.values())
+
+
+@pytest.mark.parametrize("path", ["int64", "object", "fraction"])
+def test_shuffle_term_order_matches_moveaxis_reference(path):
+    rng = random.Random(12)
+    scale = {"int64": 1, "object": 1 << 40, "fraction": Fraction(2, 7)}[path]
+    for _ in range(30):
+        a = scale * random_ncpoly(rng, 5, 4)
+        b = scale * random_ncpoly(rng, 5, 4)
+        got = list(shuffle(a, b).terms.items())
+        assert got == list(moveaxis_shuffle(a, b).terms.items()), (a, b)
 
 
 # -- harmonic ------------------------------------------------------------
