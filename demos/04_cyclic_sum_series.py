@@ -40,9 +40,9 @@ al = CyclicClass.of((1, 2))
 rep = verify_class_csf_hat(al, 3)
 parts = abc_split(al, 3)
 print(f"  class {al}: expansion equal = {rep.equal}")
-print(f"  A telescopes: {parts.a_closed_form_matches}")
-print(f"  B is the class splice sum: {parts.b_is_class_csf}")
-print(f"  C contracts by Chu-Vandermonde: {parts.c_closed_form_matches}")
+print(f"  A telescopes: {parts.checks['telescoped-A'].equal}")
+print(f"  B is the class splice sum: {parts.checks['B-vs-class-csf'].equal}")
+print(f"  C contracts by Chu-Vandermonde: {parts.checks['chu-vandermonde-C'].equal}")
 print()
 
 print("== index-space reduction for the non-star formula ==")

@@ -3,6 +3,8 @@ for multiple zeta values, plus a numeric verification engine.
 
 The package is organised in layers:
 
+* :mod:`mzvkit.linear` - finite linear combinations: the one sparse
+  "dict of coefficients" base of every container, and truncated series.
 * :mod:`mzvkit.words` - words over {x, y}, sparse polynomials, the
   shuffle and harmonic products, the contraction maps.
 * :mod:`mzvkit.indexes` - the formal vector space on indices, star
@@ -16,6 +18,8 @@ The package is organised in layers:
   numeric T-polynomials and the gamma-series comparison maps.
 * :mod:`mzvkit.numeval` - tail-corrected nested summation and numeric
   verification of the cyclic sum formulas.
+* :mod:`mzvkit.reports` - ``Report`` rows and the ``ExactCheck`` outcome
+  of every exact identity check.
 * :mod:`mzvkit.cli` - the verification command line (`mzvkit --suite ...`).
 """
 
@@ -53,7 +57,7 @@ from .regularize import (
     rho_apply,
     verify_reg_relation,
 )
-from .reports import Report
+from .reports import ExactCheck, Report
 from .tseries import (
     WordSeries,
     abc_split,
@@ -70,6 +74,7 @@ from .words import NcPoly, harmonic, index_of_word, s_map, shuffle, sigma, word,
 __all__ = [
     "CyclicClass",
     "EvalConfig",
+    "ExactCheck",
     "IndexCombo",
     "NcPoly",
     "NumericPolyT",

@@ -9,7 +9,6 @@ one verification failed, 2 means the invocation itself was invalid.
 from __future__ import annotations
 
 import argparse
-import numbers
 import random
 import sys
 import time
@@ -18,7 +17,7 @@ from typing import Callable
 
 from . import indexes, numeval, posets, regularize, tseries, words
 from .numeval import EvalConfig
-from .reports import Report
+from .reports import ExactCheck, Report
 
 SUITES = (
     "algebra-laws",
@@ -75,36 +74,12 @@ def _timed(identity: str, index, fn: Callable[[], tuple[bool, str | None]], orde
 _DETAIL_TERMS = 4  # terms of lhs - rhs shown when an exact check fails
 
 
-def _labelled_terms(x, prefix: str = ""):
-    """(label, coefficient) pairs of an index combination, a word
-    polynomial or series, or a dict of coefficients or of combinations."""
-    if isinstance(x, words.NcPoly):
-        for w, c in x.terms.items():
-            yield prefix + (words.word_str(w) or "1"), c
-    elif isinstance(x, indexes.IndexCombo):
-        for k, c in x.terms.items():
-            yield prefix + str(k), c
-    elif isinstance(x, tseries.WordSeries):
-        for e, p in x.coeffs.items():
-            yield from _labelled_terms(p, f"{prefix}t^{e}:")
-    else:
-        for key, v in x.items():
-            if isinstance(v, numbers.Number):
-                yield prefix + str(key), v
-            else:
-                yield from _labelled_terms(v, f"{prefix}{key}:")
-
-
-def _exact(rep) -> tuple[bool, str | None]:
+def _exact(check: ExactCheck) -> tuple[bool, str | None]:
     """Pass, or fail with the first few terms of lhs - rhs and their count
     (the sides themselves can have thousands of terms)."""
-    if rep.equal:
+    if check.equal:
         return True, None
-    diff: dict = {}
-    for side, sign in ((rep.lhs, 1), (rep.rhs, -1)):
-        for label, c in _labelled_terms(side):
-            diff[label] = diff.get(label, 0) + sign * c
-    terms = [f"{c}*{label}" for label, c in diff.items() if c]
+    terms = [f"{c}*{label}" for label, c in check.diff_terms()]
     shown = " + ".join(terms[:_DETAIL_TERMS])
     if len(terms) > _DETAIL_TERMS:
         shown += " + ..."
@@ -487,20 +462,9 @@ def _key_prop_cases(args, cfg) -> list[Case]:
 
 
 def _abc_ok(al, order) -> tuple[bool, str | None]:
-    parts = tseries.abc_split(al, order)
-    if parts.all_ok:
-        return True, None
-    bad = [
-        name
-        for name, ok in [
-            ("total", parts.total_matches_direct),
-            ("telescoped-A", parts.a_closed_form_matches),
-            ("B-vs-class-csf", parts.b_is_class_csf),
-            ("chu-vandermonde-C", parts.c_closed_form_matches),
-        ]
-        if not ok
-    ]
-    return False, "failed: " + ",".join(bad)
+    checks = tseries.abc_split(al, order).checks
+    bad = [name for name, check in checks.items() if not check.equal]
+    return not bad, "failed: " + ",".join(bad) if bad else None
 
 
 def _csf_mzsv_cases(args, cfg) -> list[Case]:

@@ -1,16 +1,18 @@
 """The formal Q-vector space on indices and its cyclic machinery.
 
 An index is a tuple of positive ints.  ``IndexCombo`` is a finite
-rational-linear combination of indices; summing a function over a combo
-means extending it linearly, so overlapping rotations are counted with
-multiplicity.  This module also builds the cyclic equivalence classes of
-compositions, the signed comma/plus contraction sums (star expansion and
-its inversion), the cyclic contraction sums ``s_m``, and exact verifiers
-for the index-level identities used to reduce the cyclic sum formula of
-the t-adic values to its star form.
+rational-linear combination of indices, a ``linear.Combo`` keyed by
+index; summing a function over a combo means extending it linearly, so
+overlapping rotations are counted with multiplicity.  This module also
+builds the cyclic equivalence classes of compositions, the signed
+comma/plus contraction sums (star expansion and its inversion), the
+cyclic contraction sums ``s_m``, and exact verifiers for the index-level
+identities used to reduce the cyclic sum formula of the t-adic values to
+its star form; each verifier returns a ``reports.ExactCheck``.
 
 The cyclic-sum combinations themselves are defined here, once, as formal
-sums of t-adic symbols {(index, t-power): coeff}, from two generators:
+sums of t-adic symbols, plain ``Combo`` objects keyed by (index, t-power),
+from two generators:
 ``rotation_pivots`` (the splice pivots) and ``binomial_shifts`` (the
 binomially shifted, reversed expansion).  ``tseries`` evaluates them as
 word series and ``numeval`` as numbers.
@@ -23,6 +25,9 @@ from dataclasses import dataclass
 from math import comb, prod
 from typing import Callable, Iterable, Iterator
 
+from .linear import Combo
+from .reports import ExactCheck
+
 Index = tuple[int, ...]
 
 
@@ -33,56 +38,20 @@ def check_index(k: Iterable[int]) -> Index:
     return k
 
 
-class IndexCombo:
+class IndexCombo(Combo):
     """Sparse linear combination of indices with exact coefficients."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[Index, object] | None = None):
-        self.terms = {k: c for k, c in (terms or {}).items() if c != 0}
+    __slots__ = ()
 
     @classmethod
     def of(cls, k: Index, c=1) -> "IndexCombo":
         return cls({tuple(k): c})
 
-    @classmethod
-    def zero(cls) -> "IndexCombo":
-        return cls({})
-
-    def __add__(self, other: "IndexCombo") -> "IndexCombo":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            nc = out.get(k, 0) + c
-            if nc:
-                out[k] = nc
-            else:
-                out.pop(k, None)
-        return IndexCombo(out)
-
-    def __sub__(self, other: "IndexCombo") -> "IndexCombo":
-        return self + (-1) * other
-
-    def __rmul__(self, scalar) -> "IndexCombo":
-        if scalar == 0:
-            return IndexCombo.zero()
-        return IndexCombo({k: scalar * c for k, c in self.terms.items()})
-
-    def __neg__(self) -> "IndexCombo":
-        return (-1) * self
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, IndexCombo) and self.terms == other.terms
-
-    __hash__ = None
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
     def map_linear(self, f: Callable[[Index], "IndexCombo"]) -> "IndexCombo":
         """Linear extension: sum of c * f(k) over the combo's terms."""
         out = IndexCombo.zero()
         for k, c in self.terms.items():
-            out = out + c * f(k)
+            out.add_terms((c * f(k)).terms.items())
         return out
 
     def __str__(self) -> str:
@@ -90,9 +59,6 @@ class IndexCombo:
             return "0"
         keys = sorted(self.terms, key=lambda k: (sum(k), len(k), k))
         return "+".join(f"{self.terms[k]}*({','.join(map(str, k))})" for k in keys)
-
-    def __repr__(self) -> str:
-        return f"IndexCombo({self})"
 
 
 def _contract(k: Index, plus_mask: int) -> Index:
@@ -111,11 +77,7 @@ def star_expand(k: Index) -> IndexCombo:
     k = check_index(k)
     if not k:
         return IndexCombo.of(())
-    out: dict[Index, int] = {}
-    for mask in range(1 << (len(k) - 1)):
-        idx = _contract(k, mask)
-        out[idx] = out.get(idx, 0) + 1
-    return IndexCombo(out)
+    return IndexCombo().add_terms((_contract(k, mask), 1) for mask in range(1 << (len(k) - 1)))
 
 
 def star_invert(k: Index) -> IndexCombo:
@@ -123,16 +85,10 @@ def star_invert(k: Index) -> IndexCombo:
     k = check_index(k)
     if not k:
         raise ValueError("star inversion needs a non-empty index")
-    out: dict[Index, int] = {}
-    for mask in range(1 << (len(k) - 1)):
-        sign = -1 if mask.bit_count() & 1 else 1
-        idx = _contract(k, mask)
-        nc = out.get(idx, 0) + sign
-        if nc:
-            out[idx] = nc
-        else:
-            out.pop(idx, None)
-    return IndexCombo(out)
+    masks = range(1 << (len(k) - 1))
+    return IndexCombo().add_terms(
+        (_contract(k, mask), -1 if mask.bit_count() & 1 else 1) for mask in masks
+    )
 
 
 def rotations(k: Index) -> Iterator[Index]:
@@ -264,42 +220,32 @@ def s_m(k: Index, m: int, policy: str = "first") -> IndexCombo:
         raise ValueError("s_m needs a non-empty index")
     if not 0 <= m <= r - 1:
         raise ValueError(f"need 0 <= m <= depth-1, got m={m}")
-    out: dict[Index, int] = {}
-    for boxes in _plus_masks(r, m):
-        commas = [j for j in range(r) if boxes[j] == 0]
-        j = commas[0] if policy == "first" else commas[-1]
-        # linear sequence after cutting at box j (0-based: box j follows k_{j+1})
-        seq = k[j + 1 :] + k[: j + 1]
-        seq_boxes = boxes[j + 1 :] + boxes[: j]  # boxes between consecutive entries
-        idx = [seq[0]]
-        for i in range(1, r):
-            if seq_boxes[i - 1]:
-                idx[-1] += seq[i]
-            else:
-                idx.append(seq[i])
-        key = tuple(idx)
-        out[key] = out.get(key, 0) + 1
-    return IndexCombo(out)
 
+    def cuts() -> Iterator[tuple[Index, int]]:
+        for boxes in _plus_masks(r, m):
+            commas = [j for j in range(r) if boxes[j] == 0]
+            j = commas[0] if policy == "first" else commas[-1]
+            # linear sequence after cutting at box j (0-based: box j follows k_{j+1})
+            seq = k[j + 1 :] + k[: j + 1]
+            seq_boxes = boxes[j + 1 :] + boxes[: j]  # boxes between consecutive entries
+            idx = [seq[0]]
+            for i in range(1, r):
+                if seq_boxes[i - 1]:
+                    idx[-1] += seq[i]
+                else:
+                    idx.append(seq[i])
+            yield tuple(idx), 1
 
-@dataclass
-class IdentityReport:
-    """Outcome of one exact index-space identity check."""
-
-    name: str
-    index: Index
-    params: dict
-    equal: bool
-    lhs: object
-    rhs: object
+    return IndexCombo().add_terms(cuts())
 
 
 def _cyclic_split_lhs(k: Index, j: int) -> IndexCombo:
     """Sum over i of (j+1+k_i, rot) + (j+1, k_i, rot) used on the plain side."""
-    out = IndexCombo.zero()
-    for p, rest in rotation_pivots(k):
-        out = out + IndexCombo.of((j + 1 + p,) + rest) + IndexCombo.of((j + 1, p) + rest)
-    return out
+    return IndexCombo().add_terms(
+        (idx, 1)
+        for p, rest in rotation_pivots(k)
+        for idx in ((j + 1 + p,) + rest, (j + 1, p) + rest)
+    )
 
 
 def _combo_sum(
@@ -329,18 +275,11 @@ def cyclic_symmetrized_s_m(k: Index, m: int, policy: str = "first") -> IndexComb
 
 
 def _lemma112_once(k: Index, m: int) -> tuple[IndexCombo, IndexCombo]:
-    r = len(k)
     lhs = cyclic_symmetrized_s_m(k, m)
-    rhs = IndexCombo.zero()
-    for rot in rotations(k):
-        for mask in _plus_masks(r - 1, m):
-            idx = [rot[0]]
-            for s in range(1, r):
-                if mask[s - 1]:
-                    idx[-1] += rot[s]
-                else:
-                    idx.append(rot[s])
-            rhs = rhs + IndexCombo.of(tuple(idx))
+    masks = [sum(bit << i for i, bit in enumerate(v)) for v in _plus_masks(len(k) - 1, m)]
+    rhs = IndexCombo().add_terms(
+        (_contract(rot, mask), 1) for rot in rotations(k) for mask in masks
+    )
     return lhs, rhs
 
 
@@ -353,7 +292,7 @@ def _full_splices(k: Index) -> Iterator[Index]:
 
 def verify_index_identity(
     name: str, k: Index, j: int = 0, m: int | None = None, t_order: int = 2
-) -> IdentityReport:
+) -> ExactCheck:
     """Exact check of one of the index-space identities.
 
     ``lemma112``: the cyclic symmetrisation of s_m(k) equals the full
@@ -373,111 +312,89 @@ def verify_index_identity(
         ms = [m] if m is not None else list(range(r))
         if any(not 0 <= mm <= r - 1 for mm in ms):
             raise ValueError(f"lemma112 needs 0 <= m <= {r - 1}")
-        lhs = {}
-        rhs = {}
-        for mm in ms:
-            lhs[mm], rhs[mm] = _lemma112_once(k, mm)
-        return IdentityReport(name, k, {"m": m}, lhs == rhs, lhs, rhs)
+        sides = {mm: _lemma112_once(k, mm) for mm in ms}
+        lhs = Combo({mm: pair[0] for mm, pair in sides.items()})
+        rhs = Combo({mm: pair[1] for mm, pair in sides.items()})
+        return ExactCheck(name, k, {"m": m}, lhs, rhs)
 
     if name == "prop1":
         lhs = _cyclic_split_lhs(k, j)
         rhs = _star_over_sm(k, lambda l: ((j + 1,) + rot for rot in rotations(l)))
-        return IdentityReport(name, k, {"j": j}, lhs == rhs, lhs, rhs)
+        return ExactCheck(name, k, {"j": j}, lhs, rhs)
 
     if name == "prop2":
         lhs = _star_over_sm(k, _full_splices)
         wt = sum(k)
         sign = -1 if r & 1 else 1
         rhs = _combo_sum(_full_splices(k)) - (sign * wt) * star_expand((wt + 1,))
-        return IdentityReport(name, k, {}, lhs == rhs, lhs, rhs)
+        return ExactCheck(name, k, {}, lhs, rhs)
 
     if name == "prop3":
         lhs = _star_over_sm(k, lambda l: (rot + (1,) for rot in rotations(l)))
-        rhs = IndexCombo.zero()
-        for p, rest in rotation_pivots(k):
-            rhs = rhs + IndexCombo.of(rest + (p, 1)) + IndexCombo.of(rest + (p + 1,))
-        return IdentityReport(name, k, {}, lhs == rhs, lhs, rhs)
+        rhs = IndexCombo().add_terms(
+            (idx, 1) for p, rest in rotation_pivots(k) for idx in (rest + (p, 1), rest + (p + 1,))
+        )
+        return ExactCheck(name, k, {}, lhs, rhs)
 
     if name == "csf_reduction":
         lhs = csf_symbols(k, t_order)
-        rhs: dict = {}
+        rhs = Combo()
         for m in range(r):
             sign = -1 if m & 1 else 1
             for l, mult in s_m(k, m).terms.items():
-                for (idx, e), c in csf_star_hat_symbols(l, t_order).items():
-                    for kk, n in star_expand(idx).terms.items():
-                        _add(rhs, (kk, e), sign * mult * c * n)
-        equal = lhs == rhs
-        return IdentityReport(name, k, {"t_order": t_order}, equal, lhs, rhs)
+                for (idx, e), c in csf_star_hat_symbols(l, t_order).terms.items():
+                    star = star_expand(idx).terms.items()
+                    rhs.add_terms(((kk, e), sign * mult * c * n) for kk, n in star)
+        return ExactCheck(name, k, {"t_order": t_order}, lhs, rhs)
 
     raise ValueError(f"unknown identity {name!r}")
 
 
 # -- cyclic-sum combinations ---------------------------------------------
 #
-# Each combination is a formal sum of t-adic symbols, {(index, t-power):
-# coeff}.  The exact word checks (tseries), the numeric checks
+# Each combination is a formal sum of t-adic symbols, a Combo keyed by
+# (index, t-power).  The exact word checks (tseries), the numeric checks
 # (numeval.verify_csf) and the index check ``csf_reduction`` all evaluate
-# these same dicts.
+# these same combinations.
 
 
-def _add(acc: dict, key, c) -> None:
-    nc = acc.get(key, 0) + c
-    if nc:
-        acc[key] = nc
-    else:
-        acc.pop(key, None)
-
-
-def add_symbols(acc: dict, symbols: dict, c=1, shift: int = 0) -> dict:
-    """acc += c * t^shift * symbols in place (zero coefficients dropped);
-    returns acc."""
-    for (idx, e), v in symbols.items():
-        _add(acc, (idx, e + shift), c * v)
-    return acc
-
-
-def splice_symbols(pivots: Iterable[tuple[int, Index]]) -> dict:
+def splice_symbols(pivots: Iterable[tuple[int, Index]]) -> Combo:
     """Splice sum over the pivots, at t^0."""
-    out: dict = {}
-    for p, rest in pivots:
-        for idx in splices(p, rest):
-            _add(out, (idx, 0), 1)
-    return out
+    return Combo().add_terms(((idx, 0), 1) for p, rest in pivots for idx in splices(p, rest))
 
 
-def tail_symbols(pivots: Iterable[tuple[int, Index]], t_order: int) -> dict:
+def tail_symbols(pivots: Iterable[tuple[int, Index]], t_order: int) -> Combo:
     """Minus the t-shifted tail sums: -(j + 1, rest, p) t^j, 0 <= j <= t_order."""
-    out: dict = {}
-    for p, rest in pivots:
-        for j in range(t_order + 1):
-            _add(out, ((j + 1,) + rest + (p,), j), -1)
-    return out
+    return Combo().add_terms(
+        (((j + 1,) + rest + (p,), j), -1) for p, rest in pivots for j in range(t_order + 1)
+    )
 
 
-def csf_star_symbols(k: Index) -> dict:
+def csf_star_symbols(k: Index) -> Combo:
     """Star cyclic-sum combination of k: its rotation splice sum minus
     wt(k) times the single index (wt(k) + 1)."""
     wt = sum(k)
-    return add_symbols(splice_symbols(rotation_pivots(k)), {((wt + 1,), 0): -wt})
+    return splice_symbols(rotation_pivots(k)).add_terms([(((wt + 1,), 0), -wt)])
 
 
-def csf_star_hat_symbols(k: Index, t_order: int) -> dict:
+def csf_star_hat_symbols(k: Index, t_order: int) -> Combo:
     """Hatted star combination: the star combination plus the t-shifted tail."""
-    return add_symbols(csf_star_symbols(k), tail_symbols(rotation_pivots(k), t_order))
+    return csf_star_symbols(k) + tail_symbols(rotation_pivots(k), t_order)
 
 
-def csf_symbols(k: Index, t_order: int) -> dict:
+def csf_symbols(k: Index, t_order: int) -> Combo:
     """The cyclic-sum combination of plain t-adic symbols: the splice sum
     and the t-shifted tail, minus the second infinite rotation sum and the
     shifted rotation sum."""
     pivots = list(rotation_pivots(k))
-    out = add_symbols(splice_symbols(pivots), tail_symbols(pivots, t_order))
-    for p, rest in pivots:
-        for j in range(t_order + 1):
-            _add(out, ((p + j + 1,) + rest, j), -1)
-        _add(out, (rest + (p + 1,), 0), -1)
-    return out
+
+    def rotation_sums() -> Iterator[tuple[tuple[Index, int], int]]:
+        for p, rest in pivots:
+            for j in range(t_order + 1):
+                yield ((p + j + 1,) + rest, j), -1
+            yield (rest + (p + 1,), 0), -1
+
+    return (splice_symbols(pivots) + tail_symbols(pivots, t_order)).add_terms(rotation_sums())
 
 
 def indices_up_to(max_weight: int, min_weight: int = 1) -> list[Index]:

@@ -24,13 +24,17 @@ the corrected values at N and N/2, plus a rounding allowance from the
 working dtype's machine epsilon; errors propagate additively through
 sums and first-order through products.  A cyclic-sum check passes when
 every residual is within its tolerance; the estimate does not widen it.
+
+The t-adic values are ``NumericSeries``, a ``linear.Series`` of
+NumericValues: ``c * v`` is ``v.scaled(c)`` and a value is zero only
+when both its value and its error are 0.0.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -44,6 +48,7 @@ from .indexes import (
     csf_symbols,
     star_invert,
 )
+from .linear import Series
 from .reports import Report
 from .words import NcPoly, index_of_word, s_map
 
@@ -75,6 +80,11 @@ class NumericValue:
 
     def scaled(self, c: float) -> "NumericValue":
         return NumericValue(c * self.value, abs(c) * self.err)
+
+    __rmul__ = scaled
+
+    def __bool__(self) -> bool:
+        return self.value != 0.0 or self.err != 0.0
 
 
 ZERO = NumericValue(0.0, 0.0)
@@ -311,41 +321,16 @@ def zeta_star_reg(k: Index, product: str, cfg: EvalConfig = DEFAULT_CONFIG) -> N
 # -- t-adic series ------------------------------------------------------
 
 
-@dataclass
-class NumericSeries:
+class NumericSeries(Series):
     """Truncated numeric power series in t."""
 
-    order: int
-    coeffs: dict[int, NumericValue] = field(default_factory=dict)
-
-    def coefficient(self, e: int) -> NumericValue:
-        return self.coeffs.get(e, ZERO)
-
-    def __add__(self, other: "NumericSeries") -> "NumericSeries":
-        order = min(self.order, other.order)
-        out = {e: v for e, v in self.coeffs.items() if e <= order}
-        for e, v in other.coeffs.items():
-            if e <= order:
-                out[e] = out.get(e, ZERO) + v
-        return NumericSeries(order, out)
-
-    def __sub__(self, other: "NumericSeries") -> "NumericSeries":
-        return self + other.scaled(-1.0)
-
-    def scaled(self, c: float) -> "NumericSeries":
-        return NumericSeries(self.order, {e: v.scaled(c) for e, v in self.coeffs.items()})
-
-    def shift(self, j: int) -> "NumericSeries":
-        """Multiply by t^j; a series exact mod t^(m+1) stays exact mod
-        t^(m+j+1), so the order grows with the shift."""
-        return NumericSeries(self.order + j, {e + j: v for e, v in self.coeffs.items()})
+    __slots__ = ()
+    zero_coeff = ZERO
+    scaled = Series.__rmul__
 
     def residuals(self) -> list[float]:
         """|coefficient| per t-power 0..order (for a difference series)."""
         return [abs(self.coefficient(e).value) for e in range(self.order + 1)]
-
-    def errs(self) -> list[float]:
-        return [self.coefficient(e).err for e in range(self.order + 1)]
 
 
 VARIANTS = ("ast", "sh", "star_ast", "star_sh", "star_KY", "KY_inv")
@@ -384,7 +369,7 @@ def _zeta_hat_uncached(
 
         ws = w_star_hat(k, order)
         return NumericSeries(
-            order, {e: z_reg_num(p, "sh", 0.0, cfg) for e, p in ws.coeffs.items()}
+            order, {e: z_reg_num(p, "sh", 0.0, cfg) for e, p in ws.terms.items()}
         )
 
     if variant == "KY_inv":
@@ -392,7 +377,7 @@ def _zeta_hat_uncached(
             return NumericSeries(order, {0: ONE})
         acc = NumericSeries(order)
         for idx, c in star_invert(k).terms.items():
-            acc = acc + zeta_hat_num(idx, "star_KY", order, cfg).scaled(float(c))
+            acc = acc + float(c) * zeta_hat_num(idx, "star_KY", order, cfg)
         return acc
 
     product = "ast" if variant.endswith("ast") else "sh"
@@ -402,14 +387,13 @@ def _zeta_hat_uncached(
     else:
         value = lambda idx: zeta_reg(idx, product, cfg)  # noqa: E731
 
-    out: dict[int, NumericValue] = {}
+    out = NumericSeries(order)
     for i in range(len(k) + 1):
         head = value(k[:i])
         sign = -1.0 if sum(k[i:]) & 1 else 1.0
-        for e, c, shifted in binomial_shifts(k[i:], order):
-            term = (head * value(shifted)).scaled(sign * c)
-            out[e] = out.get(e, ZERO) + term
-    return NumericSeries(order, out)
+        shifts = binomial_shifts(k[i:], order)
+        out.add_terms((e, (sign * c) * (head * value(shifted))) for e, c, shifted in shifts)
+    return out
 
 
 # -- cyclic sum formula verifiers ---------------------------------------
@@ -430,13 +414,13 @@ def csf_series(
     else:
         raise ValueError(f"unknown cyclic sum check {which!r}")
     acc = NumericSeries(order)
-    for (idx, e), c in symbols.items():
+    for (idx, e), c in symbols.terms.items():
         if variant is None:
             # a depth-1 star sum is the plain sum; its plain key shares the cache
             term = NumericSeries(0, {0: mzv_num(idx, star=len(idx) > 1, cfg=cfg)})
         else:
             term = zeta_hat_num(idx, variant, order - e, cfg).shift(e)
-        acc = acc + term.scaled(float(c))
+        acc = acc + float(c) * term
     return acc
 
 

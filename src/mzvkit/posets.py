@@ -29,6 +29,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .indexes import binomial_shifts
+from .linear import Combo
 from .words import NcPoly
 
 Index = tuple[int, ...]
@@ -221,14 +222,9 @@ class PosetSeries:
         """Coefficientwise w_map, as a tseries.WordSeries."""
         from .tseries import WordSeries
 
-        out: dict[int, NcPoly] = {}
-        for e, combos in self.coeffs.items():
-            acc = NcPoly.zero()
-            for c, poset in combos:
-                acc = acc + c * w_map(poset)
-            if acc:
-                out[e] = acc
-        return WordSeries(self.order, out)
+        return WordSeries(self.order).add_terms(
+            (e, c * w_map(poset)) for e, combos in self.coeffs.items() for c, poset in combos
+        )
 
 
 def x_star_hat(k: Index, t_order: int) -> PosetSeries:
@@ -286,16 +282,14 @@ def shift_rhs_poset(k: int, l: int) -> TwoPoset:
 
 def check_shifting(k: int, order: int) -> bool:
     """Both sides of the chain-shifting series identity through w_map."""
-    lhs: dict[int, NcPoly] = {}
-    for lpp in range(order + 1):
-        for lp in range(order + 1 - lpp):
-            e = lpp + lp
-            term = comb(k + lpp - 1, lpp) * w_map(shift_lhs_chain(k, lpp, lp))
-            lhs[e] = lhs.get(e, NcPoly.zero()) + term
-    for l in range(order + 1):
-        if lhs.get(l, NcPoly.zero()) != w_map(shift_rhs_poset(k, l)):
-            return False
-    return True
+    lhs = Combo().add_terms(
+        (lpp + lp, comb(k + lpp - 1, lpp) * w_map(shift_lhs_chain(k, lpp, lp)))
+        for lpp in range(order + 1)
+        for lp in range(order + 1 - lpp)
+    )
+    return all(
+        lhs.terms.get(l, NcPoly()) == w_map(shift_rhs_poset(k, l)) for l in range(order + 1)
+    )
 
 
 def random_2poset(rng: random.Random, n_min: int = 1, n_max: int = 8, admissible: bool = False) -> TwoPoset:

@@ -13,17 +13,20 @@ numeric T-polynomials through the exponential series
 exp(sum_{n>=2} (-1)^n zeta(n) x^n / n); Euler's constant never appears
 because it cancels in that form.  Their mismatch rho* o rho^{-1} is
 supported on even powers of pi, which :func:`sin_correction` predicts and
-:func:`compare_star_regs` checks numerically.
+:func:`compare_star_regs` checks numerically.  Numeric T-polynomials are
+``NumericPolyT``, a ``linear.Poly`` of NumericValues; a comparison passes
+iff every residual |lhs - rhs| is within the tolerance it prints, so an
+error estimate never widens it.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
 from math import factorial
 from typing import Callable
 
+from .linear import Poly
 from .numeval import (
     DEFAULT_CONFIG,
     EvalConfig,
@@ -118,30 +121,16 @@ def recompose(parts: list[NcPoly], product: str) -> NcPoly:
     return acc
 
 
-@dataclass
-class RegPolynomial:
+class RegPolynomial(Poly):
     """Symbolic regularisation polynomial: T-degree -> H0 polynomial."""
 
-    product: str
-    coeffs: dict[int, NcPoly] = field(default_factory=dict)
+    __slots__ = ("product",)
+    _meta = ("product",)
+    zero_coeff = NcPoly()
 
-    def degree(self) -> int:
-        return max(self.coeffs, default=0)
-
-    def coefficient(self, i: int) -> NcPoly:
-        return self.coeffs.get(i, NcPoly.zero())
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RegPolynomial)
-            and self.product == other.product
-            and self.coeffs == other.coeffs
-        )
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        return " + ".join(f"({self.coeffs[i]})*T^{i}" for i in sorted(self.coeffs))
+    def __init__(self, product: str, coeffs: dict[int, NcPoly] | None = None):
+        super().__init__(coeffs)
+        self.product = product
 
 
 def reg_T(p: NcPoly, product: str = "sh") -> RegPolynomial:
@@ -159,47 +148,31 @@ def reg_T(p: NcPoly, product: str = "sh") -> RegPolynomial:
 # -- the gamma-series maps on numeric T-polynomials ---------------------
 
 
-class NumericPolyT:
+class NumericPolyT(Poly):
     """Polynomial in T with NumericValue coefficients."""
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: dict[int, NumericValue] | None = None):
-        self.coeffs = {i: v for i, v in (coeffs or {}).items() if v.value != 0.0 or v.err != 0.0}
+    __slots__ = ()
+    zero_coeff = ZERO
 
     @classmethod
     def monomial(cls, n: int, c: float = 1.0) -> "NumericPolyT":
         return cls({n: NumericValue(c, 0.0)})
 
-    def coefficient(self, i: int) -> NumericValue:
-        return self.coeffs.get(i, ZERO)
-
-    def degree(self) -> int:
-        return max(self.coeffs, default=0)
-
-    def __add__(self, other: "NumericPolyT") -> "NumericPolyT":
-        out = dict(self.coeffs)
-        for i, v in other.coeffs.items():
-            out[i] = out.get(i, ZERO) + v
-        return NumericPolyT(out)
-
-    def __sub__(self, other: "NumericPolyT") -> "NumericPolyT":
-        out = dict(self.coeffs)
-        for i, v in other.coeffs.items():
-            out[i] = out.get(i, ZERO) - v
-        return NumericPolyT(out)
-
     def max_residual(self, other: "NumericPolyT") -> float:
-        degs = set(self.coeffs) | set(other.coeffs)
-        return max(
-            (abs(self.coefficient(i).value - other.coefficient(i).value) for i in degs),
-            default=0.0,
-        )
+        return max(residuals(self, other))
 
     def __str__(self) -> str:
-        if not self.coeffs:
+        if not self.terms:
             return "0"
-        return " + ".join(f"{self.coeffs[i].value:.12g}*T^{i}" for i in sorted(self.coeffs))
+        return " + ".join(f"{self.terms[i].value:.12g}*T^{i}" for i in sorted(self.terms))
+
+
+def residuals(lhs: NumericPolyT, rhs: NumericPolyT) -> list[float]:
+    """|lhs - rhs| at each degree present in either side, lowest first;
+    [0.0] when both are zero."""
+    diff = lhs - rhs
+    degs = sorted(set(lhs.terms) | set(rhs.terms))
+    return [abs(diff.coefficient(i).value) for i in degs] or [0.0]
 
 
 def numeric_reg_poly(p: NcPoly, product: str, cfg: EvalConfig = DEFAULT_CONFIG) -> NumericPolyT:
@@ -271,16 +244,13 @@ def rho_apply(
 ) -> NumericPolyT:
     """Apply rho / rho_inv / rho_star / rho_star_inv coefficientwise:
     T^n maps to sum_j coeff_j * n!/(n-j)! * T^(n-j)."""
-    deg = p.degree()
-    coef = rho_coeffs(which, deg, zeta_source)
-    out: dict[int, NumericValue] = {}
-    for n, v in p.coeffs.items():
-        for j in range(n + 1):
-            if coef[j] == 0.0:
-                continue
-            c = coef[j] * _falling(n, j)
-            out[n - j] = out.get(n - j, ZERO) + v.scaled(c)
-    return NumericPolyT(out)
+    coef = rho_coeffs(which, p.degree(), zeta_source)
+    return NumericPolyT().add_terms(
+        (n - j, (coef[j] * _falling(n, j)) * v)
+        for n, v in p.terms.items()
+        for j in range(n + 1)
+        if coef[j] != 0.0
+    )
 
 
 def sin_correction(n: int) -> NumericPolyT:
@@ -291,6 +261,21 @@ def sin_correction(n: int) -> NumericPolyT:
         c = (-1) ** m * math.pi ** (2 * m) / factorial(2 * m + 1) * _falling(n, 2 * m)
         out[n - 2 * m] = NumericValue(c, 0.0)
     return NumericPolyT(out)
+
+
+def _reg_report(identity: str, k, resid: list[float], cfg: EvalConfig, t0: float) -> Report:
+    """A numeric regularisation row: it passes iff every residual is
+    within the tolerance it prints."""
+    tol = cfg.tolerance(1e-6)
+    return Report(
+        identity=identity,
+        index=k,
+        order=None,
+        residuals=resid,
+        tolerance=tol,
+        passed=all(r <= tol for r in resid),
+        elapsed_ms=(time.perf_counter() - t0) * 1000,
+    )
 
 
 def verify_reg_relation(which: str, k, cfg: EvalConfig = DEFAULT_CONFIG) -> Report:
@@ -306,19 +291,7 @@ def verify_reg_relation(which: str, k, cfg: EvalConfig = DEFAULT_CONFIG) -> Repo
         raise ValueError(f"unknown relation {which!r}")
     lhs = numeric_reg_poly(p, "sh", cfg)
     rhs = rho_apply(numeric_reg_poly(p, "ast", cfg), "rho")
-    degs = sorted(set(lhs.coeffs) | set(rhs.coeffs))
-    resid = [abs(lhs.coefficient(i).value - rhs.coefficient(i).value) for i in degs] or [0.0]
-    errs = [lhs.coefficient(i).err + rhs.coefficient(i).err for i in degs] or [0.0]
-    tol = cfg.tolerance(1e-6)
-    return Report(
-        identity=f"rho-comparison-{which}",
-        index=k,
-        order=None,
-        residuals=resid,
-        tolerance=tol,
-        passed=all(r <= tol + e for r, e in zip(resid, errs)),
-        elapsed_ms=(time.perf_counter() - t0) * 1000,
-    )
+    return _reg_report(f"rho-comparison-{which}", k, residuals(lhs, rhs), cfg, t0)
 
 
 def compare_star_regs(k, cfg: EvalConfig = DEFAULT_CONFIG) -> Report:
@@ -333,25 +306,9 @@ def compare_star_regs(k, cfg: EvalConfig = DEFAULT_CONFIG) -> Report:
     lhs = numeric_reg_poly(w_star(k), "sh", cfg)
     base = numeric_reg_poly(s_map(NcPoly.from_index(k)), "sh", cfg)
     rhs = rho_apply(rho_apply(base, "rho_inv"), "rho_star")
-    degs = sorted(set(lhs.coeffs) | set(rhs.coeffs))
-    resid = [abs(lhs.coefficient(i).value - rhs.coefficient(i).value) for i in degs] or [0.0]
-    errs = [lhs.coefficient(i).err + rhs.coefficient(i).err for i in degs] or [0.0]
-
+    resid = residuals(lhs, rhs)
     # correction kernel against the sine series, up to the degree in play
-    corr_res = []
     for n in range(base.degree() + 1):
         got = rho_apply(rho_apply(NumericPolyT.monomial(n), "rho_inv"), "rho_star")
-        corr_res.append(got.max_residual(sin_correction(n)))
-    resid += corr_res
-    errs += [1e-12] * len(corr_res)
-
-    tol = cfg.tolerance(1e-6)
-    return Report(
-        identity="reg-star-compare",
-        index=k,
-        order=None,
-        residuals=resid,
-        tolerance=tol,
-        passed=all(r <= tol + e for r, e in zip(resid, errs)),
-        elapsed_ms=(time.perf_counter() - t0) * 1000,
-    )
+        resid.append(got.max_residual(sin_correction(n)))
+    return _reg_report("reg-star-compare", k, resid, cfg, t0)

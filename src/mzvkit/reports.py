@@ -1,15 +1,45 @@
-"""Uniform result records for the verification suites.
+"""Result records: ``Report`` rows and ``ExactCheck`` outcomes.
 
 One ``Report`` per checked case; serialises to a single JSON line with
 the keys identity, index, order, residuals, tolerance, pass, elapsed_ms.
 Exact checks use residuals [0.0] on success and carry the mismatch in
 ``detail`` on failure.
+
+Every exact identity check of the library (index identities, word-series
+expansions, the A/B/C splice lemmas) returns one ``ExactCheck``: its two
+sides are combinations of one type, ``equal`` is their equality, and a
+mismatch is read off ``lhs - rhs``.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Iterator
+
+from .linear import Combo
+
+
+@dataclass
+class ExactCheck:
+    """Outcome of one exact identity check between two combinations."""
+
+    name: str
+    index: object
+    params: dict
+    lhs: Combo
+    rhs: Combo
+    equal: bool = field(init=False)
+
+    def __post_init__(self):
+        self.equal = self.lhs == self.rhs
+
+    def diff(self) -> Combo:
+        return self.lhs - self.rhs
+
+    def diff_terms(self) -> Iterator[tuple[str, object]]:
+        """(label, coefficient) of every term of lhs - rhs."""
+        return self.diff().labelled_terms()
 
 
 @dataclass

@@ -9,7 +9,10 @@ So the empty word is ``1``, "x" is ``0b10``, "y" is ``0b11`` and "yxx" is
 * sorting keys numerically sorts words by weight and then
   lexicographically with x < y, the display order used everywhere.
 
-``NcPoly`` is a finite rational-linear combination of words.  The span of
+``NcPoly`` is a finite rational-linear combination of words, a
+``linear.Combo`` keyed by packed words; its sums, differences and scalar
+multiples are the base's, and the shuffle and harmonic products below
+accumulate into it with ``Combo.add_terms``, one call per batch.  The span of
 words that are empty or start with y is called H1 here, and H0 is the
 subspace of words that also end with x; H0 words are exactly the images of
 admissible indices under :func:`word_of_index`.
@@ -28,6 +31,8 @@ from math import comb
 from typing import Iterator
 
 import numpy as np
+
+from .linear import Combo
 
 X = 0
 Y = 1
@@ -110,24 +115,16 @@ def index_of_word(w: int) -> tuple[int, ...]:
     return tuple(parts)
 
 
-class NcPoly:
-    """Sparse noncommutative polynomial: dict word -> nonzero coefficient.
+class NcPoly(Combo):
+    """Sparse noncommutative polynomial: a combination of packed words.
 
-    Coefficients are ints or Fractions.  Instances are treated as
-    immutable; all operations build new objects.  ``p * q`` is the
-    concatenation product of the free algebra, ``c * p`` rescales.
+    Coefficients are ints or Fractions.  ``p * q`` is the concatenation
+    product of the free algebra, ``c * p`` rescales.
     """
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict | None = None):
-        self.terms = {w: c for w, c in (terms or {}).items() if c != 0}
+    __slots__ = ()
 
     # -- constructors ------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "NcPoly":
-        return cls({})
 
     @classmethod
     def one(cls) -> "NcPoly":
@@ -145,63 +142,19 @@ class NcPoly:
     def from_index(cls, k: tuple[int, ...], c=1) -> "NcPoly":
         return cls({word_of_index(k): c})
 
-    # -- ring structure ----------------------------------------------
-
-    def __add__(self, other: "NcPoly") -> "NcPoly":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            nc = out.get(w, 0) + c
-            if nc:
-                out[w] = nc
-            else:
-                out.pop(w, None)
-        return NcPoly.__new_raw(out)
-
-    def __sub__(self, other: "NcPoly") -> "NcPoly":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            nc = out.get(w, 0) - c
-            if nc:
-                out[w] = nc
-            else:
-                out.pop(w, None)
-        return NcPoly.__new_raw(out)
-
-    def __neg__(self) -> "NcPoly":
-        return NcPoly.__new_raw({w: -c for w, c in self.terms.items()})
-
-    def __rmul__(self, scalar) -> "NcPoly":
-        if scalar == 0:
-            return NcPoly.zero()
-        return NcPoly.__new_raw({w: scalar * c for w, c in self.terms.items()})
+    # -- concatenation -----------------------------------------------
 
     def __mul__(self, other) -> "NcPoly":
         if not isinstance(other, NcPoly):
             return self.__rmul__(other)
-        out: dict = {}
-        for wa, ca in self.terms.items():
-            for wb, cb in other.terms.items():
-                w = concat(wa, wb)
-                nc = out.get(w, 0) + ca * cb
-                if nc:
-                    out[w] = nc
-                else:
-                    out.pop(w, None)
-        return NcPoly.__new_raw(out)
+        return NcPoly().add_terms(
+            (concat(wa, wb), ca * cb)
+            for wa, ca in self.terms.items()
+            for wb, cb in other.terms.items()
+        )
 
     def __truediv__(self, scalar) -> "NcPoly":
         return self.__rmul__(Fraction(1) / scalar)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, NcPoly) and self.terms == other.terms
-
-    __hash__ = None  # mutable dict inside
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __len__(self) -> int:
-        return len(self.terms)
 
     # -- inspection --------------------------------------------------
 
@@ -211,9 +164,6 @@ class NcPoly:
     def is_h0(self) -> bool:
         return all(in_h0(w) for w in self.terms)
 
-    def max_weight(self) -> int:
-        return max((weight(w) for w in self.terms), default=0)
-
     def homogeneous_parts(self) -> dict[int, dict]:
         """Split into weight -> {bits-without-sentinel: coeff}."""
         parts: dict[int, dict] = {}
@@ -222,13 +172,16 @@ class NcPoly:
             parts.setdefault(n, {})[w ^ (1 << n)] = c
         return parts
 
+    def _label(self, w: int) -> str:
+        return word_str(w) or "1"
+
     def __str__(self) -> str:
         if not self.terms:
             return "0"
         bits = []
         for w in sorted(self.terms):
             c = self.terms[w]
-            s = word_str(w) or "1"
+            s = self._label(w)
             if c == 1:
                 term = s
             elif c == -1:
@@ -240,15 +193,6 @@ class NcPoly:
         for term in bits[1:]:
             out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
         return out
-
-    def __repr__(self) -> str:
-        return f"NcPoly({self})"
-
-    @staticmethod
-    def __new_raw(terms: dict) -> "NcPoly":
-        p = NcPoly.__new__(NcPoly)
-        p.terms = terms
-        return p
 
 
 def _dense(part: dict, n: int, dtype) -> np.ndarray:
@@ -300,7 +244,7 @@ _INT64_SAFE = 1 << 62
 
 def shuffle(a: NcPoly, b: NcPoly) -> NcPoly:
     """Shuffle product, bilinear over all weight pairs."""
-    out: dict = {}
+    out = NcPoly()
     pa, pb = a.homogeneous_parts(), b.homogeneous_parts()
     for p, ap in pa.items():
         for q, bp in pb.items():
@@ -314,16 +258,9 @@ def shuffle(a: NcPoly, b: NcPoly) -> NcPoly:
             )
             dtype = np.int64 if exact and bound < _INT64_SAFE else object
             vec = _shuffle_dense(_dense(ap, p, dtype), p, _dense(bp, q, dtype), q)
-            sentinel = 1 << (p + q)
             nz = np.flatnonzero(vec)
-            for bits, c in zip(nz.tolist(), vec[nz].tolist()):
-                w = sentinel | bits
-                nc = out.get(w, 0) + c
-                if nc:
-                    out[w] = nc
-                else:
-                    out.pop(w, None)
-    return NcPoly(out)
+            out.add_terms(zip((nz | (1 << (p + q))).tolist(), vec[nz].tolist()))
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -333,35 +270,23 @@ def _stuffle(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[tuple[tuple[int, .
         return ((v, 1),)
     if not v:
         return ((u, 1),)
-    out: dict[tuple[int, ...], int] = {}
-    for idx, m in _stuffle(u[:-1], v):
-        key = idx + (u[-1],)
-        out[key] = out.get(key, 0) + m
-    for idx, m in _stuffle(u, v[:-1]):
-        key = idx + (v[-1],)
-        out[key] = out.get(key, 0) + m
-    for idx, m in _stuffle(u[:-1], v[:-1]):
-        key = idx + (u[-1] + v[-1],)
-        out[key] = out.get(key, 0) + m
-    return tuple(out.items())
+    out = Combo()
+    out.add_terms((idx + (u[-1],), m) for idx, m in _stuffle(u[:-1], v))
+    out.add_terms((idx + (v[-1],), m) for idx, m in _stuffle(u, v[:-1]))
+    out.add_terms((idx + (u[-1] + v[-1],), m) for idx, m in _stuffle(u[:-1], v[:-1]))
+    return tuple(out.terms.items())
 
 
 def harmonic(a: NcPoly, b: NcPoly) -> NcPoly:
     """Harmonic (quasi-shuffle) product.  Inputs must lie in H1."""
-    out: dict = {}
+    out = NcPoly()
     for wa, ca in a.terms.items():
         ka = index_of_word(wa)
         for wb, cb in b.terms.items():
-            kb = index_of_word(wb)
             c = ca * cb
-            for idx, m in _stuffle(ka, kb):
-                w = word_of_index(idx)
-                nc = out.get(w, 0) + c * m
-                if nc:
-                    out[w] = nc
-                else:
-                    out.pop(w, None)
-    return NcPoly(out)
+            stuffles = _stuffle(ka, index_of_word(wb))
+            out.add_terms((word_of_index(idx), c * m) for idx, m in stuffles)
+    return out
 
 
 def _sigma_word(w: int) -> dict[int, int]:
@@ -377,15 +302,7 @@ def _sigma_word(w: int) -> dict[int, int]:
 
 def sigma(p: NcPoly) -> NcPoly:
     """The ring automorphism with sigma(x) = x, sigma(y) = x + y."""
-    out: dict = {}
-    for w, c in p.terms.items():
-        for v in _sigma_word(w):
-            nc = out.get(v, 0) + c
-            if nc:
-                out[v] = nc
-            else:
-                out.pop(v, None)
-    return NcPoly(out)
+    return NcPoly().add_terms((v, c) for w, c in p.terms.items() for v in _sigma_word(w))
 
 
 def s_map(p: NcPoly) -> NcPoly:
@@ -394,23 +311,18 @@ def s_map(p: NcPoly) -> NcPoly:
     On z-words this produces the sum over all comma/plus contractions of
     the index, the word-level expansion behind the star values.
     """
-    out: dict = {}
-    for w, c in p.terms.items():
-        if w == EMPTY_WORD:
-            out[w] = out.get(w, 0) + c
-            continue
-        if first_letter(w) != Y:
-            raise ValueError(f"word {word_str(w)!r} not in H1")
-        n = weight(w)
-        tail = (w & ((1 << (n - 1)) - 1)) | (1 << (n - 1))  # strip leading y
-        for v in _sigma_word(tail):
-            nw = concat(0b11, v)  # prepend y
-            nc = out.get(nw, 0) + c
-            if nc:
-                out[nw] = nc
-            else:
-                out.pop(nw, None)
-    return NcPoly(out)
+    return NcPoly().add_terms((v, c) for w, c in p.terms.items() for v in _s_map_word(w))
+
+
+def _s_map_word(w: int) -> list[int]:
+    """The words of s_map on a single word."""
+    if w == EMPTY_WORD:
+        return [w]
+    if first_letter(w) != Y:
+        raise ValueError(f"word {word_str(w)!r} not in H1")
+    n = weight(w)
+    tail = (w & ((1 << (n - 1)) - 1)) | (1 << (n - 1))  # strip leading y
+    return [concat(0b11, v) for v in _sigma_word(tail)]  # prepend y
 
 
 def y_power(n: int) -> int:

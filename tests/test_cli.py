@@ -3,13 +3,13 @@
 import io
 import json
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
 from mzvkit.cli import _exact, build_cases, main, make_parser, parse_index, run_suite
 from mzvkit.indexes import IndexCombo
-from mzvkit.reports import Report
+from mzvkit.linear import Combo
+from mzvkit.reports import ExactCheck, Report
 from mzvkit.tseries import WordSeries
 from mzvkit.words import NcPoly, word_of_index
 
@@ -207,21 +207,21 @@ def test_exact_failure_detail_is_bounded():
     rhs = IndexCombo({(i, 2): 1 for i in range(101, 301)} | {(i, 3): 1 for i in range(1, 101)})
     sides = [
         (lhs, rhs),  # prop1-3
-        ({0: lhs, 1: lhs}, {0: rhs, 1: lhs}),  # lemma112: one combination per m
+        (Combo({0: lhs, 1: lhs}), Combo({0: rhs, 1: lhs})),  # lemma112: one combination per m
         (
-            {(k, e): c for e in range(2) for k, c in lhs.terms.items()},
-            {(k, e): c for e in range(2) for k, c in rhs.terms.items()},
-        ),  # csf_reduction: {(index, t-power): coeff}
+            Combo({(k, e): c for e in range(2) for k, c in lhs.terms.items()}),
+            Combo({(k, e): c for e in range(2) for k, c in rhs.terms.items()}),
+        ),  # csf_reduction: symbols (index, t-power)
         (
             WordSeries(1, {1: NcPoly({word_of_index((i, 2)): 1 for i in range(1, 201)})}),
             WordSeries(1),
         ),  # series expansions
     ]
     for (l, r), count in zip(sides, (200, 200, 400, 200)):
-        ok, detail = _exact(SimpleNamespace(equal=False, lhs=l, rhs=r))
+        ok, detail = _exact(ExactCheck("check", None, {}, l, r))
         assert not ok
         assert detail.startswith(f"lhs - rhs has {count} terms: ")
         assert len(detail) < 200, detail
-    ok, detail = _exact(SimpleNamespace(equal=False, lhs=IndexCombo.of((1, 2)), rhs=IndexCombo.of((3,))))
+    ok, detail = _exact(ExactCheck("check", None, {}, IndexCombo.of((1, 2)), IndexCombo.of((3,))))
     assert detail == "lhs - rhs has 2 terms: 1*(1, 2) + -1*(3,)"
-    assert _exact(SimpleNamespace(equal=True, lhs=lhs, rhs=lhs)) == (True, None)
+    assert _exact(ExactCheck("check", None, {}, lhs, lhs)) == (True, None)

@@ -142,7 +142,7 @@ def test_s_m_policy_washout_weight_8():
 def test_lemma112_example():
     rep = verify_index_identity("lemma112", (1, 2), m=1)
     assert rep.equal
-    assert rep.lhs[1] == IndexCombo({(3,): 2})
+    assert rep.lhs.coefficient(1) == IndexCombo({(3,): 2})
 
 
 def test_prop1_single_part_example():

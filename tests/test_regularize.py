@@ -142,3 +142,14 @@ def test_star_comparison_depth_one_is_exactly_t():
     # weight-one index: both regularisations are the plain variable
     rep = compare_star_regs((1,), FAST)
     assert max(rep.residuals) < 1e-12
+
+
+def test_reg_pass_means_residual_within_printed_tol():
+    # at a cutoff of 200 the truncation error is ~1e-5, well above the
+    # 1e-6 tolerance; an error estimate of that size must not turn the
+    # row into a pass
+    cfg = EvalConfig(cutoff=200)
+    for rep in (compare_star_regs((1, 1, 2), cfg), verify_reg_relation("plain", (1, 2, 1), cfg)):
+        assert rep.tolerance == 1e-6
+        assert max(rep.residuals) > 1e-5, rep.identity
+        assert not rep.passed, rep.identity

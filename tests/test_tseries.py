@@ -138,4 +138,4 @@ def test_abc_split_examples():
 def test_abc_b_equals_class_csf():
     for al in all_cyclic_classes(4):
         parts = abc_split(al, 2)
-        assert parts.b_is_class_csf, str(al)
+        assert parts.checks["B-vs-class-csf"].equal, str(al)
