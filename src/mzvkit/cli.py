@@ -286,12 +286,14 @@ def _regularization_cases(args, cfg) -> list[Case]:
 
         return _timed("decompose-round-trip", None, body)
 
+    zeta = regularize.default_zeta_source(cfg)
+
     def rho_inverse() -> Report:
         def body():
             for n in range(7):
                 p = regularize.NumericPolyT.monomial(n)
                 for a, b in (("rho_inv", "rho"), ("rho_star_inv", "rho_star")):
-                    got = regularize.rho_apply(regularize.rho_apply(p, a), b)
+                    got = regularize.rho_apply(regularize.rho_apply(p, a, zeta), b, zeta)
                     for i in range(n + 1):
                         want = 1.0 if i == n else 0.0
                         if abs(got.coefficient(i).value - want) > 1e-9:
@@ -304,8 +306,9 @@ def _regularization_cases(args, cfg) -> list[Case]:
         def body():
             for n in range(7):
                 got = regularize.rho_apply(
-                    regularize.rho_apply(regularize.NumericPolyT.monomial(n), "rho_inv"),
+                    regularize.rho_apply(regularize.NumericPolyT.monomial(n), "rho_inv", zeta),
                     "rho_star",
+                    zeta,
                 )
                 if abs(got.coefficient(n).value - 1.0) > 1e-9:
                     return False, f"T^{n} leading"
@@ -525,9 +528,13 @@ def build_cases(args, cfg) -> list[Case]:
     return cases
 
 
+def _config(args) -> EvalConfig:
+    return EvalConfig(cutoff=args.cutoff_N, tol=args.tol, method=args.method)
+
+
 def run_suite(args, out=None) -> int:
     out = out if out is not None else sys.stdout
-    cases = build_cases(args, EvalConfig(cutoff=args.cutoff_N, tol=args.tol))
+    cases = build_cases(args, _config(args))
     all_ok = True
     for _, thunk in cases:
         rep = thunk()
@@ -545,7 +552,19 @@ def make_parser() -> argparse.ArgumentParser:
     ap.add_argument("--max-weight", type=int, default=5, help="index weight bound (default 5)")
     ap.add_argument("--t-order", type=int, default=2, help="series truncation order (default 2)")
     ap.add_argument("--index", type=str, default=None, help="single-case mode: one index like '1,2'")
-    ap.add_argument("--cutoff-N", type=int, default=10**6, help="summation cutoff (default 1e6)")
+    ap.add_argument(
+        "--method",
+        choices=numeval.METHODS,
+        default="holder",
+        help="evaluation of admissible values: Hölder convolution or the nested-sum"
+        " cross-check (default holder)",
+    )
+    ap.add_argument(
+        "--cutoff-N",
+        type=int,
+        default=10**6,
+        help="summation cutoff of --method nested only (default 1e6)",
+    )
     ap.add_argument("--tol", type=float, default=None, help="override comparison tolerance")
     ap.add_argument("--json", action="store_true", help="one JSON object per line")
     ap.add_argument(
@@ -565,7 +584,7 @@ def main(argv=None) -> int:
     if args.jobs < 1 or args.cases < 1:
         ap.error("--jobs and --cases must be >= 1")
     try:  # EvalConfig holds the cutoff and tolerance rules; run_suite builds it again
-        EvalConfig(cutoff=args.cutoff_N, tol=args.tol)
+        _config(args)
     except ValueError as exc:
         ap.error(f"--cutoff-N/--tol: {exc}")
     if args.index is not None:

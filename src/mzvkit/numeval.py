@@ -1,29 +1,44 @@
 """High-precision numerical evaluation of the zeta machinery.
 
-Nested sums are evaluated by the classical dynamic programme over the
-outer summation variable, in extended precision, and
-then corrected for the truncated tail: the inner partial sum is, exactly,
-the harmonic-regularisation polynomial of the prefix evaluated at the
-harmonic number H_n, with admissible lower-weight values as coefficients;
-the remaining tail of H-number powers against 1/n^k is summed by
-Euler-Maclaurin.  That pushes the truncation error of the default
-N = 10^6 cutoff from ~1e-6 down to ~1e-12, which the plain partial sum
-alone cannot reach.
+Admissible values are computed by one of two methods, chosen by
+``EvalConfig.method``:
 
-The kernel (``_outer_terms``) costs about weight + depth passes over N
-elements: for each index entry k_i, k_i - 1 multiplications build n^k_i
-(products, exact up to n^3, not pow calls), one division applies it
-and, for all but the last entry, a cumulative sum forms the next
+* ``"holder"`` (the default): Hölder convolution at p = 2 (Borwein,
+  Bradley, Broadhurst and Lisoněk, "Special values of multiple
+  polylogarithms", Trans. AMS 353 (2001)).  The value is a sum over the
+  splits of the index's integral word a_1...a_w of products of two
+  iterated integrals evaluated at 1/2, each a power series truncated
+  after M = 96 coefficients.  One value costs 2w vector steps over M
+  coefficients, and since every coefficient is at most 1 the truncation
+  error is at most 2(w+1) 2^-M: a proven bound, not an estimate.  Star
+  values are the linear extension over the contraction-sum word.
+* ``"nested"``: the independent cross-check.  The classical dynamic
+  programme over the outer summation variable up to ``cutoff``, then
+  corrected for the truncated tail: the inner partial sum is, exactly,
+  the harmonic-regularisation polynomial of the prefix evaluated at the
+  harmonic number H_n, with admissible lower-weight values as
+  coefficients; the remaining tail of H-number powers against 1/n^k is
+  summed by Euler-Maclaurin.  That pushes the truncation error of
+  N = 10^6 from ~1e-6 down to ~1e-12.
+
+The nested kernel (``_outer_terms``) costs about weight + depth passes
+over N elements: for each index entry k_i, k_i - 1 multiplications build
+n^k_i (products, exact up to n^3, not pow calls), one division applies
+it and, for all but the last entry, a cumulative sum forms the next
 partial sums.  It runs in place in one module-level workspace of three
 N-element arrays (n = 1..N, the partial sums and a power buffer), kept
 for the last (N, dtype) used and replaced when either changes; besides
-that workspace only the finished values are cached.
+that workspace only the finished values are cached, keyed by the
+config's ``value_key`` (the method, the precision and, for nested sums
+only, the cutoff).
 
-Every value carries a heuristic error estimate: the difference between
-the corrected values at N and N/2, plus a rounding allowance from the
-working dtype's machine epsilon; errors propagate additively through
-sums and first-order through products.  A cyclic-sum check passes when
-every residual is within its tolerance; the estimate does not widen it.
+Every value carries an error: under ``"holder"`` the tail bound plus a
+rounding allowance for the operations in the working dtype; under
+``"nested"`` a heuristic estimate, the difference between the corrected
+values at N and N/2, plus a rounding allowance.  Errors propagate
+additively through sums and first-order through products.  A cyclic-sum
+check passes when every residual is within its tolerance; the error
+does not widen it.
 
 The t-adic values are ``NumericSeries``, a ``linear.Series`` of
 NumericValues: ``c * v`` is ``v.scaled(c)`` and a value is zero only
@@ -91,27 +106,43 @@ ZERO = NumericValue(0.0, 0.0)
 ONE = NumericValue(1.0, 0.0)
 
 
+METHODS = ("holder", "nested")
+
+
 @dataclass(frozen=True)
 class EvalConfig:
-    """Summation cutoff, working precision (decimal digits) and tolerance.
+    """Evaluation method, summation cutoff, working precision (decimal
+    digits) and tolerance.
 
-    precision <= 16 selects float64 for the summation kernel, anything
-    higher the platform extended precision (~18-19 digits).
+    The cutoff applies to the ``"nested"`` method only.  precision <= 16
+    selects float64 for the working arithmetic, anything higher the
+    platform extended precision (~18-19 digits).
     """
 
     cutoff: int = 10**6
     precision: int = 18
     tol: float | None = None
+    method: str = "holder"
 
     def __post_init__(self):
         if self.cutoff < 2:
             raise ValueError("cutoff must be >= 2")
         if self.tol is not None and self.tol <= 0:
             raise ValueError("tol must be positive")
+        if self.method not in METHODS:
+            raise ValueError(f"method must be one of {', '.join(METHODS)}, got {self.method!r}")
 
     @property
     def dtype(self):
         return np.float64 if self.precision <= 16 else np.longdouble
+
+    @property
+    def value_key(self) -> tuple:
+        """What a computed value depends on: the method, the precision and,
+        for nested sums only, the cutoff.  Every value cache keys on it."""
+        if self.method == "nested":
+            return (self.method, self.precision, self.cutoff)
+        return (self.method, self.precision)
 
     def tolerance(self, default: float) -> float:
         return self.tol if self.tol is not None else default
@@ -222,7 +253,7 @@ def _prefix_reg_values(prefix: Index, star: bool, cfg: EvalConfig) -> list[Numer
 
 
 def mzv_num(k: Index, star: bool = False, cfg: EvalConfig = DEFAULT_CONFIG) -> NumericValue:
-    """Nested (star) zeta sum of an admissible index, tail-corrected.
+    """Nested (star) zeta sum of an admissible index, by the config's method.
 
     Raises for non-admissible indices (the series diverges).
     """
@@ -231,11 +262,21 @@ def mzv_num(k: Index, star: bool = False, cfg: EvalConfig = DEFAULT_CONFIG) -> N
         return ONE
     if k[-1] < 2:
         raise ValueError(f"index {k} is not admissible: series diverges")
-    key = (k, star, cfg.cutoff, cfg.precision)
+    key = (k, star, cfg.value_key)
     got = _MZV_CACHE.get(key)
     if got is not None:
         return got
+    if cfg.method == "nested":
+        out = _nested_num(k, star, cfg)
+    elif star:
+        out = z_num(s_map(NcPoly.from_index(k)), cfg)
+    else:
+        out = _holder_num(k, HOLDER_TERMS, cfg.dtype)
+    return _MZV_CACHE.setdefault(key, out)
 
+
+def _nested_num(k: Index, star: bool, cfg: EvalConfig) -> NumericValue:
+    """Tail-corrected nested sum at the config's cutoff."""
     N = cfg.cutoff
     # before the kernel: uncached prefix values call mzv_num, which reuses
     # the kernel's workspace and would overwrite ``terms``
@@ -258,8 +299,59 @@ def mzv_num(k: Index, star: bool = False, cfg: EvalConfig = DEFAULT_CONFIG) -> N
     eps = float(np.finfo(cfg.dtype).eps)
     rounding = (len(k) * N * eps + float(np.finfo(float).eps)) * max(1.0, abs(value))
     err = abs(value - half) + coeff_err + rounding
-    out = NumericValue(value, err)
-    return _MZV_CACHE.setdefault(key, out)
+    return NumericValue(value, err)
+
+
+# -- Hölder convolution --------------------------------------------------
+
+
+HOLDER_TERMS = 96  # M: power-series coefficients kept; tail <= 2(w+1) 2^-M
+
+
+def _integrate(c: np.ndarray, letter: str, n: np.ndarray) -> None:
+    """In place: the coefficients of the integral from 0 of the series c
+    against dt/t (letter x) or dt/(1-t) (letter y); n = 0..M."""
+    if letter == "y":
+        c[1:] = np.cumsum(c[:-1])
+    c[1:] /= n[1:]
+    c[0] = 0.0
+
+
+def _holder_num(k: Index, M: int, dtype) -> NumericValue:
+    """Plain admissible value by Hölder convolution at p = 2, with power
+    series truncated after M coefficients, in the given dtype.
+
+    With the word a_1...a_w = x^{s_1-1}y...x^{s_d-1}y of s = reversed(k)
+    (a_1 outermost) and L(b)(z) the iterated integral of the word b from 0
+    to z, zeta = sum_j L(tau(a_1...a_j))(1/2) L(a_{j+1}...a_w)(1/2), where
+    tau reverses a word and swaps x and y.  One pass over a_w, a_{w-1}, ...
+    gives every suffix value, one over tau(a_1), tau(a_2), ... every
+    tau-prefix value.
+    """
+    word = "".join("x" * (s - 1) + "y" for s in reversed(k))
+    w = len(word)
+    n = np.arange(M + 1, dtype=dtype)
+    half = np.ldexp(np.ones(M + 1, dtype=dtype), -np.arange(M + 1))  # 2^-n, exact
+
+    def values(letters) -> list:
+        c = np.zeros(M + 1, dtype=dtype)
+        c[0] = 1.0
+        out = [dtype(1.0)]
+        for a in letters:
+            _integrate(c, a, n)
+            out.append(c @ half)
+        return out
+
+    suffix = values(reversed(word))[::-1]  # suffix[j] = L(a_{j+1}...a_w)(1/2)
+    prefix = values("y" if a == "x" else "x" for a in word)  # prefix[j] = L(tau(a_1...a_j))(1/2)
+    value = float(sum(p * s for p, s in zip(prefix, suffix)))
+    # every term is positive, so the relative rounding error is at most
+    # (w M + 2M + w + 1) eps <= 2(w+1) M eps: up to M operations per letter
+    # and coefficient, two dot products of M terms, a product and the w
+    # additions of the split sum; then one rounding to float
+    ops = 2 * (w + 1) * M
+    rounding = (ops * float(np.finfo(dtype).eps) + float(np.finfo(float).eps)) * max(1.0, value)
+    return NumericValue(value, 2 * (w + 1) * 2.0**-M + rounding)
 
 
 def z_num(p: NcPoly, cfg: EvalConfig = DEFAULT_CONFIG) -> NumericValue:
@@ -299,7 +391,7 @@ def z_reg_num(
 def zeta_reg(k: Index, product: str, cfg: EvalConfig = DEFAULT_CONFIG) -> NumericValue:
     """Regularised zeta value of an arbitrary index (constant term at T=0)."""
     k = check_index(k)
-    key = (k, product, False, cfg.cutoff, cfg.precision)
+    key = (k, product, False, cfg.value_key)
     got = _REG_CACHE.get(key)
     if got is None:
         vals = reg_values(NcPoly.from_index(k), product, cfg)
@@ -310,7 +402,7 @@ def zeta_reg(k: Index, product: str, cfg: EvalConfig = DEFAULT_CONFIG) -> Numeri
 def zeta_star_reg(k: Index, product: str, cfg: EvalConfig = DEFAULT_CONFIG) -> NumericValue:
     """Regularised star value: the contraction-sum word, regularised."""
     k = check_index(k)
-    key = (k, product, True, cfg.cutoff, cfg.precision)
+    key = (k, product, True, cfg.value_key)
     got = _REG_CACHE.get(key)
     if got is None:
         vals = reg_values(s_map(NcPoly.from_index(k)), product, cfg)
@@ -352,7 +444,7 @@ def zeta_hat_num(
     k = check_index(k)
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    key = (k, variant, order, cfg.cutoff, cfg.precision)
+    key = (k, variant, order, cfg.value_key)
     got = _HAT_CACHE.get(key)
     if got is not None:
         return got

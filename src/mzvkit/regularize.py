@@ -290,7 +290,7 @@ def verify_reg_relation(which: str, k, cfg: EvalConfig = DEFAULT_CONFIG) -> Repo
     elif which != "plain":
         raise ValueError(f"unknown relation {which!r}")
     lhs = numeric_reg_poly(p, "sh", cfg)
-    rhs = rho_apply(numeric_reg_poly(p, "ast", cfg), "rho")
+    rhs = rho_apply(numeric_reg_poly(p, "ast", cfg), "rho", default_zeta_source(cfg))
     return _reg_report(f"rho-comparison-{which}", k, residuals(lhs, rhs), cfg, t0)
 
 
@@ -305,10 +305,11 @@ def compare_star_regs(k, cfg: EvalConfig = DEFAULT_CONFIG) -> Report:
     k = tuple(k)
     lhs = numeric_reg_poly(w_star(k), "sh", cfg)
     base = numeric_reg_poly(s_map(NcPoly.from_index(k)), "sh", cfg)
-    rhs = rho_apply(rho_apply(base, "rho_inv"), "rho_star")
+    zeta = default_zeta_source(cfg)
+    rhs = rho_apply(rho_apply(base, "rho_inv", zeta), "rho_star", zeta)
     resid = residuals(lhs, rhs)
     # correction kernel against the sine series, up to the degree in play
     for n in range(base.degree() + 1):
-        got = rho_apply(rho_apply(NumericPolyT.monomial(n), "rho_inv"), "rho_star")
+        got = rho_apply(rho_apply(NumericPolyT.monomial(n), "rho_inv", zeta), "rho_star", zeta)
         resid.append(got.max_residual(sin_correction(n)))
     return _reg_report("reg-star-compare", k, resid, cfg, t0)

@@ -100,6 +100,7 @@ def test_bad_weight_exits_2():
         ["--cases", "-5"],
         ["--cutoff-N", "1"],
         ["--tol", "0"],
+        ["--method", "bogus"],
     ],
 )
 def test_bad_values_exit_2_before_any_work(flags, monkeypatch):
@@ -168,25 +169,41 @@ def test_build_cases_all_suite():
 
 
 GOLDEN = Path(__file__).with_name("golden_suite_all.jsonl")
-GOLDEN_ARGV = [
+GOLDEN_HOLDER = Path(__file__).with_name("golden_suite_all_holder.jsonl")
+GOLDEN_HOLDER_ARGV = [
     "--suite", "all", "--jobs", "1", "--json", "--max-weight", "4",
     "--t-order", "2", "--cutoff-N", "100000", "--cases", "5",
 ]
+GOLDEN_ARGV = [*GOLDEN_HOLDER_ARGV, "--method", "nested"]
 
 
 def test_suite_all_matches_golden(capsys):
-    """Every row of ``--suite all`` at a small scale against a saved run.
+    """Every row of ``--suite all`` at a small scale against a saved run
+    of the nested-sum method.
 
     Exact rows (no tolerance) must be equal apart from elapsed_ms; numeric
     rows must agree in every other key and in their residuals to 1e-12.
     Regenerate the file with::
 
         mzvkit --suite all --jobs 1 --json --max-weight 4 --t-order 2 \
-            --cutoff-N 100000 --cases 5 > tests/golden_suite_all.jsonl
+            --cutoff-N 100000 --cases 5 --method nested > tests/golden_suite_all.jsonl
     """
-    assert main(GOLDEN_ARGV) == 0
+    _assert_matches_golden(GOLDEN_ARGV, GOLDEN, capsys)
+
+
+def test_suite_all_holder_matches_golden(capsys):
+    """As above, for the default (Hölder) method.  Regenerate the file with::
+
+        mzvkit --suite all --jobs 1 --json --max-weight 4 --t-order 2 \
+            --cutoff-N 100000 --cases 5 > tests/golden_suite_all_holder.jsonl
+    """
+    _assert_matches_golden(GOLDEN_HOLDER_ARGV, GOLDEN_HOLDER, capsys)
+
+
+def _assert_matches_golden(argv, path, capsys):
+    assert main(argv) == 0
     got = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
-    want = [json.loads(l) for l in GOLDEN.read_text().splitlines()]
+    want = [json.loads(l) for l in path.read_text().splitlines()]
     assert len(got) == len(want)
     for g, w in zip(got, want):
         for row in (g, w):

@@ -15,6 +15,8 @@ from mzvkit.numeval import (
     EvalConfig,
     NumericSeries,
     NumericValue,
+    HOLDER_TERMS,
+    _holder_num,
     _outer_terms,
     csf_series,
     mzv_num,
@@ -29,6 +31,7 @@ from mzvkit.tseries import w_csf_hat
 from mzvkit.words import NcPoly, harmonic, random_word, shuffle
 
 FAST = EvalConfig(cutoff=20000)
+FAST_NESTED = EvalConfig(cutoff=FAST.cutoff, method="nested")
 Z3 = 1.2020569031595943  # literature value, used only as a sanity anchor
 
 
@@ -48,6 +51,8 @@ def test_eval_config_validation():
         EvalConfig(cutoff=1)
     with pytest.raises(ValueError):
         EvalConfig(tol=-1.0)
+    with pytest.raises(ValueError):
+        EvalConfig(method="bogus")
 
 
 def test_single_zeta_oracles():
@@ -116,8 +121,8 @@ def test_raw_partial_sum_rejects_bad_cutoff():
 
 def test_corrected_beats_raw():
     exact = math.pi**2 / 6
-    raw = raw_partial_sum((2,), N=FAST.cutoff)
-    corrected = mzv_num((2,), cfg=FAST).value
+    raw = raw_partial_sum((2,), N=FAST_NESTED.cutoff)
+    corrected = mzv_num((2,), cfg=FAST_NESTED).value
     assert abs(raw - exact) > 1e-6  # the plain cutoff alone is far off
     assert abs(corrected - exact) < 1e-10
 
@@ -230,7 +235,7 @@ def test_verify_csf_rejects():
 def test_pass_means_residual_within_tolerance():
     # at N = 10^4 the residual is about 30x the tolerance; a large error
     # estimate must not turn that into a pass
-    rep = verify_csf("tsmzsv", (1, 1, 1, 1), 2, EvalConfig(cutoff=10**4))
+    rep = verify_csf("tsmzsv", (1, 1, 1, 1), 2, EvalConfig(cutoff=10**4, method="nested"))
     assert max(rep.residuals) > rep.tolerance
     assert not rep.passed
 
@@ -301,10 +306,10 @@ def test_kernel_matches_allocating_kernel_bitwise(dtype):
 def test_workspace_reuse_is_safe():
     # a cold depth-4 star value computes its prefix coefficients through
     # mzv_num, on the same workspace its own kernel call uses
-    k, cfg = (2, 1, 1, 2), EvalConfig(cutoff=12345)
-    assert not any(key[2] == cfg.cutoff for key in _MZV_CACHE)
+    k, cfg = (2, 1, 1, 2), EvalConfig(cutoff=12345, method="nested")
+    assert not any(key[2] == cfg.value_key for key in _MZV_CACHE)
     cold = mzv_num(k, True, cfg)
-    del _MZV_CACHE[(k, True, cfg.cutoff, cfg.precision)]
+    del _MZV_CACHE[(k, True, cfg.value_key)]
     assert mzv_num(k, True, cfg) == cold  # now with every prefix value cached
 
     calls = [((1, 3), N, dtype) for N in (1000, 3000) for dtype in (np.float64, np.longdouble)]
@@ -359,16 +364,44 @@ _ORACLES = (
     "k, star, value", _ORACLES, ids=[f"{'star' if s else 'plain'}{k}" for k, s, _ in _ORACLES]
 )
 def test_closed_form_oracles(k, star, value):
-    v = mzv_num(k, star, EvalConfig(cutoff=10**6))
+    v = mzv_num(k, star, EvalConfig(cutoff=10**6, method="nested"))
     assert abs(v.value - value) <= 1e-8, (v.value, value)
     assert v.err <= 1e-8
+    v = mzv_num(k, star, EvalConfig(method="holder"))
+    assert abs(v.value - value) <= v.err <= 1e-13, (v, value)
+
+
+_ADMISSIBLE_UP_TO_6 = [k for k in indices_up_to(6) if k and k[-1] >= 2]
+
+
+def test_holder_agrees_with_nested_sums():
+    # the two methods share no code below mzv_num: they must agree within
+    # the nested path's own error at its default cutoff
+    nested = EvalConfig(cutoff=10**6, method="nested")
+    for k in _ADMISSIBLE_UP_TO_6:
+        for star in (False, True):
+            h = mzv_num(k, star, EvalConfig(method="holder"))
+            n = mzv_num(k, star, nested)
+            assert abs(h.value - n.value) <= n.err, (k, star, h, n)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_holder_truncation_bound(dtype):
+    # every coefficient is at most 1, so M terms leave a tail of at most
+    # 2(w+1) 2^-M; at M = 20 that is large enough to be seen
+    for k in _ADMISSIBLE_UP_TO_6:
+        bound = 2 * (sum(k) + 1) * 2.0**-20
+        short = _holder_num(k, 20, dtype)
+        full = _holder_num(k, HOLDER_TERMS, dtype)
+        assert abs(short.value - full.value) <= bound, k
+        assert short.err >= bound
 
 
 def test_reported_errors_are_honest():
     # the error estimate should bound the actual deviation on known values
-    v = mzv_num((2,), cfg=FAST)
+    v = mzv_num((2,), cfg=FAST_NESTED)
     assert abs(v.value - math.pi**2 / 6) <= v.err + 1e-12
-    v = mzv_num((2, 2), cfg=FAST)
+    v = mzv_num((2, 2), cfg=FAST_NESTED)
     assert abs(v.value - math.pi**4 / 120) <= v.err + 1e-12
 
 

@@ -6,6 +6,8 @@ import random
 import pytest
 
 from mzvkit.indexes import indices_up_to
+from mzvkit import numeval
+from mzvkit.cli import build_cases, make_parser
 from mzvkit.numeval import EvalConfig
 from mzvkit.regularize import (
     NumericPolyT,
@@ -148,8 +150,25 @@ def test_reg_pass_means_residual_within_printed_tol():
     # at a cutoff of 200 the truncation error is ~1e-5, well above the
     # 1e-6 tolerance; an error estimate of that size must not turn the
     # row into a pass
-    cfg = EvalConfig(cutoff=200)
+    cfg = EvalConfig(cutoff=200, method="nested")
     for rep in (compare_star_regs((1, 1, 2), cfg), verify_reg_relation("plain", (1, 2, 1), cfg)):
         assert rep.tolerance == 1e-6
         assert max(rep.residuals) > 1e-5, rep.identity
         assert not rep.passed, rep.identity
+
+
+def test_reg_checks_evaluate_rho_under_the_callers_config(monkeypatch):
+    # the single zeta values inside the rho maps come from the caller's
+    # config, not from the default one (another cutoff and method)
+    cfg = EvalConfig(cutoff=10**4, method="nested")
+    cache = {}
+    monkeypatch.setattr(numeval, "_MZV_CACHE", cache)
+    verify_reg_relation("plain", (1, 1, 2, 1), cfg)
+    verify_reg_relation("star", (1, 1, 2, 1), cfg)
+    compare_star_regs((1, 1, 2, 1), cfg)
+    args = make_parser().parse_args(["--suite", "regularization", "--cases", "1"])
+    for name, case in build_cases(args, cfg):
+        if name in ("rho-inverse-pairs", "rho-star-correction"):
+            assert case().passed, name
+    assert {key[0] for key in cache} >= {(n,) for n in range(2, 7)}
+    assert all(key[2] == cfg.value_key for key in cache)
