@@ -528,13 +528,9 @@ def build_cases(args, cfg) -> list[Case]:
     return cases
 
 
-def _config(args) -> EvalConfig:
-    return EvalConfig(cutoff=args.cutoff_N, tol=args.tol, method=args.method)
-
-
 def run_suite(args, out=None) -> int:
     out = out if out is not None else sys.stdout
-    cases = build_cases(args, _config(args))
+    cases = build_cases(args, EvalConfig(cutoff=args.cutoff_N, tol=args.tol))
     all_ok = True
     for _, thunk in cases:
         rep = thunk()
@@ -553,17 +549,11 @@ def make_parser() -> argparse.ArgumentParser:
     ap.add_argument("--t-order", type=int, default=2, help="series truncation order (default 2)")
     ap.add_argument("--index", type=str, default=None, help="single-case mode: one index like '1,2'")
     ap.add_argument(
-        "--method",
-        choices=numeval.METHODS,
-        default="holder",
-        help="evaluation of admissible values: Hölder convolution or the nested-sum"
-        " cross-check (default holder)",
-    )
-    ap.add_argument(
         "--cutoff-N",
         type=int,
         default=10**6,
-        help="summation cutoff of --method nested only (default 1e6)",
+        help="summation cutoff of the nested-sum method; the default Hölder"
+        " evaluation does not use it (default 1e6)",
     )
     ap.add_argument("--tol", type=float, default=None, help="override comparison tolerance")
     ap.add_argument("--json", action="store_true", help="one JSON object per line")
@@ -584,7 +574,7 @@ def main(argv=None) -> int:
     if args.jobs < 1 or args.cases < 1:
         ap.error("--jobs and --cases must be >= 1")
     try:  # EvalConfig holds the cutoff and tolerance rules; run_suite builds it again
-        _config(args)
+        EvalConfig(cutoff=args.cutoff_N, tol=args.tol)
     except ValueError as exc:
         ap.error(f"--cutoff-N/--tol: {exc}")
     if args.index is not None:

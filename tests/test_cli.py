@@ -9,6 +9,7 @@ import pytest
 from mzvkit.cli import _exact, build_cases, main, make_parser, parse_index, run_suite
 from mzvkit.indexes import IndexCombo
 from mzvkit.linear import Combo
+from mzvkit.numeval import EvalConfig
 from mzvkit.reports import ExactCheck, Report
 from mzvkit.tseries import WordSeries
 from mzvkit.words import NcPoly, word_of_index
@@ -100,7 +101,6 @@ def test_bad_weight_exits_2():
         ["--cases", "-5"],
         ["--cutoff-N", "1"],
         ["--tol", "0"],
-        ["--method", "bogus"],
     ],
 )
 def test_bad_values_exit_2_before_any_work(flags, monkeypatch):
@@ -170,40 +170,46 @@ def test_build_cases_all_suite():
 
 GOLDEN = Path(__file__).with_name("golden_suite_all.jsonl")
 GOLDEN_HOLDER = Path(__file__).with_name("golden_suite_all_holder.jsonl")
-GOLDEN_HOLDER_ARGV = [
+GOLDEN_ARGV = [
     "--suite", "all", "--jobs", "1", "--json", "--max-weight", "4",
     "--t-order", "2", "--cutoff-N", "100000", "--cases", "5",
 ]
-GOLDEN_ARGV = [*GOLDEN_HOLDER_ARGV, "--method", "nested"]
 
 
-def test_suite_all_matches_golden(capsys):
-    """Every row of ``--suite all`` at a small scale against a saved run
-    of the nested-sum method.
+def test_suite_all_matches_golden():
+    """Every row of ``--suite all`` at a small scale, run under the
+    nested-sum method, against a saved run of that method.
 
     Exact rows (no tolerance) must be equal apart from elapsed_ms; numeric
     rows must agree in every other key and in their residuals to 1e-12.
     Regenerate the file with::
 
-        mzvkit --suite all --jobs 1 --json --max-weight 4 --t-order 2 \
-            --cutoff-N 100000 --cases 5 --method nested > tests/golden_suite_all.jsonl
+        python3 -c "from mzvkit.cli import build_cases, make_parser
+        from mzvkit.numeval import EvalConfig
+        args = make_parser().parse_args('--suite all --max-weight 4 --t-order 2 --cases 5'.split())
+        for _, case in build_cases(args, EvalConfig(cutoff=10**5, method='nested')):
+            print(case().to_json())" > tests/golden_suite_all.jsonl
     """
-    _assert_matches_golden(GOLDEN_ARGV, GOLDEN, capsys)
+    args = make_parser().parse_args(GOLDEN_ARGV)
+    cases = build_cases(args, EvalConfig(cutoff=args.cutoff_N, method="nested"))
+    _assert_matches_golden([case().to_json() for _, case in cases], GOLDEN)
 
 
 def test_suite_all_holder_matches_golden(capsys):
-    """As above, for the default (Hölder) method.  Regenerate the file with::
+    """As above, through the CLI and its default (Hölder) method.
+    Regenerate the file with::
 
         mzvkit --suite all --jobs 1 --json --max-weight 4 --t-order 2 \
             --cutoff-N 100000 --cases 5 > tests/golden_suite_all_holder.jsonl
     """
-    _assert_matches_golden(GOLDEN_HOLDER_ARGV, GOLDEN_HOLDER, capsys)
+    assert main(GOLDEN_ARGV) == 0
+    _assert_matches_golden(capsys.readouterr().out.splitlines(), GOLDEN_HOLDER)
 
 
-def _assert_matches_golden(argv, path, capsys):
-    assert main(argv) == 0
-    got = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+def _assert_matches_golden(lines, path):
+    got = [json.loads(l) for l in lines]
     want = [json.loads(l) for l in path.read_text().splitlines()]
+    assert all(row["pass"] for row in got)
     assert len(got) == len(want)
     for g, w in zip(got, want):
         for row in (g, w):

@@ -80,11 +80,12 @@ def test_empty_and_divergent():
 
 
 def test_star_is_contraction_sum():
-    # independent route: star value = sum of plain values over contractions
+    # independent route: the nested path's weak-inequality star sum equals
+    # the sum of its plain values over contractions
     for k in [(2,), (1, 2), (2, 2), (1, 1, 2), (2, 1, 2)]:
-        direct = mzv_num(k, star=True, cfg=FAST)
+        direct = mzv_num(k, star=True, cfg=FAST_NESTED)
         via = sum(
-            c * mzv_num(idx, cfg=FAST).value for idx, c in star_expand(k).terms.items()
+            c * mzv_num(idx, cfg=FAST_NESTED).value for idx, c in star_expand(k).terms.items()
         )
         assert abs(direct.value - via) < 1e-9, k
 
@@ -98,8 +99,8 @@ def test_zig_zag_integral_equals_star_sum():
     for k in indices_up_to(5):
         if k[-1] < 2:
             continue
-        lhs = z_num(w_star(k), FAST)
-        rhs = mzv_num(k, star=True, cfg=FAST)
+        lhs = z_num(w_star(k), FAST_NESTED)
+        rhs = mzv_num(k, star=True, cfg=FAST_NESTED)
         assert abs(lhs.value - rhs.value) < 1e-6, k
         assert abs(lhs.value - rhs.value) <= lhs.err + rhs.err + 1e-9, k
 
