@@ -552,8 +552,8 @@ def make_parser() -> argparse.ArgumentParser:
         "--cutoff-N",
         type=int,
         default=10**6,
-        help="summation cutoff of the nested-sum method; the default Hölder"
-        " evaluation does not use it (default 1e6)",
+        help="summation cutoff of the nested-sum method; checked but unused,"
+        " since the CLI evaluates by Hölder convolution (default 1e6)",
     )
     ap.add_argument("--tol", type=float, default=None, help="override comparison tolerance")
     ap.add_argument("--json", action="store_true", help="one JSON object per line")
