@@ -428,6 +428,7 @@ class NumericSeries(Series):
 VARIANTS = ("ast", "sh", "star_ast", "star_sh", "star_KY", "KY_inv")
 
 _HAT_CACHE: dict = {}
+_KY_COEFF_CACHE: dict = {}  # (k, e, value_key) -> regularised t^e value of star_KY
 
 
 def zeta_hat_num(
@@ -459,10 +460,15 @@ def _zeta_hat_uncached(
     if variant == "star_KY":
         from .tseries import w_star_hat
 
-        ws = w_star_hat(k, order)
-        return NumericSeries(
-            order, {e: z_reg_num(p, "sh", 0.0, cfg) for e, p in ws.terms.items()}
-        )
+        # the t^e coefficient of w_star_hat does not depend on the order
+        vals = {}
+        for e, p in w_star_hat(k, order).terms.items():
+            key = (k, e, cfg.value_key)
+            got = _KY_COEFF_CACHE.get(key)
+            if got is None:
+                got = _KY_COEFF_CACHE.setdefault(key, z_reg_num(p, "sh", 0.0, cfg))
+            vals[e] = got
+        return NumericSeries(order, vals)
 
     if variant == "KY_inv":
         if not k:

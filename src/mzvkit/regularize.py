@@ -37,15 +37,12 @@ from .numeval import (
 )
 from .reports import Report
 from .words import (
-    EMPTY_WORD,
     NcPoly,
     harmonic,
     harmonic_power_z1,
-    index_of_word,
     s_map,
     shuffle,
     weight,
-    word_of_index,
     y_power,
 )
 
@@ -60,26 +57,12 @@ def _product(a: NcPoly, b: NcPoly, product: str) -> NcPoly:
     raise ValueError(f"unknown product {product!r}")
 
 
-def _trailing_y(w: int) -> int:
-    """Number of trailing y letters of a packed word."""
-    if w == EMPTY_WORD:
-        return 0
-    t = 0
-    while (w >> t) & 1:
-        t += 1
-    return min(t, weight(w))
-
-
-def _split_trailing(w: int, product: str) -> tuple[int, int]:
-    """(stripped word, trailing degree) for the relevant product."""
-    if product == "sh":
-        t = _trailing_y(w)
-        return w >> t, t
-    k = index_of_word(w)
-    t = 0
-    while t < len(k) and k[len(k) - 1 - t] == 1:
-        t += 1
-    return word_of_index(k[: len(k) - t]), t
+def _split_trailing(w: int) -> tuple[int, int]:
+    """(stripped word, trailing degree) of an H1 word: its trailing y
+    letters, which are also its trailing z_1 letters, so one split serves
+    both products."""
+    t = min((~w & (w + 1)).bit_length() - 1, weight(w))  # trailing 1 bits, not the sentinel
+    return w >> t, t
 
 
 def y_product_power(n: int, product: str) -> NcPoly:
@@ -98,14 +81,14 @@ def decompose(p: NcPoly, product: str = "sh") -> list[NcPoly]:
     out: dict[int, NcPoly] = {}
     rem = p
     while rem:
-        split = [(_split_trailing(w, product), w, c) for w, c in rem.terms.items()]
-        n = max(t for (_, t), _, _ in split)
-        top = NcPoly({sw: c for (sw, t), _, c in split if t == n})
+        split = [(_split_trailing(w), c) for w, c in rem.terms.items()]
+        n = max(t for (_, t), _ in split)
+        top = NcPoly({sw: c for (sw, t), c in split if t == n})
         a_n = top / factorial(n)
         out[n] = a_n
         rem = rem - _product(a_n, y_product_power(n, product), product)
         if rem:
-            nxt = max(_split_trailing(w, product)[1] for w in rem.terms)
+            nxt = max(_split_trailing(w)[1] for w in rem.terms)
             if nxt >= n:
                 raise AssertionError("peeling failed to reduce trailing degree")
     deg = max(out, default=0)

@@ -18,9 +18,12 @@ subspace of words that also end with x; H0 words are exactly the images of
 admissible indices under :func:`word_of_index`.
 
 The shuffle product is computed by a vectorised interleaving DP working on
-dense per-weight coefficient vectors (see :func:`_shuffle_dense`); the
-harmonic (quasi-shuffle) product works on the z-word factorisation, i.e.
-on index tuples.
+dense per-weight coefficient vectors (see :func:`_shuffle_dense`); a
+weight block with a single word on each side reads its counts from a
+table memoised per word pair.  The harmonic (quasi-shuffle) product works
+on the z-word factorisation of the packed words themselves: it peels the
+last z-letter off by its lowest set bit, memoised per word pair, with no
+index tuples in between.
 """
 
 from __future__ import annotations
@@ -242,50 +245,89 @@ def _shuffle_dense(A: np.ndarray, p: int, B: np.ndarray, q: int) -> np.ndarray:
 _INT64_SAFE = 1 << 62
 
 
+def _shuffle_block(ap: dict, p: int, bp: dict, q: int) -> Iterator[tuple[int, object]]:
+    """The nonzero terms of the shuffle of one weight-p and one weight-q
+    part, words ascending, by the dense DP: in int64 when every
+    coefficient is an int and no output coefficient can reach 2^62, else
+    in exact Python arithmetic."""
+    exact = all(isinstance(c, int) for c in ap.values()) and all(
+        isinstance(c, int) for c in bp.values()
+    )
+    bound = (
+        sum(abs(c) for c in ap.values())
+        * sum(abs(c) for c in bp.values())
+        * comb(p + q, min(p, q))
+    )
+    dtype = np.int64 if exact and bound < _INT64_SAFE else object
+    vec = _shuffle_dense(_dense(ap, p, dtype), p, _dense(bp, q, dtype), q)
+    nz = np.flatnonzero(vec)
+    return zip((nz | (1 << (p + q))).tolist(), vec[nz].tolist())
+
+
+@lru_cache(maxsize=None)
+def _word_shuffle(u: int, p: int, v: int, q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(words, counts) of the shuffle of the single weight-p word u and the
+    single weight-q word v (both without their sentinel), words ascending."""
+    words, counts = zip(*_shuffle_block({u: 1}, p, {v: 1}, q))
+    return words, counts
+
+
 def shuffle(a: NcPoly, b: NcPoly) -> NcPoly:
-    """Shuffle product, bilinear over all weight pairs."""
+    """Shuffle product, bilinear over all weight pairs.
+
+    A weight block with one word on each side reads its counts from a
+    table memoised per word pair; every other block runs the dense DP.
+    Both give the words ascending with the same coefficients.
+    """
     out = NcPoly()
     pa, pb = a.homogeneous_parts(), b.homogeneous_parts()
     for p, ap in pa.items():
         for q, bp in pb.items():
-            exact = all(isinstance(c, int) for c in ap.values()) and all(
-                isinstance(c, int) for c in bp.values()
-            )
-            bound = (
-                sum(abs(c) for c in ap.values())
-                * sum(abs(c) for c in bp.values())
-                * comb(p + q, min(p, q))
-            )
-            dtype = np.int64 if exact and bound < _INT64_SAFE else object
-            vec = _shuffle_dense(_dense(ap, p, dtype), p, _dense(bp, q, dtype), q)
-            nz = np.flatnonzero(vec)
-            out.add_terms(zip((nz | (1 << (p + q))).tolist(), vec[nz].tolist()))
+            if len(ap) == 1 and len(bp) == 1:
+                ((u, ca),), ((v, cb),) = ap.items(), bp.items()
+                words, counts = _word_shuffle(u, p, v, q)
+                c = ca * cb
+                out.add_terms(zip(words, [c * m for m in counts]))
+            else:
+                out.add_terms(_shuffle_block(ap, p, bp, q))
     return out
 
 
 @lru_cache(maxsize=None)
-def _stuffle(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Quasi-shuffle of two index tuples, as ((index, multiplicity), ...)."""
-    if not u:
+def _quasi_shuffle(u: int, v: int) -> tuple[tuple[int, int], ...]:
+    """Quasi-shuffle of two packed H1 words, as ((word, multiplicity), ...).
+
+    The last z-letter of a nonempty H1 word w is z_a with
+    a = (w & -w).bit_length(), the rest of the word is w >> a, and
+    appending z_a to a word r is (r << a) | (1 << (a - 1)).  The recursion
+    peels the last letter of u, then of v, then of both (merged into
+    z_(a+b)); on a word outside H1 it would not terminate.
+    """
+    if u == EMPTY_WORD:
         return ((v, 1),)
-    if not v:
+    if v == EMPTY_WORD:
         return ((u, 1),)
+    a = (u & -u).bit_length()
+    b = (v & -v).bit_length()
+    ru, rv = u >> a, v >> b
+    za, zb, zab = 1 << (a - 1), 1 << (b - 1), 1 << (a + b - 1)
     out = Combo()
-    out.add_terms((idx + (u[-1],), m) for idx, m in _stuffle(u[:-1], v))
-    out.add_terms((idx + (v[-1],), m) for idx, m in _stuffle(u, v[:-1]))
-    out.add_terms((idx + (u[-1] + v[-1],), m) for idx, m in _stuffle(u[:-1], v[:-1]))
+    out.add_terms(((r << a) | za, m) for r, m in _quasi_shuffle(ru, v))
+    out.add_terms(((r << b) | zb, m) for r, m in _quasi_shuffle(u, rv))
+    out.add_terms(((r << (a + b)) | zab, m) for r, m in _quasi_shuffle(ru, rv))
     return tuple(out.terms.items())
 
 
 def harmonic(a: NcPoly, b: NcPoly) -> NcPoly:
     """Harmonic (quasi-shuffle) product.  Inputs must lie in H1."""
+    for w in [*a.terms, *b.terms]:
+        if not in_h1(w):
+            raise ValueError(f"word {word_str(w)!r} starts with x, not in H1")
     out = NcPoly()
     for wa, ca in a.terms.items():
-        ka = index_of_word(wa)
         for wb, cb in b.terms.items():
             c = ca * cb
-            stuffles = _stuffle(ka, index_of_word(wb))
-            out.add_terms((word_of_index(idx), c * m) for idx, m in stuffles)
+            out.add_terms((w, c * m) for w, m in _quasi_shuffle(wa, wb))
     return out
 
 

@@ -2,11 +2,12 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from mzvkit.indexes import indices_up_to
-from mzvkit import numeval
+from mzvkit import numeval, regularize
 from mzvkit.cli import build_cases, make_parser
 from mzvkit.numeval import EvalConfig
 from mzvkit.regularize import (
@@ -22,7 +23,15 @@ from mzvkit.regularize import (
     verify_reg_relation,
     y_product_power,
 )
-from mzvkit.words import NcPoly, harmonic, random_ncpoly, shuffle
+from mzvkit.words import (
+    NcPoly,
+    harmonic,
+    index_of_word,
+    random_ncpoly,
+    s_map,
+    shuffle,
+    word_of_index,
+)
 
 z = NcPoly.from_index
 
@@ -63,6 +72,28 @@ def test_round_trip_random(product):
         parts = decompose(p, product)
         assert all(a.is_h0() for a in parts), (str(p), product)
         assert recompose(parts, product) == p, (str(p), product)
+
+
+def index_split_trailing(w: int) -> tuple[int, int]:
+    """The previous harmonic split, kept verbatim as the reference: strip
+    the trailing 1 entries of the word's index."""
+    k = index_of_word(w)
+    t = 0
+    while t < len(k) and k[len(k) - 1 - t] == 1:
+        t += 1
+    return word_of_index(k[: len(k) - t]), t
+
+
+def test_decompose_ast_matches_index_split(monkeypatch):
+    rng = random.Random(44)
+    polys = [random_ncpoly(rng, max_weight=7, max_terms=4, h1=True) for _ in range(40)]
+    polys += [Fraction(3, 4) * p for p in polys[:10]]
+    polys += [s_map(z(k)) for k in [(1,), (2, 1), (1, 1, 1), (2, 1, 1, 1), (1, 3, 1, 1)]]
+    got = [decompose(p, "ast") for p in polys]
+    monkeypatch.setattr(regularize, "_split_trailing", index_split_trailing)
+    want = [decompose(p, "ast") for p in polys]
+    for p, g, w in zip(polys, got, want):
+        assert [list(a.terms.items()) for a in g] == [list(a.terms.items()) for a in w], str(p)
 
 
 def test_decompose_is_unique():

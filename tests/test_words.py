@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mzvkit.indexes import compositions, star_expand
+from mzvkit.linear import Combo
 from mzvkit.words import (
     _INT64_SAFE,
     EMPTY_WORD,
@@ -21,6 +23,7 @@ from mzvkit.words import (
     in_h1,
     index_of_word,
     random_ncpoly,
+    random_word,
     s_map,
     shuffle,
     sigma,
@@ -125,6 +128,33 @@ def moveaxis_shuffle(a: NcPoly, b: NcPoly) -> NcPoly:
                 else:
                     out.pop(w, None)
     return NcPoly(out)
+
+
+@lru_cache(maxsize=None)
+def _index_stuffle(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Quasi-shuffle of two index tuples, as ((index, multiplicity), ...)."""
+    if not u:
+        return ((v, 1),)
+    if not v:
+        return ((u, 1),)
+    out = Combo()
+    out.add_terms((idx + (u[-1],), m) for idx, m in _index_stuffle(u[:-1], v))
+    out.add_terms((idx + (v[-1],), m) for idx, m in _index_stuffle(u, v[:-1]))
+    out.add_terms((idx + (u[-1] + v[-1],), m) for idx, m in _index_stuffle(u[:-1], v[:-1]))
+    return tuple(out.terms.items())
+
+
+def index_harmonic(a: NcPoly, b: NcPoly) -> NcPoly:
+    """The previous harmonic, kept verbatim as the term-order reference:
+    it recurses on index tuples and converts each term back to a word."""
+    out = NcPoly()
+    for wa, ca in a.terms.items():
+        ka = index_of_word(wa)
+        for wb, cb in b.terms.items():
+            c = ca * cb
+            stuffles = _index_stuffle(ka, index_of_word(wb))
+            out.add_terms((word_of_index(idx), c * m) for idx, m in stuffles)
+    return out
 
 
 def poly_from_strs(d: dict[str, object]) -> NcPoly:
@@ -247,6 +277,16 @@ def test_shuffle_term_order_matches_moveaxis_reference(path):
         b = scale * random_ncpoly(rng, 5, 4)
         got = list(shuffle(a, b).terms.items())
         assert got == list(moveaxis_shuffle(a, b).terms.items()), (a, b)
+    # one word on each side (the memoised table), weight 0 on either side
+    pairs = [(random_word(rng, 6), random_word(rng, 6)) for _ in range(30)]
+    pairs += [(EMPTY_WORD, word("yxy")), (word("xy"), EMPTY_WORD), (EMPTY_WORD, EMPTY_WORD)]
+    for u, v in pairs:
+        a = NcPoly.from_word(u, scale * rng.choice([1, -2, 3]))
+        b = NcPoly.from_word(v, scale * rng.choice([1, 5, -1]))
+        got = list(shuffle(a, b).terms.items())
+        want = list(moveaxis_shuffle(a, b).terms.items())
+        assert got == want, (a, b)
+        assert [type(c) for _, c in got] == [type(c) for _, c in want]
 
 
 # -- harmonic ------------------------------------------------------------
@@ -276,6 +316,23 @@ def test_harmonic_matches_grid_oracle(seed):
 def test_harmonic_rejects_non_h1():
     with pytest.raises(ValueError):
         harmonic(NcPoly.from_str("xy"), NcPoly.from_str("y"))
+    with pytest.raises(ValueError, match="'xxy' starts with x"):
+        harmonic(NcPoly.from_str("y"), NcPoly.from_str("y") + NcPoly.from_str("xxy"))
+    with pytest.raises(ValueError):
+        harmonic(NcPoly.one(), NcPoly.from_str("x"))
+
+
+@pytest.mark.parametrize("path", ["int", "big", "fraction"])
+def test_harmonic_term_order_matches_index_reference(path):
+    rng = random.Random(21)
+    scale = {"int": 1, "big": 1 << 40, "fraction": Fraction(2, 7)}[path]
+    for _ in range(40):
+        a = scale * random_ncpoly(rng, 6, 4, h1=True)
+        b = scale * random_ncpoly(rng, 6, 4, h1=True)
+        got = list(harmonic(a, b).terms.items())
+        assert got == list(index_harmonic(a, b).terms.items()), (a, b)
+        if path == "big":  # every coefficient is a multiple of 2^80
+            assert all(abs(c) > _INT64_SAFE for _, c in got)
 
 
 # -- algebraic laws (property style) --------------------------------------
