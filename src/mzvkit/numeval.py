@@ -29,8 +29,8 @@ partial sums.  It runs in place in one module-level workspace of three
 N-element arrays (n = 1..N, the partial sums and a power buffer), kept
 for the last (N, dtype) used and replaced when either changes; besides
 that workspace only the finished values are cached, keyed by the
-config's ``value_key`` (the method, the precision and, for nested sums
-only, the cutoff).
+config's ``value_key`` (the method and, for nested sums only, the
+cutoff).
 
 Every value carries an error: under ``"holder"`` the tail bound plus a
 rounding allowance for the operations in the working dtype; under
@@ -48,9 +48,7 @@ when both its value and its error are 0.0.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -111,18 +109,17 @@ METHODS = ("holder", "nested")
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """Evaluation method, summation cutoff, working precision (decimal
-    digits) and tolerance.
+    """Evaluation method, summation cutoff and tolerance.
 
-    The cutoff applies to the ``"nested"`` method only.  precision <= 16
-    selects float64 for the working arithmetic, anything higher the
-    platform extended precision (~18-19 digits).
+    The cutoff applies to the ``"nested"`` method only.  Both methods work
+    in the platform extended precision (~18-19 digits), ``dtype``.
     """
 
     cutoff: int = 10**6
-    precision: int = 18
     tol: float | None = None
     method: str = "holder"
+
+    dtype = np.longdouble  # not a field: the working dtype of every config
 
     def __post_init__(self):
         if self.cutoff < 2:
@@ -133,16 +130,12 @@ class EvalConfig:
             raise ValueError(f"method must be one of {', '.join(METHODS)}, got {self.method!r}")
 
     @property
-    def dtype(self):
-        return np.float64 if self.precision <= 16 else np.longdouble
-
-    @property
     def value_key(self) -> tuple:
-        """What a computed value depends on: the method, the precision and,
-        for nested sums only, the cutoff.  Every value cache keys on it."""
+        """What a computed value depends on: the method and, for nested
+        sums only, the cutoff.  Every value cache keys on it."""
         if self.method == "nested":
-            return (self.method, self.precision, self.cutoff)
-        return (self.method, self.precision)
+            return (self.method, self.cutoff)
+        return (self.method,)
 
     def tolerance(self, default: float) -> float:
         return self.tol if self.tol is not None else default
@@ -388,24 +381,17 @@ def z_reg_num(
     return acc
 
 
-def zeta_reg(k: Index, product: str, cfg: EvalConfig = DEFAULT_CONFIG) -> NumericValue:
-    """Regularised zeta value of an arbitrary index (constant term at T=0)."""
+def zeta_reg(
+    k: Index, product: str, cfg: EvalConfig = DEFAULT_CONFIG, star: bool = False
+) -> NumericValue:
+    """Regularised zeta value of an arbitrary index (constant term at T=0);
+    with star, of its contraction-sum word."""
     k = check_index(k)
-    key = (k, product, False, cfg.value_key)
+    key = (k, product, star, cfg.value_key)
     got = _REG_CACHE.get(key)
     if got is None:
-        vals = reg_values(NcPoly.from_index(k), product, cfg)
-        got = _REG_CACHE.setdefault(key, vals.get(0, ZERO))
-    return got
-
-
-def zeta_star_reg(k: Index, product: str, cfg: EvalConfig = DEFAULT_CONFIG) -> NumericValue:
-    """Regularised star value: the contraction-sum word, regularised."""
-    k = check_index(k)
-    key = (k, product, True, cfg.value_key)
-    got = _REG_CACHE.get(key)
-    if got is None:
-        vals = reg_values(s_map(NcPoly.from_index(k)), product, cfg)
+        p = NcPoly.from_index(k)
+        vals = reg_values(s_map(p) if star else p, product, cfg)
         got = _REG_CACHE.setdefault(key, vals.get(0, ZERO))
     return got
 
@@ -479,18 +465,15 @@ def _zeta_hat_uncached(
         return acc
 
     product = "ast" if variant.endswith("ast") else "sh"
-    value: Callable[[Index], NumericValue]
-    if variant.startswith("star"):
-        value = lambda idx: zeta_star_reg(idx, product, cfg)  # noqa: E731
-    else:
-        value = lambda idx: zeta_reg(idx, product, cfg)  # noqa: E731
-
+    star = variant.startswith("star")
     out = NumericSeries(order)
     for i in range(len(k) + 1):
-        head = value(k[:i])
+        head = zeta_reg(k[:i], product, cfg, star)
         sign = -1.0 if sum(k[i:]) & 1 else 1.0
         shifts = binomial_shifts(k[i:], order)
-        out.add_terms((e, (sign * c) * (head * value(shifted))) for e, c, shifted in shifts)
+        out.add_terms(
+            (e, (sign * c) * (head * zeta_reg(shifted, product, cfg, star))) for e, c, shifted in shifts
+        )
     return out
 
 
@@ -537,7 +520,6 @@ def verify_csf(
     k = check_index(k)
     if not k:
         raise ValueError("needs a non-empty index")
-    t0 = time.perf_counter()
     combo = csf_series(which, k, order, cfg)
     if all(p == 1 for p in k):
         # all-ones trace; for mzsv it cancels the weight term of an empty splice sum
@@ -545,16 +527,7 @@ def verify_csf(
         c = wt if which == "mzsv" else (1.0 + (-1.0) ** (wt + 1)) * wt
         trace = NumericValue(c * mzv_num((wt + 1,), cfg=cfg).value, 0.0)
         combo = combo + NumericSeries(combo.order, {0: trace})
-    resid = combo.residuals()
     tol = cfg.tolerance(TOL_PLAIN if which == "mzsv" else TOL_REG)
-    elapsed = (time.perf_counter() - t0) * 1000
-    passed = all(r <= tol for r in resid)
-    return Report(
-        identity=f"csf-{which}",
-        index=k,
-        order=None if which == "mzsv" else order,
-        residuals=resid,
-        tolerance=tol,
-        passed=passed,
-        elapsed_ms=elapsed,
+    return Report.numeric(
+        f"csf-{which}", k, combo.residuals(), tol, None if which == "mzsv" else order
     )

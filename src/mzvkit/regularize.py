@@ -14,15 +14,13 @@ exp(sum_{n>=2} (-1)^n zeta(n) x^n / n); Euler's constant never appears
 because it cancels in that form.  Their mismatch rho* o rho^{-1} is
 supported on even powers of pi, which :func:`sin_correction` predicts and
 :func:`compare_star_regs` checks numerically.  Numeric T-polynomials are
-``NumericPolyT``, a ``linear.Poly`` of NumericValues; a comparison passes
-iff every residual |lhs - rhs| is within the tolerance it prints, so an
-error estimate never widens it.
+``NumericPolyT``, a ``linear.Poly`` of NumericValues; a comparison is a
+``Report.numeric`` row of the residuals |lhs - rhs|.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from math import factorial
 from typing import Callable
 
@@ -246,26 +244,13 @@ def sin_correction(n: int) -> NumericPolyT:
     return NumericPolyT(out)
 
 
-def _reg_report(identity: str, k, resid: list[float], cfg: EvalConfig, t0: float) -> Report:
-    """A numeric regularisation row: it passes iff every residual is
-    within the tolerance it prints."""
-    tol = cfg.tolerance(1e-6)
-    return Report(
-        identity=identity,
-        index=k,
-        order=None,
-        residuals=resid,
-        tolerance=tol,
-        passed=all(r <= tol for r in resid),
-        elapsed_ms=(time.perf_counter() - t0) * 1000,
-    )
+TOL_RHO = 1e-6  # tolerance of the rho comparisons unless the config sets one
 
 
 def verify_reg_relation(which: str, k, cfg: EvalConfig = DEFAULT_CONFIG) -> Report:
     """Numeric check that the shuffle T-polynomial is rho of the harmonic
     one, for the plain z-word of k ("plain") or its contraction-sum star
     word ("star")."""
-    t0 = time.perf_counter()
     k = tuple(k)
     p = NcPoly.from_index(k)
     if which == "star":
@@ -274,7 +259,7 @@ def verify_reg_relation(which: str, k, cfg: EvalConfig = DEFAULT_CONFIG) -> Repo
         raise ValueError(f"unknown relation {which!r}")
     lhs = numeric_reg_poly(p, "sh", cfg)
     rhs = rho_apply(numeric_reg_poly(p, "ast", cfg), "rho", default_zeta_source(cfg))
-    return _reg_report(f"rho-comparison-{which}", k, residuals(lhs, rhs), cfg, t0)
+    return Report.numeric(f"rho-comparison-{which}", k, residuals(lhs, rhs), cfg.tolerance(TOL_RHO))
 
 
 def compare_star_regs(k, cfg: EvalConfig = DEFAULT_CONFIG) -> Report:
@@ -284,7 +269,6 @@ def compare_star_regs(k, cfg: EvalConfig = DEFAULT_CONFIG) -> Report:
     """
     from .tseries import w_star  # deferred: tseries only needed here
 
-    t0 = time.perf_counter()
     k = tuple(k)
     lhs = numeric_reg_poly(w_star(k), "sh", cfg)
     base = numeric_reg_poly(s_map(NcPoly.from_index(k)), "sh", cfg)
@@ -295,4 +279,4 @@ def compare_star_regs(k, cfg: EvalConfig = DEFAULT_CONFIG) -> Report:
     for n in range(base.degree() + 1):
         got = rho_apply(rho_apply(NumericPolyT.monomial(n), "rho_inv", zeta), "rho_star", zeta)
         resid.append(got.max_residual(sin_correction(n)))
-    return _reg_report("reg-star-compare", k, resid, cfg, t0)
+    return Report.numeric("reg-star-compare", k, resid, cfg.tolerance(TOL_RHO))

@@ -2,8 +2,10 @@
 
 One ``Report`` per checked case; serialises to a single JSON line with
 the keys identity, index, order, residuals, tolerance, pass, elapsed_ms.
-Exact checks use residuals [0.0] on success and carry the mismatch in
-``detail`` on failure.
+Rows are built by two constructors: ``Report.exact`` (residuals [0.0] on
+success, none on failure, the mismatch in ``detail``) and
+``Report.numeric`` (passes iff every residual is within the tolerance it
+prints).  Whoever runs the case fills in ``elapsed_ms``.
 
 Every exact identity check of the library (index identities, word-series
 expansions, the A/B/C splice lemmas) returns one ``ExactCheck``: its two
@@ -52,6 +54,18 @@ class Report:
     passed: bool = True
     elapsed_ms: float = 0.0
     detail: str | None = None
+
+    @classmethod
+    def exact(cls, identity: str, index, ok: bool, detail: str | None = None, order=None):
+        """An exact check's row: residuals [0.0] on success, none on failure."""
+        return cls(identity, index, order, [0.0] if ok else [], None, ok, detail=detail)
+
+    @classmethod
+    def numeric(cls, identity: str, index, residuals: list[float], tolerance: float, order=None):
+        """A numeric check's row: it passes iff every residual is within the
+        tolerance it prints (an error estimate never widens it)."""
+        passed = all(r <= tolerance for r in residuals)
+        return cls(identity, index, order, residuals, tolerance, passed)
 
     def to_json(self) -> str:
         obj = {

@@ -161,6 +161,42 @@ def test_failure_exit_code_one(monkeypatch):
     assert "FAIL" in buf.getvalue()
 
 
+def test_numeric_case_that_raises_is_a_failing_row(monkeypatch):
+    import mzvkit.cli as cli_mod
+
+    verify_csf = cli_mod.numeval.verify_csf
+
+    def broken(which, k, order=2, cfg=None):
+        if k == (1, 2):
+            raise ValueError("poset too large")
+        return verify_csf(which, k, order=order, cfg=cfg)
+
+    monkeypatch.setattr(cli_mod.numeval, "verify_csf", broken)
+    args = _args(["--suite", "csf-mzsv", "--max-weight", "3", "--json"])
+    buf = io.StringIO()
+    assert run_suite(args, out=buf) == 1
+    rows = [json.loads(l) for l in buf.getvalue().splitlines()]
+    failed = [i for i, row in enumerate(rows) if not row["pass"]]
+    assert len(failed) == 1
+    row = rows[failed[0]]
+    assert row["identity"] == "csf-mzsv" and row["index"] == [1, 2]
+    assert row["detail"] == "error: poset too large"
+    assert row["residuals"] == [] and row["tolerance"] is None
+    # the sweep went on past the failing case
+    later = rows[failed[0] + 1 :]
+    assert later and all(r["pass"] and r["identity"] == "csf-mzsv" for r in later)
+
+
+def test_regularization_past_w_map_limit_reports_error_row(capsys):
+    # w_map refuses the 25-vertex zig-zag poset of (25,): the star
+    # comparison becomes a failing row instead of a traceback
+    assert main(["--suite", "regularization", "--index", "25", "--cases", "1", "--json"]) == 1
+    rows = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+    assert len(rows) == 6 and all(row["pass"] for row in rows[:5])
+    assert rows[5]["identity"] == "reg-star-compare"
+    assert rows[5]["detail"] == "error: poset too large for w_map (25 vertices)"
+
+
 def test_build_cases_all_suite():
     args = _args(["--suite", "all", "--max-weight", "1", "--cases", "1"])
     names = [n for n, _ in build_cases(args, None)]
