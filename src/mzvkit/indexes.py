@@ -10,12 +10,12 @@ cyclic contraction sums ``s_m``, and exact verifiers for the index-level
 identities used to reduce the cyclic sum formula of the t-adic values to
 its star form; each verifier returns a ``reports.ExactCheck``.
 
-The cyclic-sum combinations themselves are defined here, once, as formal
-sums of t-adic symbols, plain ``Combo`` objects keyed by (index, t-power),
-from two generators:
-``rotation_pivots`` (the splice pivots) and ``binomial_shifts`` (the
-binomially shifted, reversed expansion).  ``tseries`` evaluates them as
-word series and ``numeval`` as numbers.
+The t-adic expansion and the cyclic-sum combinations are defined here,
+once, as formal sums of t-adic symbols, plain ``Combo`` objects keyed by
+(index, t-power): ``shift_symbols`` and ``hat_symbols`` sum over
+``binomial_shifts`` (the binomially shifted, reversed expansion), and the
+combinations splice around ``rotation_pivots``.  ``tseries``, ``posets``
+and ``numeval`` evaluate them as word series, poset series and numbers.
 """
 
 from __future__ import annotations
@@ -165,6 +165,25 @@ def binomial_shifts(k: Index, order: int) -> Iterator[tuple[int, int, Index]]:
         yield (sum(ls),) + binomial_shift(k, ls)
 
 
+def shift_symbols(k: Index, order: int) -> Combo:
+    """The signed shift expansion of k as (index, t-power) symbols:
+    (-1)^wt(k) * sum over l >= 0 with |l| <= order of
+    prod_j C(k_j + l_j - 1, l_j) * (k_r + l_r, ..., k_1 + l_1) t^|l|."""
+    sign = -1 if sum(k) & 1 else 1
+    return Combo().add_terms(((s, e), sign * c) for e, c, s in binomial_shifts(k, order))
+
+
+def hat_symbols(k: Index, order: int) -> Combo:
+    """The two-sided expansion behind the t-adic symmetric values: for each
+    split k = (prefix, suffix), the prefix against the shift expansion of
+    the suffix, keyed by ((prefix, shifted suffix), t-power)."""
+    out = Combo()
+    for i in range(len(k) + 1):
+        shifts = shift_symbols(k[i:], order).terms.items()
+        out.add_terms((((k[:i], s), e), c) for (s, e), c in shifts)
+    return out
+
+
 def compositions(k: int, r: int) -> Iterator[Index]:
     """All compositions of k into exactly r positive parts."""
     if r == 0:
@@ -196,13 +215,10 @@ def cyclic_classes(k: int, r: int) -> list[CyclicClass]:
     return out
 
 
-def _plus_masks(r: int, m: int) -> Iterator[tuple[int, ...]]:
-    """All 0/1 vectors of length r with exactly m ones."""
+def _plus_masks(r: int, m: int) -> Iterator[int]:
+    """All r-bit masks with exactly m bits set."""
     for ones in itertools.combinations(range(r), m):
-        v = [0] * r
-        for i in ones:
-            v[i] = 1
-        yield tuple(v)
+        yield sum(1 << i for i in ones)
 
 
 def s_m(k: Index, m: int, policy: str = "first") -> IndexCombo:
@@ -223,18 +239,13 @@ def s_m(k: Index, m: int, policy: str = "first") -> IndexCombo:
 
     def cuts() -> Iterator[tuple[Index, int]]:
         for boxes in _plus_masks(r, m):
-            commas = [j for j in range(r) if boxes[j] == 0]
+            commas = [j for j in range(r) if not (boxes >> j) & 1]
             j = commas[0] if policy == "first" else commas[-1]
-            # linear sequence after cutting at box j (0-based: box j follows k_{j+1})
-            seq = k[j + 1 :] + k[: j + 1]
-            seq_boxes = boxes[j + 1 :] + boxes[: j]  # boxes between consecutive entries
-            idx = [seq[0]]
-            for i in range(1, r):
-                if seq_boxes[i - 1]:
-                    idx[-1] += seq[i]
-                else:
-                    idx.append(seq[i])
-            yield tuple(idx), 1
+            # cut after k_{j+1} (0-based box j): the boxes between consecutive
+            # entries of the cut sequence are the mask rotated right by j + 1,
+            # of which _contract reads the low r - 1 bits
+            rotated = (boxes >> (j + 1)) | (boxes << (r - j - 1))
+            yield _contract(k[j + 1 :] + k[: j + 1], rotated), 1
 
     return IndexCombo().add_terms(cuts())
 
@@ -276,7 +287,7 @@ def cyclic_symmetrized_s_m(k: Index, m: int, policy: str = "first") -> IndexComb
 
 def _lemma112_once(k: Index, m: int) -> tuple[IndexCombo, IndexCombo]:
     lhs = cyclic_symmetrized_s_m(k, m)
-    masks = [sum(bit << i for i, bit in enumerate(v)) for v in _plus_masks(len(k) - 1, m)]
+    masks = list(_plus_masks(len(k) - 1, m))
     rhs = IndexCombo().add_terms(
         (_contract(rot, mask), 1) for rot in rotations(k) for mask in masks
     )

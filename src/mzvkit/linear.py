@@ -18,12 +18,12 @@ operand.  Instances are treated as immutable once built; ``add_terms``
 fills a fresh one.
 
 ``Poly`` is a combination over the powers of one variable and ``Series``
-a poly truncated at ``order``.
+a poly truncated at ``order``; ``Series.add_symbols`` evaluates t-adic symbols.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 
 class Combo:
@@ -160,6 +160,16 @@ class Series(Poly):
     def add_terms(self, pairs: Iterable[tuple]) -> "Series":
         order = self.order
         return super().add_terms((e, c) for e, c in pairs if e <= order)
+
+    def add_symbols(self, symbols: Combo, value: Callable[[object, int], "Series"]) -> "Series":
+        """Add c * value(key, order - e) * t^e in place for every symbol
+        ((key, e), c) with e <= order, in the symbols' order; returns self.
+        value(key, n) is a series exact to t^n, and so each term to order."""
+        order = self.order
+        for (key, e), c in symbols.terms.items():
+            if e <= order:
+                self.add_terms((e + f, c * v) for f, v in value(key, order - e).terms.items())
+        return self
 
     def _aligned(self, other: "Series") -> "Series":
         return self.truncate(min(self.order, other.order))

@@ -54,11 +54,11 @@ import numpy as np
 
 from .indexes import (
     Index,
-    binomial_shifts,
     check_index,
     csf_star_hat_symbols,
     csf_star_symbols,
     csf_symbols,
+    hat_symbols,
     star_invert,
 )
 from .linear import Series
@@ -232,19 +232,6 @@ _MZV_CACHE: dict = {}
 _REG_CACHE: dict = {}
 
 
-def _prefix_reg_values(prefix: Index, star: bool, cfg: EvalConfig) -> list[NumericValue]:
-    """Numeric coefficients c_i of the polynomial with
-    inner-partial-sum(n) = sum_i c_i * H^i: the harmonic-regularisation
-    coefficients of the (star-expanded, if star) prefix word."""
-    from .regularize import decompose  # deferred: regularize imports us
-
-    p = NcPoly.from_index(prefix)
-    if star:
-        p = s_map(p)
-    parts = decompose(p, "ast")
-    return [z_num(a, cfg) for a in parts]
-
-
 def mzv_num(k: Index, star: bool = False, cfg: EvalConfig = DEFAULT_CONFIG) -> NumericValue:
     """Nested (star) zeta sum of an admissible index, by the config's method.
 
@@ -271,23 +258,22 @@ def mzv_num(k: Index, star: bool = False, cfg: EvalConfig = DEFAULT_CONFIG) -> N
 def _nested_num(k: Index, star: bool, cfg: EvalConfig) -> NumericValue:
     """Tail-corrected nested sum at the config's cutoff."""
     N = cfg.cutoff
+    # inner partial sum(n) = sum_i c_i H_n^i, the c_i the harmonic
+    # regularisation of the (star-expanded, if star) prefix.  Computed
     # before the kernel: uncached prefix values call mzv_num, which reuses
     # the kernel's workspace and would overwrite ``terms``
-    coeffs = _prefix_reg_values(k[:-1], star, cfg)
+    prefix = NcPoly.from_index(k[:-1])
+    coeffs = reg_values(s_map(prefix) if star else prefix, "ast", cfg).items()
     terms = _outer_terms(k, star, N, cfg.dtype)
 
     def corrected(limit: int) -> float:
         v = float(terms[:limit].sum())
-        tail = sum(
-            c.value * _harmonic_pow_tail(i, k[-1], limit, star) for i, c in enumerate(coeffs)
-        )
+        tail = sum(c.value * _harmonic_pow_tail(i, k[-1], limit, star) for i, c in coeffs)
         return v + tail
 
     value = corrected(N)
     half = corrected(N // 2)
-    coeff_err = sum(
-        c.err * abs(_harmonic_pow_tail(i, k[-1], N, star)) for i, c in enumerate(coeffs)
-    )
+    coeff_err = sum(c.err * abs(_harmonic_pow_tail(i, k[-1], N, star)) for i, c in coeffs)
     # len(k) * N kernel roundings in the working dtype, then one to float
     eps = float(np.finfo(cfg.dtype).eps)
     rounding = (len(k) * N * eps + float(np.finfo(float).eps)) * max(1.0, abs(value))
@@ -466,15 +452,10 @@ def _zeta_hat_uncached(
 
     product = "ast" if variant.endswith("ast") else "sh"
     star = variant.startswith("star")
-    out = NumericSeries(order)
-    for i in range(len(k) + 1):
-        head = zeta_reg(k[:i], product, cfg, star)
-        sign = -1.0 if sum(k[i:]) & 1 else 1.0
-        shifts = binomial_shifts(k[i:], order)
-        out.add_terms(
-            (e, (sign * c) * (head * zeta_reg(shifted, product, cfg, star))) for e, c, shifted in shifts
-        )
-    return out
+    return NumericSeries(order).add_terms(
+        (e, c * (zeta_reg(head, product, cfg, star) * zeta_reg(tail, product, cfg, star)))
+        for ((head, tail), e), c in hat_symbols(k, order).terms.items()
+    )
 
 
 # -- cyclic sum formula verifiers ---------------------------------------
@@ -494,15 +475,14 @@ def csf_series(
         symbols, variant = csf_symbols(k, order), "KY_inv"
     else:
         raise ValueError(f"unknown cyclic sum check {which!r}")
-    acc = NumericSeries(order)
-    for (idx, e), c in symbols.terms.items():
+
+    def value(idx: Index, n: int) -> NumericSeries:
         if variant is None:
             # a depth-1 star sum is the plain sum; its plain key shares the cache
-            term = NumericSeries(0, {0: mzv_num(idx, star=len(idx) > 1, cfg=cfg)})
-        else:
-            term = zeta_hat_num(idx, variant, order - e, cfg).shift(e)
-        acc = acc + float(c) * term
-    return acc
+            return NumericSeries(n, {0: mzv_num(idx, star=len(idx) > 1, cfg=cfg)})
+        return zeta_hat_num(idx, variant, n, cfg)
+
+    return NumericSeries(order).add_symbols(symbols, value)
 
 
 def verify_csf(

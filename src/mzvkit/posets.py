@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .indexes import binomial_shifts
+from .indexes import hat_symbols
 from .linear import Combo
 from .words import NcPoly
 
@@ -106,21 +106,13 @@ class TwoPoset:
                         out.append((u, v))
         return sorted(out)
 
-    def with_relation(self, lo: int, hi: int) -> "TwoPoset":
-        rels = [(u, v) for v in range(self.n) for u in range(self.n) if (self.below[v] >> u) & 1]
-        rels.append((lo, hi))
-        return TwoPoset(self.labels, rels)
+    def relations(self, offset: int = 0) -> list[tuple[int, int]]:
+        """Every pair (u, v) with u strictly below v, both plus offset."""
+        pairs = ((u, v) for v in range(self.n) for u in range(self.n) if (self.below[v] >> u) & 1)
+        return [(u + offset, v + offset) for u, v in pairs]
 
-    def relabeled_union(self, other: "TwoPoset") -> "TwoPoset":
-        rels = [(u, v) for v in range(self.n) for u in range(self.n) if (self.below[v] >> u) & 1]
-        off = self.n
-        rels += [
-            (u + off, v + off)
-            for v in range(other.n)
-            for u in range(other.n)
-            if (other.below[v] >> u) & 1
-        ]
-        return TwoPoset(self.labels + other.labels, rels)
+    def with_relation(self, lo: int, hi: int) -> "TwoPoset":
+        return TwoPoset(self.labels, self.relations() + [(lo, hi)])
 
     def describe(self) -> str:
         """Deterministic debug form: labels then cover pairs."""
@@ -140,7 +132,8 @@ def is_admissible(p: TwoPoset) -> bool:
 
 
 def disjoint_union(p: TwoPoset, q: TwoPoset) -> TwoPoset:
-    return p.relabeled_union(q)
+    """p and q side by side, the vertices of q numbered after those of p."""
+    return TwoPoset(p.labels + q.labels, p.relations() + q.relations(p.n))
 
 
 # Every coefficient of w_map is a count of linear extensions, at most
@@ -234,11 +227,8 @@ def x_star_hat(k: Index, t_order: int) -> PosetSeries:
     if t_order < 0:
         raise ValueError("t_order must be >= 0")
     coeffs: dict[int, list[tuple[object, TwoPoset]]] = {}
-    for i in range(len(k) + 1):
-        head = x_star(k[:i])
-        sign = -1 if sum(k[i:]) & 1 else 1
-        for e, c, shifted in binomial_shifts(k[i:], t_order):
-            coeffs.setdefault(e, []).append((sign * c, disjoint_union(head, x_star(shifted))))
+    for ((head, tail), e), c in hat_symbols(k, t_order).terms.items():
+        coeffs.setdefault(e, []).append((c, disjoint_union(x_star(head), x_star(tail))))
     return PosetSeries(t_order, coeffs)
 
 

@@ -97,10 +97,13 @@ class Report:
 
     def text_row(self) -> str:
         idx = "(" + ",".join(map(str, self.index)) + ")" if self.index is not None else "-"
-        res = max(self.residuals) if self.residuals else 0.0
+        # a row without residuals, or an error row, shows none it did not compute
+        res = f"{max(self.residuals):.2e}" if self.residuals else "-"
         tol = f"{self.tolerance:.1e}" if self.tolerance is not None else "exact"
+        if self.detail and self.detail.startswith("error:"):
+            tol = "-"
         status = "pass" if self.passed else "FAIL"
-        row = f"{status:4s}  {self.identity:24s} {idx:18s} ord={self.order if self.order is not None else '-':<3} max_res={res:.2e} tol={tol:8s} {self.elapsed_ms:8.1f} ms"
+        row = f"{status:4s}  {self.identity:24s} {idx:18s} ord={self.order if self.order is not None else '-':<3} max_res={res:8s} tol={tol:8s} {self.elapsed_ms:8.1f} ms"
         if not self.passed:
             if self.residuals:
                 row += "\n      residuals: " + ", ".join(f"t^{e}: {r:.3e}" for e, r in enumerate(self.residuals))

@@ -22,11 +22,11 @@ from .indexes import (
     CyclicClass,
     Index,
     binomial_shift,
-    binomial_shifts,
     check_index,
     csf_star_hat_symbols,
     csf_star_symbols,
     last_pivots,
+    shift_symbols,
     splice_symbols,
     splices,
     tail_symbols,
@@ -85,17 +85,14 @@ def w_star(k: Index) -> NcPoly:
 
 
 def f_series(k: Index, order: int) -> WordSeries:
-    """Signed, binomially weighted sum of reversed shifted star words:
-    (-1)^wt(k) * sum over l >= 0 of prod C(k_j + l_j - 1, l_j)
-    * w_star(k_r + l_r, ..., k_1 + l_1) * t^(l_1 + ... + l_r)."""
+    """The signed shift expansion of k (``indexes.shift_symbols``) read as
+    star words: a series in t of reversed shifted star words."""
     k = tuple(k)
     key = (k, order)
     got = _F_CACHE.get(key)
     if got is not None:
         return got
-    sign = -1 if sum(k) & 1 else 1
-    symbols = Combo({(shifted, e): sign * c for e, c, shifted in binomial_shifts(k, order)})
-    return _F_CACHE.setdefault(key, _star_words(symbols, order))
+    return _F_CACHE.setdefault(key, _star_words(shift_symbols(k, order), order))
 
 
 def w_star_hat(k: Index, order: int) -> WordSeries:
@@ -114,8 +111,8 @@ def w_star_hat(k: Index, order: int) -> WordSeries:
 
 # -- cyclic-sum combinations ------------------------------------------
 #
-# The combinations are the symbol combos, keyed by (index, t-power), built
-# in ``indexes``; these two evaluators read them as word series.
+# The symbol combos of ``indexes`` are read as star words by _star_words
+# and as hatted star series by ``Series.add_symbols`` with w_star_hat.
 
 
 def _star_words(symbols: Combo, order: int) -> WordSeries:
@@ -125,33 +122,17 @@ def _star_words(symbols: Combo, order: int) -> WordSeries:
     )
 
 
-def _star_hat_words(symbols: Combo, order: int) -> WordSeries:
-    """Each symbol (k, e) as w_star_hat(k, order - e) t^e."""
-    acc = WordSeries.zero(order)
-    for (idx, e), c in symbols.terms.items():
-        acc = acc + c * w_star_hat(idx, order - e).shift(e)
-    return acc
-
-
 def _member_splices(m: Index) -> Combo:
     """Splice sum of m pivoting on its last entry, as class members do."""
     return splice_symbols(last_pivots([m]))
 
 
-def _shifted_sum(build, terms) -> Combo:
-    """c * build(s) t^e summed over the shift terms (e, c, s)."""
+def _shifted_sum(build, symbols: Combo) -> Combo:
+    """c * build(s) t^e summed over the symbols ((s, e), c)."""
     out = Combo()
-    for e, c, s in terms:
+    for (s, e), c in symbols.terms.items():
         out.add_terms(((idx, f + e), c * v) for (idx, f), v in build(s).terms.items())
     return out
-
-
-def _signed_shifts(members, order: int):
-    """The binomial_shifts terms of every member, signed by (-1)^(wt+1)."""
-    for m in members:
-        sign = 1 if sum(m) & 1 else -1
-        for e, c, s in binomial_shifts(m, order):
-            yield e, sign * c, s
 
 
 def w_csf(k: Index) -> NcPoly:
@@ -169,7 +150,7 @@ def w_csf_hat(k: Index, order: int) -> WordSeries:
     k = check_index(k)
     if not k:
         raise ValueError("needs a non-empty index")
-    return _star_hat_words(csf_star_hat_symbols(k, order), order)
+    return WordSeries(order).add_symbols(csf_star_hat_symbols(k, order), w_star_hat)
 
 
 def verify_csf_hat(k: Index, order: int) -> ExactCheck:
@@ -177,7 +158,7 @@ def verify_csf_hat(k: Index, order: int) -> ExactCheck:
     plain one with binomially shifted reversed arguments."""
     k = check_index(k)
     lhs = w_csf_hat(k, order)
-    u_sum = _shifted_sum(csf_star_symbols, _signed_shifts([k], order))
+    u_sum = _shifted_sum(csf_star_symbols, -shift_symbols(k, order))
     rhs = _star_words(u_sum + csf_star_symbols(k), order)
     return ExactCheck("csf-hat-expansion", k, {"order": order}, lhs, rhs)
 
@@ -194,19 +175,22 @@ def class_csf(alpha: CyclicClass) -> NcPoly:
 def class_csf_hat(alpha: CyclicClass, order: int) -> WordSeries:
     """Hatted class splice sum minus the t-shifted member tail sums."""
     pivots = last_pivots(alpha.members)
-    return _star_hat_words(splice_symbols(pivots) + tail_symbols(pivots, order), order)
+    symbols = splice_symbols(pivots) + tail_symbols(pivots, order)
+    return WordSeries(order).add_symbols(symbols, w_star_hat)
 
 
 def class_u_csf(alpha: CyclicClass, ls: tuple[int, ...]) -> NcPoly:
     """Binomially weighted splice sum of the members shifted by ls and
     reversed: one term of the class u-sum, without its sign and t-power."""
-    terms = ((0,) + binomial_shift(m, ls) for m in alpha.members)
-    return _star_words(_shifted_sum(_member_splices, terms), 0).coefficient(0)
+    shifts = (binomial_shift(m, ls) for m in alpha.members)
+    symbols = Combo().add_terms(((s, 0), c) for c, s in shifts)
+    return _star_words(_shifted_sum(_member_splices, symbols), 0).coefficient(0)
 
 
 def _class_u_sum(alpha: CyclicClass, order: int) -> Combo:
     """The signed class u-sums t^|l| over every shift l with |l| <= order."""
-    return _shifted_sum(_member_splices, _signed_shifts(alpha.members, order))
+    shifts = sum((shift_symbols(m, order) for m in alpha.members), Combo())
+    return _shifted_sum(_member_splices, -shifts)
 
 
 def verify_class_csf_hat(alpha: CyclicClass, order: int) -> ExactCheck:
@@ -241,28 +225,25 @@ def abc_split(alpha: CyclicClass, order: int) -> SpliceParts:
     B = WordSeries.zero(order)
     C = WordSeries.zero(order)
     direct = WordSeries.zero(order)
-    for p, body in last_pivots(alpha.members):
+    pivots = last_pivots(alpha.members)
+    for p, body in pivots:
         for idx in splices(p, body):
             for i in range(1, len(idx)):  # non-empty prefix and suffix
-                A = A + poly_shuffle_series(w_star(idx[:i]), f_series(idx[i:], order))
-            B = B + WordSeries.from_poly(w_star(idx), order)
-            C = C + f_series(idx, order)
-            direct = direct + w_star_hat(idx, order)
+                part = poly_shuffle_series(w_star(idx[:i]), f_series(idx[i:], order))
+                A.add_terms(part.terms.items())
+            B.add_terms([(0, w_star(idx))])
+            C.add_terms(f_series(idx, order).terms.items())
+            direct.add_terms(w_star_hat(idx, order).terms.items())
 
+    # the closed forms sum over the symbols (1 + l, m) t^l and (m, 1) per member m
+    heads = -tail_symbols(pivots, order)
+    ends = Combo().add_terms(((m + (1,), 0), 1) for m in alpha.members)
     # telescoped closed form of A
-    a_closed = WordSeries.zero(order)
-    for mem in alpha.members:
-        for l in range(order + 1):
-            inner = w_star_hat((1 + l,) + mem, order - l) - f_series((1 + l,) + mem, order - l)
-            a_closed = a_closed + inner.shift(l)
-        a_closed = a_closed + f_series(mem + (1,), order)
-
+    a_closed = WordSeries(order).add_symbols(heads, w_star_hat)
+    a_closed.add_symbols(-heads, f_series).add_symbols(ends, f_series)
     # Chu-Vandermonde closed form of C
     c_closed = _star_words(_class_u_sum(alpha, order), order)
-    for mem in alpha.members:
-        for l in range(order + 1):
-            c_closed = c_closed + f_series((1 + l,) + mem, order - l).shift(l)
-        c_closed = c_closed - f_series(mem + (1,), order)
+    c_closed.add_symbols(heads, f_series).add_symbols(-ends, f_series)
 
     sides = {
         "total": (A + B + C, direct),

@@ -161,7 +161,8 @@ def test_failure_exit_code_one(monkeypatch):
     assert "FAIL" in buf.getvalue()
 
 
-def test_numeric_case_that_raises_is_a_failing_row(monkeypatch):
+def _raise_on_12(monkeypatch):
+    """Make the numeric check raise on the index (1, 2)."""
     import mzvkit.cli as cli_mod
 
     verify_csf = cli_mod.numeval.verify_csf
@@ -172,6 +173,10 @@ def test_numeric_case_that_raises_is_a_failing_row(monkeypatch):
         return verify_csf(which, k, order=order, cfg=cfg)
 
     monkeypatch.setattr(cli_mod.numeval, "verify_csf", broken)
+
+
+def test_numeric_case_that_raises_is_a_failing_row(monkeypatch):
+    _raise_on_12(monkeypatch)
     args = _args(["--suite", "csf-mzsv", "--max-weight", "3", "--json"])
     buf = io.StringIO()
     assert run_suite(args, out=buf) == 1
@@ -185,6 +190,26 @@ def test_numeric_case_that_raises_is_a_failing_row(monkeypatch):
     # the sweep went on past the failing case
     later = rows[failed[0] + 1 :]
     assert later and all(r["pass"] and r["identity"] == "csf-mzsv" for r in later)
+
+
+def test_text_rows_show_no_residual_or_tolerance_they_did_not_compute(monkeypatch):
+    _raise_on_12(monkeypatch)
+    args = _args(["--suite", "csf-mzsv", "--max-weight", "3"])
+    buf = io.StringIO()
+    assert run_suite(args, out=buf) == 1
+    lines = buf.getvalue().splitlines()
+    failed = [i for i, line in enumerate(lines) if line.startswith("FAIL")]
+    assert len(failed) == 1
+    row = lines[failed[0]]
+    assert "csf-mzsv" in row and "(1,2)" in row
+    assert "max_res=- " in row and "tol=- " in row
+    assert lines[failed[0] + 1].strip() == "error: poset too large"
+    # a failed exact check still names its exact tolerance, and a passing
+    # numeric row keeps its residual and tolerance
+    mismatch = Report.exact("csf-hat-expansion", (1, 2), False, "t^0:yx: 1").text_row()
+    assert "max_res=- " in mismatch and "tol=exact " in mismatch
+    numeric = Report.numeric("csf-mzsv", (2,), [1.5e-7], 1e-6).text_row()
+    assert "max_res=1.50e-07 tol=1.0e-06 " in numeric
 
 
 def test_regularization_past_w_map_limit_reports_error_row(capsys):

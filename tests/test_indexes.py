@@ -17,6 +17,7 @@ from mzvkit.indexes import (
     indices_up_to,
     rotation_pivots,
     s_m,
+    shift_symbols,
     star_expand,
     star_invert,
     verify_index_identity,
@@ -212,6 +213,21 @@ def test_binomial_shifts_against_generating_function():
                 assert all(a >= b for a, b in zip(shifted, k[::-1])), (k, shifted)
                 sums[e] = sums.get(e, 0) + c
             assert sums == {e: _binom(wt + e - 1, e) for e in range(order + 1)}, (k, order)
+
+
+def test_shift_symbols_vandermonde():
+    # at each t^e every shifted index has weight wt(k) + e and depth r, and
+    # the signed coefficients sum to (-1)^wt(k) C(wt(k) + e - 1, e)
+    for k in indices_up_to(6):
+        r, wt = len(k), sum(k)
+        sign = (-1) ** wt
+        for order in range(4):
+            sums = {}
+            for (shifted, e), c in shift_symbols(k, order).terms.items():
+                assert len(shifted) == r and sum(shifted) == wt + e, (k, shifted, e)
+                sums[e] = sums.get(e, 0) + c
+            want = {e: sign * _binom(wt + e - 1, e) for e in range(order + 1)}
+            assert sums == want, (k, order)
 
 
 def test_rotation_pivots_are_the_rotations_in_order():

@@ -1,4 +1,5 @@
-"""The names the benchmark's per-layer tracer reads stay in place.
+"""The names the benchmark's per-layer tracer reads stay in place, and
+each layer keeps to what it defines.
 
 ``perfbench/spans.py`` wraps the functions listed in its ``LAYERS`` table
 and the workloads read ``.equal`` and ``.all_ok`` off the exact checks.
@@ -16,6 +17,7 @@ from mzvkit import indexes, tseries
 from mzvkit.indexes import CyclicClass
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+SOURCES = Path(indexes.__file__).resolve().parent
 
 
 def _layers() -> dict:
@@ -43,3 +45,14 @@ def test_exact_checks_expose_what_the_workloads_read():
     ):
         assert rep.equal is True
     assert tseries.abc_split(al, 1).all_ok is True
+
+
+def test_only_indexes_expands_binomial_shifts():
+    # the t-adic expansion is written once, as indexes.shift_symbols and
+    # hat_symbols; every other layer evaluates those symbols
+    users = sorted(
+        path.name
+        for path in SOURCES.glob("*.py")
+        if path.name != "indexes.py" and "binomial_shifts" in path.read_text()
+    )
+    assert users == []
