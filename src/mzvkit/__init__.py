@@ -16,8 +16,9 @@ The package is organised in layers:
   exact cyclic-sum expansions.
 * :mod:`mzvkit.regularize` - H1 = H0[y] decompositions, symbolic and
   numeric T-polynomials and the gamma-series comparison maps.
-* :mod:`mzvkit.numeval` - tail-corrected nested summation and numeric
-  verification of the cyclic sum formulas.
+* :mod:`mzvkit.numeval` - admissible values by Hölder convolution, the
+  t-adic series variants and numeric verification of the cyclic sum
+  formulas.
 * :mod:`mzvkit.reports` - ``Report`` rows and the ``ExactCheck`` outcome
   of every exact identity check.
 * :mod:`mzvkit.cli` - the verification command line (`mzvkit --suite ...`).

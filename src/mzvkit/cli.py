@@ -416,6 +416,21 @@ def build_cases(args, cfg) -> list[Case]:
     return cases
 
 
+# suites whose t-adic zig-zag posets have wt(k) + t + 1 vertices; the
+# regularization suite's star words have wt(k); the others build none
+# from the index
+_HAT_POSET_SUITES = ("second-main", "key-prop", "csf-tsmzsv", "csf-tsmzv-exact", "all")
+
+
+def _largest_poset(args) -> int:
+    """Vertices of the largest poset the suite builds from the weight in
+    play (the index's weight, else --max-weight)."""
+    w = sum(args.index) if args.index is not None else args.max_weight
+    if args.suite in _HAT_POSET_SUITES:
+        return w + args.t_order + 1
+    return w if args.suite == "regularization" else 0
+
+
 def run_suite(args, out=None) -> int:
     out = out if out is not None else sys.stdout
     cases = build_cases(args, EvalConfig(cutoff=args.cutoff_N, tol=args.tol))
@@ -440,8 +455,8 @@ def make_parser() -> argparse.ArgumentParser:
         "--cutoff-N",
         type=int,
         default=10**6,
-        help="summation cutoff of the nested-sum method; checked but unused,"
-        " since the CLI evaluates by Hölder convolution (default 1e6)",
+        help="summation cutoff of raw partial sums; checked but unused,"
+        " since every value comes from Hölder convolution (default 1e6)",
     )
     ap.add_argument("--tol", type=float, default=None, help="override comparison tolerance")
     ap.add_argument("--json", action="store_true", help="one JSON object per line")
@@ -472,6 +487,12 @@ def main(argv=None) -> int:
             ap.error(f"--index: {exc}")
         if not args.index:
             ap.error("--index: single-case mode needs a non-empty index")
+    n = _largest_poset(args)
+    if n > posets._MAX_WMAP_VERTICES:
+        ap.error(
+            f"--index/--max-weight: suite {args.suite} at --t-order {args.t_order} needs posets"
+            f" of {n} vertices; w_map takes at most {posets._MAX_WMAP_VERTICES}"
+        )
     return run_suite(args)
 
 

@@ -1,53 +1,40 @@
 """High-precision numerical evaluation of the zeta machinery.
 
-Admissible values are computed by one of two methods, chosen by
-``EvalConfig.method``:
+Admissible values come from Hölder convolution at p = 2 (Borwein,
+Bradley, Broadhurst and Lisoněk, "Special values of multiple
+polylogarithms", Trans. AMS 353 (2001)).  The value is a sum over the
+splits of the index's integral word a_1...a_w of products of two
+iterated integrals evaluated at 1/2, each a power series truncated after
+M = 96 coefficients.  One value costs 2w vector steps over M
+coefficients, and since every coefficient is at most 1 the truncation
+error is at most 2(w+1) 2^-M: a proven bound, not an estimate.  Star
+values are the linear extension over the contraction-sum word.  A value
+depends only on its index, so every value cache keys on the index
+arguments alone.
 
-* ``"holder"`` (the default): Hölder convolution at p = 2 (Borwein,
-  Bradley, Broadhurst and Lisoněk, "Special values of multiple
-  polylogarithms", Trans. AMS 353 (2001)).  The value is a sum over the
-  splits of the index's integral word a_1...a_w of products of two
-  iterated integrals evaluated at 1/2, each a power series truncated
-  after M = 96 coefficients.  One value costs 2w vector steps over M
-  coefficients, and since every coefficient is at most 1 the truncation
-  error is at most 2(w+1) 2^-M: a proven bound, not an estimate.  Star
-  values are the linear extension over the contraction-sum word.
-* ``"nested"``: the independent cross-check.  The classical dynamic
-  programme over the outer summation variable up to ``cutoff``, then
-  corrected for the truncated tail: the inner partial sum is, exactly,
-  the harmonic-regularisation polynomial of the prefix evaluated at the
-  harmonic number H_n, with admissible lower-weight values as
-  coefficients; the remaining tail of H-number powers against 1/n^k is
-  summed by Euler-Maclaurin.  That pushes the truncation error of
-  N = 10^6 from ~1e-6 down to ~1e-12.
-
-The nested kernel (``_outer_terms``) costs about weight + depth passes
-over N elements: for each index entry k_i, k_i - 1 multiplications build
-n^k_i (products, exact up to n^3, not pow calls), one division applies
-it and, for all but the last entry, a cumulative sum forms the next
-partial sums.  It runs in place in one module-level workspace of three
-N-element arrays (n = 1..N, the partial sums and a power buffer), kept
-for the last (N, dtype) used and replaced when either changes; besides
-that workspace only the finished values are cached, keyed by the
-config's ``value_key`` (the method and, for nested sums only, the
-cutoff).
-
-Every value carries an error: under ``"holder"`` the tail bound plus a
-rounding allowance for the operations in the working dtype; under
-``"nested"`` a heuristic estimate, the difference between the corrected
-values at N and N/2, plus a rounding allowance.  Errors propagate
-additively through sums and first-order through products.  A cyclic-sum
-check passes when every residual is within its tolerance; the error
-does not widen it.
+Every value carries an error: the tail bound plus a rounding allowance
+for the operations in the working dtype.  Errors propagate additively
+through sums and first-order through products.  A cyclic-sum check
+passes when every residual is within its tolerance; the error does not
+widen it.
 
 The t-adic values are ``NumericSeries``, a ``linear.Series`` of
 NumericValues: ``c * v`` is ``v.scaled(c)`` and a value is zero only
 when both its value and its error are 0.0.
+
+The nested-sum kernel (``_outer_terms``) serves only
+``raw_partial_sum``, the uncorrected partial sum up to the config's
+cutoff.  It costs about weight + depth passes over N elements: for each
+index entry k_i, k_i - 1 multiplications build n^k_i (products, exact up
+to n^3, not pow calls), one division applies it and, for all but the
+last entry, a cumulative sum forms the next partial sums.  It runs in
+place in one module-level workspace of three N-element arrays (n = 1..N,
+the partial sums and a power buffer), kept for the last (N, dtype) used
+and replaced when either changes.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,8 +51,6 @@ from .indexes import (
 from .linear import Series
 from .reports import Report
 from .words import NcPoly, index_of_word, s_map
-
-GAMMA = float(np.euler_gamma)
 
 TOL_PLAIN = 1e-6  # identities between convergent sums
 TOL_REG = 1e-5  # identities mixing regularized values
@@ -104,20 +89,16 @@ ZERO = NumericValue(0.0, 0.0)
 ONE = NumericValue(1.0, 0.0)
 
 
-METHODS = ("holder", "nested")
-
-
 @dataclass(frozen=True)
 class EvalConfig:
-    """Evaluation method, summation cutoff and tolerance.
+    """Summation cutoff of ``raw_partial_sum`` and comparison tolerance.
 
-    The cutoff applies to the ``"nested"`` method only.  Both methods work
-    in the platform extended precision (~18-19 digits), ``dtype``.
+    Values work in the platform extended precision (~18-19 digits),
+    ``dtype``.
     """
 
     cutoff: int = 10**6
     tol: float | None = None
-    method: str = "holder"
 
     dtype = np.longdouble  # not a field: the working dtype of every config
 
@@ -126,16 +107,6 @@ class EvalConfig:
             raise ValueError("cutoff must be >= 2")
         if self.tol is not None and self.tol <= 0:
             raise ValueError("tol must be positive")
-        if self.method not in METHODS:
-            raise ValueError(f"method must be one of {', '.join(METHODS)}, got {self.method!r}")
-
-    @property
-    def value_key(self) -> tuple:
-        """What a computed value depends on: the method and, for nested
-        sums only, the cutoff.  Every value cache keys on it."""
-        if self.method == "nested":
-            return (self.method, self.cutoff)
-        return (self.method,)
 
     def tolerance(self, default: float) -> float:
         return self.tol if self.tol is not None else default
@@ -144,29 +115,7 @@ class EvalConfig:
 DEFAULT_CONFIG = EvalConfig()
 
 
-# -- Euler-Maclaurin tails ---------------------------------------------
-
-
-def _logpow_tail(i: int, kappa: int, N: int) -> float:
-    """sum_{n>N} (log n + gamma)^i / n^kappa."""
-    L = math.log(N) + GAMMA
-    integral = N ** (1 - kappa) / (kappa - 1)
-    for m in range(1, i + 1):
-        integral = (L**m) * N ** (1 - kappa) / (kappa - 1) + m / (kappa - 1) * integral
-    f = L**i / N**kappa
-    fp = (i * L ** (i - 1) if i else 0.0) / N ** (kappa + 1) - kappa * L**i / N ** (kappa + 1)
-    return integral - f / 2 - fp / 12
-
-
-def _harmonic_pow_tail(i: int, kappa: int, N: int, star: bool) -> float:
-    """sum_{n>N} H_{n-1}^i / n^kappa, or H_n^i for the star variant."""
-    t = _logpow_tail(i, kappa, N)
-    if i >= 1:
-        t += (0.5 if star else -0.5) * i * _logpow_tail(i - 1, kappa + 1, N)
-    return t
-
-
-# -- nested-sum dynamic programme --------------------------------------
+# -- nested-sum kernel of raw_partial_sum -------------------------------
 
 
 # (N, dtype) -> (n, P, pw); holds at most one entry, the last one used
@@ -233,7 +182,7 @@ _REG_CACHE: dict = {}
 
 
 def mzv_num(k: Index, star: bool = False, cfg: EvalConfig = DEFAULT_CONFIG) -> NumericValue:
-    """Nested (star) zeta sum of an admissible index, by the config's method.
+    """Nested (star) zeta sum of an admissible index, by Hölder convolution.
 
     Raises for non-admissible indices (the series diverges).
     """
@@ -242,43 +191,15 @@ def mzv_num(k: Index, star: bool = False, cfg: EvalConfig = DEFAULT_CONFIG) -> N
         return ONE
     if k[-1] < 2:
         raise ValueError(f"index {k} is not admissible: series diverges")
-    key = (k, star, cfg.value_key)
+    key = (k, star)
     got = _MZV_CACHE.get(key)
     if got is not None:
         return got
-    if cfg.method == "nested":
-        out = _nested_num(k, star, cfg)
-    elif star:
+    if star:
         out = z_num(s_map(NcPoly.from_index(k)), cfg)
     else:
         out = _holder_num(k, HOLDER_TERMS, cfg.dtype)
     return _MZV_CACHE.setdefault(key, out)
-
-
-def _nested_num(k: Index, star: bool, cfg: EvalConfig) -> NumericValue:
-    """Tail-corrected nested sum at the config's cutoff."""
-    N = cfg.cutoff
-    # inner partial sum(n) = sum_i c_i H_n^i, the c_i the harmonic
-    # regularisation of the (star-expanded, if star) prefix.  Computed
-    # before the kernel: uncached prefix values call mzv_num, which reuses
-    # the kernel's workspace and would overwrite ``terms``
-    prefix = NcPoly.from_index(k[:-1])
-    coeffs = reg_values(s_map(prefix) if star else prefix, "ast", cfg).items()
-    terms = _outer_terms(k, star, N, cfg.dtype)
-
-    def corrected(limit: int) -> float:
-        v = float(terms[:limit].sum())
-        tail = sum(c.value * _harmonic_pow_tail(i, k[-1], limit, star) for i, c in coeffs)
-        return v + tail
-
-    value = corrected(N)
-    half = corrected(N // 2)
-    coeff_err = sum(c.err * abs(_harmonic_pow_tail(i, k[-1], N, star)) for i, c in coeffs)
-    # len(k) * N kernel roundings in the working dtype, then one to float
-    eps = float(np.finfo(cfg.dtype).eps)
-    rounding = (len(k) * N * eps + float(np.finfo(float).eps)) * max(1.0, abs(value))
-    err = abs(value - half) + coeff_err + rounding
-    return NumericValue(value, err)
 
 
 # -- Hölder convolution --------------------------------------------------
@@ -347,24 +268,12 @@ def z_num(p: NcPoly, cfg: EvalConfig = DEFAULT_CONFIG) -> NumericValue:
     return NumericValue(acc_v, acc_e + 1e-16 * abs(acc_v))
 
 
-def reg_values(p: NcPoly, product: str, cfg: EvalConfig = DEFAULT_CONFIG) -> dict[int, NumericValue]:
-    """Numeric T-polynomial of the regularisation of an H1 polynomial:
-    degree -> coefficient value."""
+def z_reg_num(p: NcPoly, product: str, cfg: EvalConfig = DEFAULT_CONFIG) -> NumericValue:
+    """Regularised value of an H1 polynomial: its regularisation
+    polynomial at T = 0, the constant part of its decomposition."""
     from .regularize import decompose
 
-    parts = decompose(p, product)
-    return {i: z_num(a, cfg) for i, a in enumerate(parts) if a}
-
-
-def z_reg_num(
-    p: NcPoly, product: str, T_value: float = 0.0, cfg: EvalConfig = DEFAULT_CONFIG
-) -> NumericValue:
-    """Regularised evaluation: the numeric T-polynomial at T = T_value."""
-    vals = reg_values(p, product, cfg)
-    acc = ZERO
-    for i, c in vals.items():
-        acc = acc + c.scaled(T_value**i)
-    return acc
+    return z_num(decompose(p, product)[0], cfg)
 
 
 def zeta_reg(
@@ -373,12 +282,11 @@ def zeta_reg(
     """Regularised zeta value of an arbitrary index (constant term at T=0);
     with star, of its contraction-sum word."""
     k = check_index(k)
-    key = (k, product, star, cfg.value_key)
+    key = (k, product, star)
     got = _REG_CACHE.get(key)
     if got is None:
         p = NcPoly.from_index(k)
-        vals = reg_values(s_map(p) if star else p, product, cfg)
-        got = _REG_CACHE.setdefault(key, vals.get(0, ZERO))
+        got = _REG_CACHE.setdefault(key, z_reg_num(s_map(p) if star else p, product, cfg))
     return got
 
 
@@ -400,7 +308,7 @@ class NumericSeries(Series):
 VARIANTS = ("ast", "sh", "star_ast", "star_sh", "star_KY", "KY_inv")
 
 _HAT_CACHE: dict = {}
-_KY_COEFF_CACHE: dict = {}  # (k, e, value_key) -> regularised t^e value of star_KY
+_KY_COEFF_CACHE: dict = {}  # (k, e) -> regularised t^e value of star_KY
 
 
 def zeta_hat_num(
@@ -417,7 +325,7 @@ def zeta_hat_num(
     k = check_index(k)
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    key = (k, variant, order, cfg.value_key)
+    key = (k, variant, order)
     got = _HAT_CACHE.get(key)
     if got is not None:
         return got
@@ -435,10 +343,9 @@ def _zeta_hat_uncached(
         # the t^e coefficient of w_star_hat does not depend on the order
         vals = {}
         for e, p in w_star_hat(k, order).terms.items():
-            key = (k, e, cfg.value_key)
-            got = _KY_COEFF_CACHE.get(key)
+            got = _KY_COEFF_CACHE.get((k, e))
             if got is None:
-                got = _KY_COEFF_CACHE.setdefault(key, z_reg_num(p, "sh", 0.0, cfg))
+                got = _KY_COEFF_CACHE.setdefault((k, e), z_reg_num(p, "sh", cfg))
             vals[e] = got
         return NumericSeries(order, vals)
 

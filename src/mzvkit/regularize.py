@@ -31,7 +31,7 @@ from .numeval import (
     NumericValue,
     ZERO,
     mzv_num,
-    reg_values,
+    z_num,
 )
 from .reports import Report
 from .words import (
@@ -158,11 +158,11 @@ def residuals(lhs: NumericPolyT, rhs: NumericPolyT) -> list[float]:
 
 def numeric_reg_poly(p: NcPoly, product: str, cfg: EvalConfig = DEFAULT_CONFIG) -> NumericPolyT:
     """Numeric T-polynomial of the regularisation of p."""
-    return NumericPolyT(reg_values(p, product, cfg))
+    return NumericPolyT({i: z_num(a, cfg) for i, a in enumerate(decompose(p, product)) if a})
 
 
 def default_zeta_source(cfg: EvalConfig = DEFAULT_CONFIG) -> Callable[[int], float]:
-    """Single zeta values from the library's own corrected summation."""
+    """Single zeta values from the library's own Hölder convolution."""
     return lambda n: mzv_num((n,), cfg=cfg).value
 
 

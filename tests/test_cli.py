@@ -6,10 +6,10 @@ from pathlib import Path
 
 import pytest
 
+from mzvkit import posets
 from mzvkit.cli import _exact, build_cases, main, make_parser, parse_index, run_suite
 from mzvkit.indexes import IndexCombo
 from mzvkit.linear import Combo
-from mzvkit.numeval import EvalConfig
 from mzvkit.reports import ExactCheck, Report
 from mzvkit.tseries import WordSeries
 from mzvkit.words import NcPoly, word_of_index
@@ -212,14 +212,52 @@ def test_text_rows_show_no_residual_or_tolerance_they_did_not_compute(monkeypatc
     assert "max_res=1.50e-07 tol=1.0e-06 " in numeric
 
 
-def test_regularization_past_w_map_limit_reports_error_row(capsys):
-    # w_map refuses the 25-vertex zig-zag poset of (25,): the star
-    # comparison becomes a failing row instead of a traceback
-    assert main(["--suite", "regularization", "--index", "25", "--cases", "1", "--json"]) == 1
-    rows = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+def test_regularization_past_w_map_limit_reports_error_row():
+    # w_map refuses the 25-vertex zig-zag poset of (25,): past main's
+    # up-front check, the star comparison becomes a failing row instead of
+    # a traceback
+    args = _args(["--suite", "regularization", "--index", "25", "--cases", "1", "--json"])
+    buf = io.StringIO()
+    assert run_suite(args, out=buf) == 1
+    rows = [json.loads(l) for l in buf.getvalue().splitlines()]
     assert len(rows) == 6 and all(row["pass"] for row in rows[:5])
     assert rows[5]["identity"] == "reg-star-compare"
     assert rows[5]["detail"] == "error: poset too large for w_map (25 vertices)"
+
+
+def test_index_past_w_map_limit_exits_2_before_any_row(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--suite", "csf-tsmzsv", "--index", "25", "--cases", "1"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "w_map takes at most" in err
+
+
+def test_index_past_w_map_limit_still_runs_suites_without_posets(capsys):
+    assert main(["--suite", "index-identities", "--index", "25", "--cases", "1"]) == 0
+    assert "pass" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "suite, extra",
+    [("csf-tsmzsv", 3), ("second-main", 3), ("all", 3), ("regularization", 0)],
+)
+def test_w_map_limit_boundary(suite, extra, monkeypatch):
+    # the largest poset has wt(k) + t + 1 vertices (t = 2 here) for the
+    # t-adic suites and wt(k) for the regularization suite: the limit
+    # itself is accepted, one vertex more is not
+    import mzvkit.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "run_suite", lambda args: 0)
+    limit = posets._MAX_WMAP_VERTICES
+    for weight, ok in ((limit - extra, True), (limit - extra + 1, False)):
+        argv = ["--suite", suite, "--index", str(weight), "--t-order", "2", "--cases", "1"]
+        if ok:
+            assert main(argv) == 0
+        else:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
 
 
 def test_build_cases_all_suite():
@@ -229,7 +267,6 @@ def test_build_cases_all_suite():
     assert len(names) > 8
 
 
-GOLDEN = Path(__file__).with_name("golden_suite_all.jsonl")
 GOLDEN_HOLDER = Path(__file__).with_name("golden_suite_all_holder.jsonl")
 GOLDEN_ARGV = [
     "--suite", "all", "--jobs", "1", "--json", "--max-weight", "4",
@@ -237,27 +274,12 @@ GOLDEN_ARGV = [
 ]
 
 
-def test_suite_all_matches_golden():
-    """Every row of ``--suite all`` at a small scale, run under the
-    nested-sum method, against a saved run of that method.
+def test_suite_all_holder_matches_golden(capsys):
+    """Every row of ``--suite all`` at a small scale, through the CLI,
+    against a saved run.
 
     Exact rows (no tolerance) must be equal apart from elapsed_ms; numeric
     rows must agree in every other key and in their residuals to 1e-12.
-    Regenerate the file with::
-
-        python3 -c "from mzvkit.cli import build_cases, make_parser
-        from mzvkit.numeval import EvalConfig
-        args = make_parser().parse_args('--suite all --max-weight 4 --t-order 2 --cases 5'.split())
-        for _, case in build_cases(args, EvalConfig(cutoff=10**5, method='nested')):
-            print(case().to_json())" > tests/golden_suite_all.jsonl
-    """
-    args = make_parser().parse_args(GOLDEN_ARGV)
-    cases = build_cases(args, EvalConfig(cutoff=args.cutoff_N, method="nested"))
-    _assert_matches_golden([case().to_json() for _, case in cases], GOLDEN)
-
-
-def test_suite_all_holder_matches_golden(capsys):
-    """As above, through the CLI and its default (Hölder) method.
     Regenerate the file with::
 
         mzvkit --suite all --jobs 1 --json --max-weight 4 --t-order 2 \

@@ -2,29 +2,39 @@
 each layer keeps to what it defines.
 
 ``perfbench/spans.py`` wraps the functions listed in its ``LAYERS`` table
-and the workloads read ``.equal`` and ``.all_ok`` off the exact checks.
-The benchmark's own tests are outside the default test paths, so this
-module keeps a rename here from passing the gate while breaking the
-benchmark.  It reads the table and does not edit it.
+and the workloads read ``.equal`` and ``.all_ok`` off the exact checks,
+pass ``--jobs`` and ``--cutoff-N`` to the CLI and call
+``raw_partial_sum``.  The benchmark's own tests are outside the default
+test paths, so this module keeps a rename or deletion here from passing
+the gate while breaking the benchmark.  It reads ``perfbench/`` and edits
+nothing there.
 """
 
 import importlib
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 from mzvkit import indexes, tseries
+from mzvkit.cli import make_parser
 from mzvkit.indexes import CyclicClass
+from mzvkit.numeval import EvalConfig, raw_partial_sum
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SOURCES = Path(indexes.__file__).resolve().parent
 
 
-def _layers() -> dict:
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def _perfbench(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
     spec.loader.exec_module(module)
-    return module.LAYERS
+    return module
+
+
+def _layers() -> dict:
+    return _perfbench("spans").LAYERS
 
 
 def test_traced_layers_resolve_to_functions():
@@ -56,3 +66,14 @@ def test_only_indexes_expands_binomial_shifts():
         if path.name != "indexes.py" and "binomial_shifts" in path.read_text()
     )
     assert users == []
+
+
+def test_benchmark_keeps_its_flags_cutoff_and_raw_partial_sum():
+    # the workloads pass --jobs and --cutoff-N to the CLI, warm up through
+    # raw_partial_sum, and the tracer reads a config's cutoff and dtype
+    workloads = _perfbench("workloads")
+    scale = workloads.SCALES["tiny"]
+    make_parser().parse_args(workloads.cli_argv(scale))
+    cfg = EvalConfig(cutoff=scale.cutoff)
+    assert cfg.cutoff == scale.cutoff and cfg.dtype is not None
+    assert raw_partial_sum((2,), N=1000, cfg=cfg) > 0

@@ -1,16 +1,17 @@
-"""Numerics: corrected nested sums against closed-form oracles."""
+"""Numerics: Hölder values against a fixed-point enclosure and closed-form
+oracles, the raw partial-sum kernel, and the t-adic and cyclic-sum layers."""
 
 import itertools
 import math
 import random
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 import pytest
 
 from mzvkit.indexes import indices_up_to, star_expand
 from mzvkit.numeval import (
-    _MZV_CACHE,
     _WORKSPACE,
     EvalConfig,
     NumericSeries,
@@ -27,11 +28,10 @@ from mzvkit.numeval import (
     zeta_hat_num,
     zeta_reg,
 )
-from mzvkit.tseries import w_csf_hat
+from mzvkit.tseries import w_csf_hat, w_star
 from mzvkit.words import NcPoly, harmonic, random_word, shuffle
 
 FAST = EvalConfig(cutoff=20000)
-FAST_NESTED = EvalConfig(cutoff=FAST.cutoff, method="nested")
 Z3 = 1.2020569031595943  # literature value, used only as a sanity anchor
 
 
@@ -51,8 +51,6 @@ def test_eval_config_validation():
         EvalConfig(cutoff=1)
     with pytest.raises(ValueError):
         EvalConfig(tol=-1.0)
-    with pytest.raises(ValueError):
-        EvalConfig(method="bogus")
 
 
 def test_single_zeta_oracles():
@@ -80,29 +78,18 @@ def test_empty_and_divergent():
 
 
 def test_star_is_contraction_sum():
-    # independent route: the nested path's weak-inequality star sum equals
-    # the sum of its plain values over contractions
+    # the star value against the contraction sum of plain enclosures, a
+    # route that shares no code with the contraction-sum word s_map
     for k in [(2,), (1, 2), (2, 2), (1, 1, 2), (2, 1, 2)]:
-        direct = mzv_num(k, star=True, cfg=FAST_NESTED)
-        via = sum(
-            c * mzv_num(idx, cfg=FAST_NESTED).value for idx, c in star_expand(k).terms.items()
-        )
-        assert abs(direct.value - via) < 1e-9, k
+        _assert_enclosed(mzv_num(k, star=True), k, True)
 
 
 def test_zig_zag_integral_equals_star_sum():
     # third route: the linear-extension word of the zig-zag poset evaluates
-    # to the same number as the weak-inequality summation, within the
-    # reported error estimates of the fast cutoff
-    from mzvkit.tseries import w_star
-
+    # to the star value, within its reported error of the enclosure
     for k in indices_up_to(5):
-        if k[-1] < 2:
-            continue
-        lhs = z_num(w_star(k), FAST_NESTED)
-        rhs = mzv_num(k, star=True, cfg=FAST_NESTED)
-        assert abs(lhs.value - rhs.value) < 1e-6, k
-        assert abs(lhs.value - rhs.value) <= lhs.err + rhs.err + 1e-9, k
+        if k[-1] >= 2:
+            _assert_enclosed(z_num(w_star(k)), k, True)
 
 
 def test_monotone_cutoff_consistency():
@@ -122,10 +109,8 @@ def test_raw_partial_sum_rejects_bad_cutoff():
 
 def test_corrected_beats_raw():
     exact = math.pi**2 / 6
-    raw = raw_partial_sum((2,), N=FAST_NESTED.cutoff)
-    corrected = mzv_num((2,), cfg=FAST_NESTED).value
+    raw = raw_partial_sum((2,), N=FAST.cutoff)
     assert abs(raw - exact) > 1e-6  # the plain cutoff alone is far off
-    assert abs(corrected - exact) < 1e-10
 
 
 def test_z_num_examples():
@@ -149,11 +134,11 @@ def test_product_compatibility_random():
 
 
 def test_z_reg_num_examples():
-    assert abs(z_reg_num(NcPoly.from_str("y"), "sh", 0.0, FAST).value) < 1e-15
-    v = z_reg_num(NcPoly.from_index((2, 1)), "ast", 0.0, FAST)
+    assert abs(z_reg_num(NcPoly.from_str("y"), "sh", FAST).value) < 1e-15
+    v = z_reg_num(NcPoly.from_index((2, 1)), "ast", FAST)
     assert abs(v.value + 2 * mzv_num((3,), cfg=FAST).value) < 1e-8
     adm = NcPoly.from_index((3,))
-    assert z_reg_num(adm, "sh", 0.0, FAST).value == z_num(adm, FAST).value
+    assert z_reg_num(adm, "sh", FAST).value == z_num(adm, FAST).value
 
 
 def test_reg_known_value():
@@ -234,9 +219,10 @@ def test_verify_csf_rejects():
 
 
 def test_pass_means_residual_within_tolerance():
-    # at N = 10^4 the residual is about 30x the tolerance; a large error
-    # estimate must not turn that into a pass
-    rep = verify_csf("tsmzsv", (1, 1, 1, 1), 2, EvalConfig(cutoff=10**4, method="nested"))
+    # the residual, ~4e-15, is within its error estimate but far above a
+    # tolerance of 1e-18; the estimate must not turn that into a pass
+    rep = verify_csf("tsmzsv", (1, 1, 1, 1), 2, EvalConfig(tol=1e-18))
+    assert rep.tolerance == 1e-18
     assert max(rep.residuals) > rep.tolerance
     assert not rep.passed
 
@@ -305,14 +291,6 @@ def test_kernel_matches_allocating_kernel_bitwise(dtype):
 
 
 def test_workspace_reuse_is_safe():
-    # a cold depth-4 star value computes its prefix coefficients through
-    # mzv_num, on the same workspace its own kernel call uses
-    k, cfg = (2, 1, 1, 2), EvalConfig(cutoff=12345, method="nested")
-    assert not any(key[2] == cfg.value_key for key in _MZV_CACHE)
-    cold = mzv_num(k, True, cfg)
-    del _MZV_CACHE[(k, True, cfg.value_key)]
-    assert mzv_num(k, True, cfg) == cold  # now with every prefix value cached
-
     calls = [((1, 3), N, dtype) for N in (1000, 3000) for dtype in (np.float64, np.longdouble)]
     fresh = {}
     for call in calls:
@@ -365,25 +343,73 @@ _ORACLES = (
     "k, star, value", _ORACLES, ids=[f"{'star' if s else 'plain'}{k}" for k, s, _ in _ORACLES]
 )
 def test_closed_form_oracles(k, star, value):
-    v = mzv_num(k, star, EvalConfig(cutoff=10**6, method="nested"))
-    assert abs(v.value - value) <= 1e-8, (v.value, value)
-    assert v.err <= 1e-8
-    v = mzv_num(k, star, EvalConfig(method="holder"))
+    v = mzv_num(k, star)
     assert abs(v.value - value) <= v.err <= 1e-13, (v, value)
+    # the float closed form is a few roundings off its real value
+    lo, hi = _enclosure(k, star)
+    slack = 4 * Fraction(math.ulp(value))
+    assert lo - slack <= Fraction(value) <= hi + slack, (float(lo), value)
+
+
+ENCLOSURE_BITS = 128  # P: fraction bits of the fixed-point oracle
+
+
+@cache
+def _enclosure(k, star=False):
+    """A proven enclosure [lo, hi] of zeta(k) or zeta*(k), as Fractions:
+    Hölder convolution in integer fixed point with P fraction bits, in pure
+    Python ints, sharing no code with numeval.
+
+    The recurrences of numeval._integrate with every coefficient floored,
+    so every computed quantity is at most its true value.  A letter step
+    lowers each coefficient by less than 1 ulp (2^-P) more, so after j
+    letters the value read at 1/2, with its M floors, is less than j + M
+    ulps low, and a split's floored product less than w + 2M + 1; at the
+    two end splits one factor is exactly 1, so the w + 1 products are less
+    than (w+1)(w+2M) ulps low in all, as M > w.  Every coefficient and
+    every value is at most 1, so cutting each series after M coefficients
+    costs at most 2^-M per factor, 2(w+1) 2^-M in all.  Hence zeta(k) lies
+    in [v, v + (w+1)(w+2M) 2^-P + 2(w+1) 2^-M].  A star value is the sum
+    of the plain enclosures over the contractions of k.
+    """
+    if star:  # every contraction has a positive coefficient
+        terms = star_expand(k).terms.items()
+        return tuple(sum(c * _enclosure(idx)[end] for idx, c in terms) for end in (0, 1))
+    P = ENCLOSURE_BITS
+    word = "".join("x" * (s - 1) + "y" for s in reversed(k))
+    w = len(word)
+    M = P + 2 + (2 * (w + 1)).bit_length()
+
+    def values(letters):
+        c, out = [1 << P] + [0] * M, [1 << P]
+        for a in letters:
+            if a == "y":
+                c = [0] + list(itertools.accumulate(c[:-1]))
+            c = [0] + [cn // n for n, cn in enumerate(c[1:], 1)]
+            out.append(sum(cn >> n for n, cn in enumerate(c)))
+        return out
+
+    suffix = values(reversed(word))[::-1]  # suffix[j]: the letters after a_j
+    prefix = values("y" if a == "x" else "x" for a in word)  # tau(a_1...a_j)
+    lo = Fraction(sum((p * q) >> P for p, q in zip(prefix, suffix)), 1 << P)
+    return lo, lo + Fraction((w + 1) * (w + 2 * M), 1 << P) + Fraction(2 * (w + 1), 1 << M)
+
+
+def _assert_enclosed(v, k, star):
+    """v lies within its reported error of the enclosure of zeta(k)."""
+    lo, hi = _enclosure(k, star)
+    assert lo - Fraction(v.err) <= Fraction(v.value) <= hi + Fraction(v.err), (k, star, v)
 
 
 _ADMISSIBLE_UP_TO_6 = [k for k in indices_up_to(6) if k and k[-1] >= 2]
 
 
-def test_holder_agrees_with_nested_sums():
-    # the two methods share no code below mzv_num: they must agree within
-    # the nested path's own error at its default cutoff
-    nested = EvalConfig(cutoff=10**6, method="nested")
-    for k in _ADMISSIBLE_UP_TO_6:
-        for star in (False, True):
-            h = mzv_num(k, star, EvalConfig(method="holder"))
-            n = mzv_num(k, star, nested)
-            assert abs(h.value - n.value) <= n.err, (k, star, h, n)
+def test_holder_lies_in_fixed_point_enclosure():
+    # every admissible index of weight <= 8, plain and star
+    for k in indices_up_to(8):
+        if k and k[-1] >= 2:
+            for star in (False, True):
+                _assert_enclosed(mzv_num(k, star), k, star)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
@@ -400,9 +426,9 @@ def test_holder_truncation_bound(dtype):
 
 def test_reported_errors_are_honest():
     # the error estimate should bound the actual deviation on known values
-    v = mzv_num((2,), cfg=FAST_NESTED)
+    v = mzv_num((2,))
     assert abs(v.value - math.pi**2 / 6) <= v.err + 1e-12
-    v = mzv_num((2, 2), cfg=FAST_NESTED)
+    v = mzv_num((2, 2))
     assert abs(v.value - math.pi**4 / 120) <= v.err + 1e-12
 
 
