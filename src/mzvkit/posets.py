@@ -11,19 +11,24 @@ top.
 
 ``w_map`` runs a DP over subsets: W(S) for a remaining vertex set S (an
 up-set of the poset) is assembled from W(S - v) over the minimal
-vertices v of S, memoised on the subset bitmask.  Each W(S) is a dense
-word vector packed into one Python int, one 64-bit lane per word of
-weight |S| (lane b holds the word with letter bits b, first letter
-most significant): prepending x to a vector leaves it as it is,
-prepending y shifts it up by 2^(|S|-1) lanes, and sums are int
-additions.  The result is unpacked once through numpy.
+vertices v of S, memoised on the subset bitmask.  Every linear extension
+of S reads a word with exactly y(S) y's, y(S) being the number of
+y-labelled vertices in S, so W(S) is a vector over only those
+C(|S|, y(S)) words, ranked lexicographically, packed into one Python int
+with one lane per word: prepending x to a vector keeps every rank,
+prepending y shifts it up by the C(|S| - 1, y(S)) lanes of the x-first
+words, and sums are int additions.  A lane is the narrowest unsigned
+type that holds n!, so 16, 32 or 64 bits.  The result is unpacked once
+through numpy, against a cached ascending table of the words of its
+y-count.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import comb
+from functools import lru_cache
+from math import comb, factorial
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -136,10 +141,20 @@ def disjoint_union(p: TwoPoset, q: TwoPoset) -> TwoPoset:
     return TwoPoset(p.labels + q.labels, p.relations() + q.relations(p.n))
 
 
-# Every coefficient of w_map is a count of linear extensions, at most
-# n! < 2^63 for n <= 20, so it fits one signed 64-bit lane of the packed
-# word vectors and no lane carries into the next.
+# Every coefficient of w_map counts linear extensions, at most n!, and so
+# does every lane of every state of its DP; the lanes are the narrowest
+# unsigned type that holds n!: 16 bits up to 8 vertices, 32 up to 12 and
+# 64 up to 20, where 20! < 2^64 still fits and no lane carries into the
+# next.
 _MAX_WMAP_VERTICES = 20
+_LANE_TYPES = (np.uint16, np.uint32, np.uint64)
+
+
+@lru_cache(maxsize=None)
+def _y_count_words(n: int, r: int) -> np.ndarray:
+    """The C(n, r) letter bit patterns of weight n with r y's, ascending."""
+    bits = np.arange(1 << n, dtype=np.int64)
+    return bits[np.bitwise_count(bits) == r]
 
 
 def w_map(p: TwoPoset) -> NcPoly:
@@ -149,12 +164,17 @@ def w_map(p: TwoPoset) -> NcPoly:
         return NcPoly.one()
     if n > _MAX_WMAP_VERTICES:
         raise ValueError(f"poset too large for w_map ({n} vertices)")
+    lane = next(t for t in _LANE_TYPES if np.iinfo(t).max >= factorial(n))
+    width = np.iinfo(lane).bits
     below = p.below
     ybit = [1 if l == "y" else 0 for l in p.labels]
+    ymask = sum(b << v for v, b in enumerate(ybit))
+    # yshift[m - 1][r]: bit offset of the y-first words of weight m with r y's
+    yshift = [[width * comb(m - 1, r) for r in range(m + 1)] for m in range(1, n + 1)]
     memo: dict[int, int] = {0: 1}
 
     def rec(S: int) -> int:
-        ylane = 64 << (S.bit_count() - 1)  # bit offset of the y-first half
+        ylane = yshift[S.bit_count() - 1][(S & ymask).bit_count()]
         vec = 0
         rest = S
         while rest:
@@ -171,10 +191,11 @@ def w_map(p: TwoPoset) -> NcPoly:
         memo[S] = vec
         return vec
 
-    vec = np.frombuffer(rec((1 << n) - 1).to_bytes(8 << n, "little"), np.int64)
+    words = _y_count_words(n, ymask.bit_count())
+    vec = np.frombuffer(rec((1 << n) - 1).to_bytes(len(words) * width // 8, "little"), lane)
     nz = np.flatnonzero(vec)
     sentinel = 1 << n
-    return NcPoly({sentinel | b: c for b, c in zip(nz.tolist(), vec[nz].tolist())})
+    return NcPoly({sentinel | b: c for b, c in zip(words[nz].tolist(), vec[nz].tolist())})
 
 
 def x_star(k: Index) -> TwoPoset:

@@ -17,10 +17,13 @@ words that are empty or start with y is called H1 here, and H0 is the
 subspace of words that also end with x; H0 words are exactly the images of
 admissible indices under :func:`word_of_index`.
 
-The shuffle product is computed by a vectorised interleaving DP working on
-dense per-weight coefficient vectors (see :func:`_shuffle_dense`); a
-weight block with a single word on each side reads its counts from a
-table memoised per word pair.  The harmonic (quasi-shuffle) product works
+The shuffle product of a weight-p and a weight-q part is a riffle
+scatter (see :func:`_shuffle_block`): every pair of nonzero words is sent
+through the C(p+q, p) interleavings at once, from a table of output bit
+positions cached per (p, q), and the products are added into a dense
+weight-(p+q) vector that is read back in ascending word order; a weight
+block with a single word on each side reads its counts from a table
+memoised per word pair.  The harmonic (quasi-shuffle) product works
 on the z-word factorisation of the packed words themselves: it peels the
 last z-letter off by its lowest set bit, memoised per word pair, with no
 index tuples in between.
@@ -30,8 +33,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, combinations
 from math import comb
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -198,58 +202,52 @@ class NcPoly(Combo):
         return out
 
 
-def _dense(part: dict, n: int, dtype) -> np.ndarray:
-    v = np.zeros(1 << n, dtype=dtype)
-    for bits, c in part.items():
-        v[bits] = c
-    return v
-
-
-def _shuffle_dense(A: np.ndarray, p: int, B: np.ndarray, q: int) -> np.ndarray:
-    """Shuffle product of dense weight-p and weight-q coefficient vectors.
-
-    Interleaving DP over output positions.  The state after k output
-    letters is, per count i of consumed left letters, an array of shape
-    (2^k, 2^(p-i), 2^(q-k+i)) whose [w, s, t] entry accumulates
-    A[u.s] * B[v.t] over all splits of the emitted word w into a left
-    prefix u and right prefix v.  Consuming a letter from either side
-    peels the leading axis bit of that side's remaining block and merges
-    it into the word axis.  Exact in int64 / object arithmetic.
-    """
-    if p == 0:
-        return B * A[0]
-    if q == 0:
-        return A * B[0]
-    state = {0: np.multiply.outer(A, B).reshape(1, 1 << p, 1 << q)}
-    for k in range(p + q):
-        new: dict[int, np.ndarray] = {}
-        for i, S in state.items():
-            j = k - i
-            if j < q:
-                Xr = S.reshape(1 << k, 1 << (p - i), 2, 1 << (q - j - 1))
-                Xr = Xr.swapaxes(1, 2).reshape(1 << (k + 1), 1 << (p - i), 1 << (q - j - 1))
-                if i in new:
-                    new[i] = new[i] + Xr
-                else:
-                    new[i] = Xr
-            if i < p:
-                Xr = S.reshape(1 << (k + 1), 1 << (p - i - 1), 1 << (q - j))
-                if i + 1 in new:
-                    new[i + 1] = new[i + 1] + Xr
-                else:
-                    new[i + 1] = Xr
-        state = new
-    return state[p].reshape(-1)
-
-
 _INT64_SAFE = 1 << 62
 
 
-def _shuffle_block(ap: dict, p: int, bp: dict, q: int) -> Iterator[tuple[int, object]]:
+@lru_cache(maxsize=None)
+def _interleavings(p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Output bit positions of the left and the right letters in each of
+    the C(p+q, p) interleavings, as two uint8 tables of shape (C, p) and
+    (C, q), first letter first; the rows follow the subsets of the left
+    letters' output positions in ``itertools.combinations`` order."""
+    n, c = p + q, comb(p + q, p)
+    pos = np.fromiter(chain.from_iterable(combinations(range(n), p)), np.uint8, c * p)
+    pos = pos.reshape(c, p)
+    rest = np.ones((c, n), dtype=bool)
+    rest[np.arange(c)[:, None], pos] = False
+    other = np.nonzero(rest)[1].astype(np.uint8).reshape(c, q)
+    return n - 1 - pos, n - 1 - other
+
+
+def _scatter(bits: list[int], n: int, positions: np.ndarray) -> np.ndarray:
+    """(N, C) output bits of each weight-n word's letters under each
+    interleaving: the word's letter-bit matrix times 1 << positions."""
+    shifts = np.arange(n - 1, -1, -1)
+    letters = (np.array(bits, dtype=np.int64)[:, None] >> shifts) & 1
+    return letters @ (np.int64(1) << positions.astype(np.int64)).T
+
+
+def _shuffle_block(ap: dict, p: int, bp: dict, q: int) -> Iterable[tuple[int, object]]:
     """The nonzero terms of the shuffle of one weight-p and one weight-q
-    part, words ascending, by the dense DP: in int64 when every
-    coefficient is an int and no output coefficient can reach 2^62, else
-    in exact Python arithmetic."""
+    part, words ascending.
+
+    A weight-0 side is a scalar.  Otherwise every pair of nonzero words
+    is riffled through the C(p+q, p) interleavings at once: each side's
+    letters are scattered to their output bits, the two sides are ORed
+    into an (Na, Nb, C) index array, and the coefficient products are
+    added at those indices into a dense weight-(p+q) vector.  The sum is
+    in int64 when every coefficient is an int and no output coefficient
+    can reach 2^62, else in exact Python arithmetic.  Left words are
+    taken in slices, so that no index array holds more than
+    (min(p, q) + 1) * 2^(p+q) elements (at least one word a slice).
+    """
+    if p == 0:
+        (c,) = ap.values()
+        return [(b | (1 << q), cb * c) for b, cb in sorted(bp.items())]
+    if q == 0:
+        (c,) = bp.values()
+        return [(a | (1 << p), ca * c) for a, ca in sorted(ap.items())]
     exact = all(isinstance(c, int) for c in ap.values()) and all(
         isinstance(c, int) for c in bp.values()
     )
@@ -259,7 +257,16 @@ def _shuffle_block(ap: dict, p: int, bp: dict, q: int) -> Iterator[tuple[int, ob
         * comb(p + q, min(p, q))
     )
     dtype = np.int64 if exact and bound < _INT64_SAFE else object
-    vec = _shuffle_dense(_dense(ap, p, dtype), p, _dense(bp, q, dtype), q)
+    left, right = _interleavings(p, q)
+    ia = _scatter(list(ap), p, left)
+    ib = _scatter(list(bp), q, right)
+    ca = np.array(list(ap.values()), dtype=dtype)
+    cb = np.array(list(bp.values()), dtype=dtype)
+    vec = np.zeros(1 << (p + q), dtype=dtype)
+    step = max(1, ((min(p, q) + 1) << (p + q)) // (len(bp) * len(left)))
+    for s in range(0, len(ap), step):
+        idx = ia[s : s + step, None, :] | ib[None, :, :]
+        np.add.at(vec, idx, np.multiply.outer(ca[s : s + step], cb)[:, :, None])
     nz = np.flatnonzero(vec)
     return zip((nz | (1 << (p + q))).tolist(), vec[nz].tolist())
 
@@ -267,7 +274,8 @@ def _shuffle_block(ap: dict, p: int, bp: dict, q: int) -> Iterator[tuple[int, ob
 @lru_cache(maxsize=None)
 def _word_shuffle(u: int, p: int, v: int, q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(words, counts) of the shuffle of the single weight-p word u and the
-    single weight-q word v (both without their sentinel), words ascending."""
+    single weight-q word v (both without their sentinel), words ascending,
+    built once by the riffle scatter of :func:`_shuffle_block`."""
     words, counts = zip(*_shuffle_block({u: 1}, p, {v: 1}, q))
     return words, counts
 
@@ -276,8 +284,8 @@ def shuffle(a: NcPoly, b: NcPoly) -> NcPoly:
     """Shuffle product, bilinear over all weight pairs.
 
     A weight block with one word on each side reads its counts from a
-    table memoised per word pair; every other block runs the dense DP.
-    Both give the words ascending with the same coefficients.
+    table memoised per word pair; every other block runs the riffle
+    scatter.  Both give the words ascending with the same coefficients.
     """
     out = NcPoly()
     pa, pb = a.homogeneous_parts(), b.homogeneous_parts()

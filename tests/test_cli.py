@@ -233,6 +233,13 @@ def test_index_past_w_map_limit_exits_2_before_any_row(capsys):
     assert out == "" and "w_map takes at most" in err
 
 
+def test_largest_admitted_index_row_passes(capsys):
+    # weight 17 at t-order 2 builds 20-vertex posets, the w_map limit
+    assert main(["--suite", "csf-tsmzsv", "--index", "17", "--cases", "1", "--json"]) == 0
+    (row,) = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+    assert row["identity"] == "csf-tsmzsv" and row["pass"]
+
+
 def test_index_past_w_map_limit_still_runs_suites_without_posets(capsys):
     assert main(["--suite", "index-identities", "--index", "25", "--cases", "1"]) == 0
     assert "pass" in capsys.readouterr().out

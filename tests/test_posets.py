@@ -168,6 +168,22 @@ def test_w_map_antichain_counts():
         assert all(bin(w).count("1") == a + 1 for w in got.terms)  # sentinel + a y's
 
 
+@pytest.mark.parametrize("n", [8, 9, 12, 13])
+def test_w_map_all_x_antichain_at_lane_width_switches(n):
+    # n! is the largest lane value; the lanes widen from 16 to 32 bits
+    # after 8 vertices and from 32 to 64 bits after 12
+    assert w_map(TwoPoset(["x"] * n)) == NcPoly.from_str("x" * n, factorial(n))
+
+
+def test_w_map_of_two_disjoint_chains_is_their_shuffle():
+    # 20 vertices with 10 y's: the widest lanes, C(20, 10) of them
+    a, b = "yxxyxyxxyx", "yyxxxyxyxx"
+    chains = [(i, i + 1) for i in range(9)] + [(i, i + 1) for i in range(10, 19)]
+    got = w_map(TwoPoset(list(a + b), chains))
+    want = shuffle(NcPoly.from_str(a), NcPoly.from_str(b))
+    assert list(got.terms.items()) == list(want.terms.items())
+
+
 def test_w_map_h0_iff_admissible():
     for k in indices_up_to(6):
         assert w_map(x_star(k)).is_h0() == is_admissible(x_star(k)), k

@@ -17,7 +17,6 @@ from mzvkit.words import (
     _INT64_SAFE,
     EMPTY_WORD,
     NcPoly,
-    _dense,
     harmonic,
     in_h0,
     in_h1,
@@ -70,6 +69,14 @@ def stuffle_oracle(a: tuple, b: tuple) -> dict[tuple, int]:
 
     walk(0, 0, ())
     return out
+
+
+def _dense(part: dict, n: int, dtype) -> np.ndarray:
+    """A weight-n part as a dense coefficient vector indexed by letter bits."""
+    v = np.zeros(1 << n, dtype=dtype)
+    for bits, c in part.items():
+        v[bits] = c
+    return v
 
 
 def _moveaxis_shuffle_dense(A, p, B, q):
@@ -287,6 +294,21 @@ def test_shuffle_term_order_matches_moveaxis_reference(path):
         want = list(moveaxis_shuffle(a, b).terms.items())
         assert got == want, (a, b)
         assert [type(c) for _, c in got] == [type(c) for _, c in want]
+
+
+def test_shuffle_block_past_the_slice_bound_matches_moveaxis_reference():
+    # an index array may hold (min(p, q) + 1) * 2^(p + q) elements: 1280 at
+    # weights 4 + 4, where 5 * 5 * C(8, 4) = 1750 goes in slices of three
+    # left words, and 5120 at 4 + 6, where one left word already gives
+    # 30 * C(10, 4) = 6300, so each slice holds one word
+    rng = random.Random(31)
+    for p, q, na, nb in [(4, 4, 5, 5), (4, 6, 3, 30)]:
+        assert na * nb * comb(p + q, p) > (min(p, q) + 1) << (p + q)
+        for scale in (1, 1 << 40):
+            a = NcPoly({(1 << p) | u: scale * rng.choice([1, -2, 3]) for u in rng.sample(range(1 << p), na)})
+            b = NcPoly({(1 << q) | v: scale * rng.choice([1, 5, -1]) for v in rng.sample(range(1 << q), nb)})
+            got = list(shuffle(a, b).terms.items())
+            assert got == list(moveaxis_shuffle(a, b).terms.items()), (a, b)
 
 
 # -- harmonic ------------------------------------------------------------
