@@ -49,10 +49,9 @@ class IndexCombo(Combo):
 
     def map_linear(self, f: Callable[[Index], "IndexCombo"]) -> "IndexCombo":
         """Linear extension: sum of c * f(k) over the combo's terms."""
-        out = IndexCombo.zero()
-        for k, c in self.terms.items():
-            out.add_terms((c * f(k)).terms.items())
-        return out
+        return IndexCombo().add_terms(
+            (kk, c * d) for k, c in self.terms.items() for kk, d in f(k).terms.items()
+        )
 
     def __str__(self) -> str:
         if not self.terms:
@@ -72,12 +71,17 @@ def _contract(k: Index, plus_mask: int) -> Index:
     return tuple(out)
 
 
+def _contractions(k: Index, plus_sign: int) -> IndexCombo:
+    """Sum of the 2^(r-1) comma/plus contractions of a non-empty k, each
+    weighted by plus_sign to the power of its number of pluses."""
+    masks, signs = range(1 << (len(k) - 1)), (1, plus_sign)
+    return IndexCombo().add_terms((_contract(k, mask), signs[mask.bit_count() & 1]) for mask in masks)
+
+
 def star_expand(k: Index) -> IndexCombo:
     """Sum of the 2^(r-1) comma/plus contractions of k; () expands to ()."""
     k = check_index(k)
-    if not k:
-        return IndexCombo.of(())
-    return IndexCombo().add_terms((_contract(k, mask), 1) for mask in range(1 << (len(k) - 1)))
+    return _contractions(k, 1) if k else IndexCombo.of(())
 
 
 def star_invert(k: Index) -> IndexCombo:
@@ -85,10 +89,7 @@ def star_invert(k: Index) -> IndexCombo:
     k = check_index(k)
     if not k:
         raise ValueError("star inversion needs a non-empty index")
-    masks = range(1 << (len(k) - 1))
-    return IndexCombo().add_terms(
-        (_contract(k, mask), -1 if mask.bit_count() & 1 else 1) for mask in masks
-    )
+    return _contractions(k, -1)
 
 
 def rotations(k: Index) -> Iterator[Index]:
@@ -236,6 +237,8 @@ def s_m(k: Index, m: int, policy: str = "first") -> IndexCombo:
         raise ValueError("s_m needs a non-empty index")
     if not 0 <= m <= r - 1:
         raise ValueError(f"need 0 <= m <= depth-1, got m={m}")
+    if policy not in ("first", "last"):
+        raise ValueError(f"unknown cut policy {policy!r}")
 
     def cuts() -> Iterator[tuple[Index, int]]:
         for boxes in _plus_masks(r, m):
@@ -259,30 +262,23 @@ def _cyclic_split_lhs(k: Index, j: int) -> IndexCombo:
     )
 
 
-def _combo_sum(
-    indices: Iterable[Index], f: Callable[[Index], IndexCombo] = IndexCombo.of
-) -> IndexCombo:
-    """Sum of f(k) over the indices (each index itself by default)."""
-    return sum((f(idx) for idx in indices), IndexCombo.zero())
-
-
 def _star_over_sm(k: Index, f: Callable[[Index], Iterable[Index]]) -> IndexCombo:
     """Alternating sum over m and S_m(k) of the star expansions of f(l)."""
-    out = IndexCombo.zero()
+    out = IndexCombo()
     for m in range(len(k)):
         sign = -1 if m & 1 else 1
         for l, mult in s_m(k, m).terms.items():
-            out = out + (sign * mult) * _combo_sum(f(l), star_expand)
+            star = (star_expand(idx).terms.items() for idx in f(l))
+            out.add_terms((kk, sign * mult * n) for terms in star for kk, n in terms)
     return out
 
 
 def cyclic_symmetrized_s_m(k: Index, m: int, policy: str = "first") -> IndexCombo:
     """Sum of all rotations of every index in s_m(k); this combination is
     independent of the cut policy."""
-    out = IndexCombo.zero()
-    for l, mult in s_m(k, m, policy).terms.items():
-        out = out + mult * _combo_sum(rotations(l))
-    return out
+    return IndexCombo().add_terms(
+        (rot, mult) for l, mult in s_m(k, m, policy).terms.items() for rot in rotations(l)
+    )
 
 
 def _lemma112_once(k: Index, m: int) -> tuple[IndexCombo, IndexCombo]:
@@ -337,7 +333,8 @@ def verify_index_identity(
         lhs = _star_over_sm(k, _full_splices)
         wt = sum(k)
         sign = -1 if r & 1 else 1
-        rhs = _combo_sum(_full_splices(k)) - (sign * wt) * star_expand((wt + 1,))
+        rhs = IndexCombo().add_terms((idx, 1) for idx in _full_splices(k))
+        rhs.add_terms([((wt + 1,), -sign * wt)])
         return ExactCheck(name, k, {}, lhs, rhs)
 
     if name == "prop3":

@@ -105,8 +105,8 @@ class EvalConfig:
     def __post_init__(self):
         if self.cutoff < 2:
             raise ValueError("cutoff must be >= 2")
-        if self.tol is not None and self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if self.tol is not None and not 0 < self.tol < np.inf:
+            raise ValueError("tol must be positive and finite")
 
     def tolerance(self, default: float) -> float:
         return self.tol if self.tol is not None else default

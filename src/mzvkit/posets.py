@@ -9,6 +9,14 @@ chains and splits non-comparable pairs.  The zig-zag posets built by
 index entry, with the previous chain's root hung below the next chain's
 top.
 
+The order is stored as one bitmask per vertex, ``below[v]``, the set of
+vertices strictly below v, and it is kept closed.  Every poset is made
+by one closing path: relation pairs are OR-ed into the masks and closed
+by Warshall's algorithm on bitmasks (for each vertex u, whatever has u
+below it gains ``below[u]``), and a vertex below itself is a cycle.
+``disjoint_union`` shifts the second poset's masks and ``with_relation``
+sets one bit, both through that path.
+
 ``w_map`` runs a DP over subsets: W(S) for a remaining vertex set S (an
 up-set of the poset) is assembled from W(S - v) over the minimal
 vertices v of S, memoised on the subset bitmask.  Every linear extension
@@ -27,8 +35,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import accumulate, pairwise
 from math import comb, factorial
+from operator import or_
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -43,38 +53,42 @@ Index = tuple[int, ...]
 class TwoPoset:
     """Immutable 2-poset: labels per vertex plus a strict order closure.
 
-    ``below[v]`` is the bitmask of vertices strictly below v.  Relations
-    passed to the constructor may be any generating set; the transitive
-    closure is taken and cycles are rejected.
+    ``below[v]`` is the bitmask of vertices strictly below v, always
+    transitively closed.  Relations passed to the constructor may be any
+    generating set; the closure is taken and cycles are rejected.
     """
 
     __slots__ = ("n", "labels", "below")
 
     def __init__(self, labels: Sequence[str], relations: Iterable[tuple[int, int]] = ()):
-        if any(l not in ("x", "y") for l in labels):
+        self._close(tuple(labels), [0] * len(labels), relations)
+
+    @classmethod
+    def _of(cls, labels: tuple[str, ...], below: Sequence[int], relations=()) -> "TwoPoset":
+        """The poset over these masks plus relations, closed as the constructor closes."""
+        p = object.__new__(cls)
+        p._close(labels, list(below), relations)
+        return p
+
+    def _close(self, labels: tuple[str, ...], below: list[int], relations: Iterable):
+        if not set(labels) <= {"x", "y"}:
             raise ValueError("labels must be 'x' or 'y'")
-        self.n = len(labels)
-        self.labels = tuple(labels)
-        below = [0] * self.n
+        n = len(labels)
         for lo, hi in relations:
+            if not (0 <= lo < n and 0 <= hi < n):
+                raise ValueError(f"relation {(lo, hi)} names a vertex outside 0..{n - 1}")
             below[hi] |= 1 << lo
-        changed = True
-        while changed:
-            changed = False
-            for v in range(self.n):
-                acc = below[v]
-                rest = acc
-                while rest:
-                    u = (rest & -rest).bit_length() - 1
-                    rest &= rest - 1
-                    acc |= below[u]
-                if acc != below[v]:
-                    below[v] = acc
-                    changed = True
-        for v in range(self.n):
-            if (below[v] >> v) & 1:
+        # Warshall: whatever has u below it gains below[u].  A cycle's largest
+        # vertex is below itself once every smaller vertex has been passed.
+        for u, lower in enumerate(below):
+            bit = 1 << u
+            if lower & bit:
                 raise ValueError("relations contain a cycle")
-        self.below = tuple(below)
+            if lower:
+                for v, m in enumerate(below):
+                    if m & bit:
+                        below[v] = m | lower
+        self.n, self.labels, self.below = n, labels, tuple(below)
 
     # -- structure ----------------------------------------------------
 
@@ -82,42 +96,26 @@ class TwoPoset:
         return [v for v in range(self.n) if self.below[v] == 0]
 
     def maximal(self) -> list[int]:
-        above = [False] * self.n
-        for v in range(self.n):
-            rest = self.below[v]
-            while rest:
-                u = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                above[u] = True
-        return [v for v in range(self.n) if not above[v]]
+        above = reduce(or_, self.below, 0)
+        return [v for v in range(self.n) if not above >> v & 1]
 
     def comparable(self, a: int, b: int) -> bool:
         return bool((self.below[a] >> b) & 1 or (self.below[b] >> a) & 1)
 
     def covers(self) -> list[tuple[int, int]]:
-        """Cover pairs (u, v), u directly below v, in sorted order."""
+        """Cover pairs (u, v), u directly below v, in sorted order: the
+        vertices below v that lie below nothing else below v."""
         out = []
-        for v in range(self.n):
-            for u in range(self.n):
-                if (self.below[v] >> u) & 1:
-                    between = self.below[v] & ~self.below[u] & ~(1 << u)
-                    strict = False
-                    rest = between
-                    while rest and not strict:
-                        w = (rest & -rest).bit_length() - 1
-                        rest &= rest - 1
-                        strict = bool((self.below[w] >> u) & 1)
-                    if not strict:
-                        out.append((u, v))
+        for v, lower in enumerate(self.below):
+            direct = lower
+            for w, m in enumerate(self.below):
+                if lower >> w & 1:
+                    direct &= ~m
+            out += [(u, v) for u in range(self.n) if direct >> u & 1]
         return sorted(out)
 
-    def relations(self, offset: int = 0) -> list[tuple[int, int]]:
-        """Every pair (u, v) with u strictly below v, both plus offset."""
-        pairs = ((u, v) for v in range(self.n) for u in range(self.n) if (self.below[v] >> u) & 1)
-        return [(u + offset, v + offset) for u, v in pairs]
-
     def with_relation(self, lo: int, hi: int) -> "TwoPoset":
-        return TwoPoset(self.labels, self.relations() + [(lo, hi)])
+        return TwoPoset._of(self.labels, self.below, [(lo, hi)])
 
     def describe(self) -> str:
         """Deterministic debug form: labels then cover pairs."""
@@ -138,7 +136,7 @@ def is_admissible(p: TwoPoset) -> bool:
 
 def disjoint_union(p: TwoPoset, q: TwoPoset) -> TwoPoset:
     """p and q side by side, the vertices of q numbered after those of p."""
-    return TwoPoset(p.labels + q.labels, p.relations() + q.relations(p.n))
+    return TwoPoset._of(p.labels + q.labels, p.below + tuple(m << p.n for m in q.below))
 
 
 # Every coefficient of w_map counts linear extensions, at most n!, and so
@@ -201,24 +199,10 @@ def w_map(p: TwoPoset) -> NcPoly:
 def x_star(k: Index) -> TwoPoset:
     """Zig-zag poset of an index: per entry k_i a chain of one y below
     k_i - 1 x's, with the previous entry's y hung below this chain's top."""
-    labels: list[str] = []
-    rels: list[tuple[int, int]] = []
-    tops: list[int] = []
-    roots: list[int] = []
-    for part in k:
-        b = len(labels)
-        labels.append("y")
-        prev = b
-        for _ in range(part - 1):
-            c = len(labels)
-            labels.append("x")
-            rels.append((prev, c))
-            prev = c
-        roots.append(b)
-        tops.append(prev)
-    for i in range(1, len(k)):
-        rels.append((roots[i - 1], tops[i]))
-    return TwoPoset(labels, rels)
+    roots = list(accumulate(k, initial=0))  # entry i's chain is roots[i]..roots[i + 1] - 1
+    rels = [r for i in range(len(k)) for r in pairwise(range(roots[i], roots[i + 1]))]
+    rels += [(roots[i - 1], roots[i + 1] - 1) for i in range(1, len(k))]
+    return TwoPoset("".join("y" + "x" * (part - 1) for part in k), rels)
 
 
 @dataclass
@@ -256,39 +240,27 @@ def x_star_hat(k: Index, t_order: int) -> PosetSeries:
 # -- fixtures of the chain identities ------------------------------------
 
 
+def _fork(a: int, b: int) -> list[tuple[int, int]]:
+    """The covers of two chains rooted at vertex 0: 0 < 1 < ... < a and
+    0 < a + 1 < ... < a + b."""
+    return [*pairwise(range(a + 1)), *pairwise([0, *range(a + 1, a + b + 1)])]
+
+
 def double_chain(c: int, d: int) -> TwoPoset:
     """A y root with two incomparable x-chains of lengths c and d above."""
-    labels = ["y"] + ["x"] * (c + d)
-    rels = []
-    prev = 0
-    for i in range(1, c + 1):
-        rels.append((prev, i))
-        prev = i
-    prev = 0
-    for i in range(c + 1, c + d + 1):
-        rels.append((prev, i))
-        prev = i
-    return TwoPoset(labels, rels)
+    return TwoPoset("y" + "x" * (c + d), _fork(c, d))
 
 
 def shift_lhs_chain(k: int, lpp: int, lp: int) -> TwoPoset:
     """Totally ordered chain reading y x^(k+lpp-1) y x^lp from bottom."""
     s = "y" + "x" * (k + lpp - 1) + "y" + "x" * lp
-    return TwoPoset(list(s), [(i, i + 1) for i in range(len(s) - 1)])
+    return TwoPoset(s, pairwise(range(len(s))))
 
 
 def shift_rhs_poset(k: int, l: int) -> TwoPoset:
     """Bottom y, an x-chain of length k-1 capped by a y, and an
     incomparable x-chain of length l above the same bottom."""
-    labels = ["y"] + ["x"] * (k - 1) + ["y"] + ["x"] * l
-    rels = []
-    for i in range(k):  # chain 0 < 1 < ... < k-1 < cap
-        rels.append((i, i + 1))
-    prev = 0
-    for i in range(k + 1, k + 1 + l):
-        rels.append((prev, i))
-        prev = i
-    return TwoPoset(labels, rels)
+    return TwoPoset("y" + "x" * (k - 1) + "y" + "x" * l, _fork(k, l))
 
 
 def check_shifting(k: int, order: int) -> bool:

@@ -81,14 +81,12 @@ def decompose(p: NcPoly, product: str = "sh") -> list[NcPoly]:
     while rem:
         split = [(_split_trailing(w), c) for w, c in rem.terms.items()]
         n = max(t for (_, t), _ in split)
+        if out and n >= min(out):
+            raise AssertionError("peeling failed to reduce trailing degree")
         top = NcPoly({sw: c for (sw, t), c in split if t == n})
         a_n = top / factorial(n)
         out[n] = a_n
         rem = rem - _product(a_n, y_product_power(n, product), product)
-        if rem:
-            nxt = max(_split_trailing(w)[1] for w in rem.terms)
-            if nxt >= n:
-                raise AssertionError("peeling failed to reduce trailing degree")
     deg = max(out, default=0)
     return [out.get(i, NcPoly.zero()) for i in range(deg + 1)]
 

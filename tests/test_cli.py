@@ -101,6 +101,8 @@ def test_bad_weight_exits_2():
         ["--cases", "-5"],
         ["--cutoff-N", "1"],
         ["--tol", "0"],
+        ["--tol", "nan"],
+        ["--tol", "inf"],
     ],
 )
 def test_bad_values_exit_2_before_any_work(flags, monkeypatch):

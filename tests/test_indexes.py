@@ -112,6 +112,8 @@ def test_s_m_examples():
     assert s_m((2,), 0) == IndexCombo({(2,): 1})
     with pytest.raises(ValueError):
         s_m((1, 2), 2)
+    with pytest.raises(ValueError):
+        s_m((1, 2), 1, "bogus")
 
 
 def test_s_m_depth_and_weight():

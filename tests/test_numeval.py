@@ -51,6 +51,10 @@ def test_eval_config_validation():
         EvalConfig(cutoff=1)
     with pytest.raises(ValueError):
         EvalConfig(tol=-1.0)
+    with pytest.raises(ValueError):
+        EvalConfig(tol=float("nan"))
+    with pytest.raises(ValueError):
+        EvalConfig(tol=float("inf"))
 
 
 def test_single_zeta_oracles():

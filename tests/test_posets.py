@@ -79,12 +79,67 @@ def test_constructor_validates():
         TwoPoset(["x", "z"])
     with pytest.raises(ValueError):
         TwoPoset(["x", "y"], [(0, 1), (1, 0)])
+    for bad in [(0, 2), (2, 0), (-1, 1), (1, -1)]:
+        with pytest.raises(ValueError, match="outside"):
+            TwoPoset(["x", "y"], [bad])
 
 
 def test_transitive_closure():
     p = TwoPoset(["y", "x", "x"], [(0, 1), (1, 2)])
     assert (p.below[2] >> 0) & 1  # 0 < 2 via 1
     assert p.covers() == [(0, 1), (1, 2)]
+
+
+def _reachability(n, rels):
+    """Reference order: below[v] is the set of u with a path of relations
+    from u up to v, found by a depth-first search from each u."""
+    below = [set() for _ in range(n)]
+    for u in range(n):
+        seen, stack = set(), [hi for lo, hi in rels if lo == u]
+        while stack:
+            v = stack.pop()
+            if v not in seen:
+                seen.add(v)
+                stack.extend(hi for lo, hi in rels if lo == v)
+        for v in seen:
+            below[v].add(u)
+    return below
+
+
+def _order(p):
+    return p.labels, [{u for u in range(p.n) if m >> u & 1} for m in p.below]
+
+
+def test_order_is_the_reachability_closure_random():
+    rng = random.Random(31)
+    cyclic = closing = 0
+    for _ in range(400):
+        n = rng.randint(0, 8)
+        labels = [rng.choice("xy") for _ in range(n)]
+        rels = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, n))] if n else []
+        below = _reachability(n, rels)
+        if any(v in below[v] for v in range(n)):
+            cyclic += 1
+            with pytest.raises(ValueError, match="cycle"):
+                TwoPoset(labels, rels)
+            continue
+        p = TwoPoset(labels, rels)
+        assert _order(p) == (tuple(labels), below)
+        m = rng.randint(0, 4)
+        q_rels = [(i, j) for i in range(m) for j in range(i + 1, m) if rng.random() < 0.5]
+        q_labels = [rng.choice("xy") for _ in range(m)]
+        q = TwoPoset(q_labels, q_rels)
+        shifted = [(lo + n, hi + n) for lo, hi in q_rels]
+        assert _order(disjoint_union(p, q)) == _order(TwoPoset(labels + q_labels, rels + shifted))
+        if n:
+            lo, hi = rng.randrange(n), rng.randrange(n)
+            if lo == hi or hi in below[lo]:
+                closing += 1
+                with pytest.raises(ValueError, match="cycle"):
+                    p.with_relation(lo, hi)
+            else:
+                assert _order(p.with_relation(lo, hi)) == _order(TwoPoset(labels, rels + [(lo, hi)]))
+    assert cyclic >= 100 and closing >= 50
 
 
 def test_x_star_shapes():
