@@ -489,8 +489,9 @@ def main(argv=None) -> int:
             ap.error("--index: single-case mode needs a non-empty index")
     n = _largest_poset(args)
     if n > posets._MAX_WMAP_VERTICES:
+        at = f" at --t-order {args.t_order}" if args.suite in _HAT_POSET_SUITES else ""
         ap.error(
-            f"--index/--max-weight: suite {args.suite} at --t-order {args.t_order} needs posets"
+            f"--index/--max-weight: suite {args.suite}{at} needs posets"
             f" of {n} vertices; w_map takes at most {posets._MAX_WMAP_VERTICES}"
         )
     return run_suite(args)

@@ -29,6 +29,22 @@ words, and sums are int additions.  A lane is the narrowest unsigned
 type that holds n!, so 16, 32 or 64 bits.  The result is unpacked once
 through numpy, against a cached ascending table of the words of its
 y-count.
+
+The star words ``w_map(x_star(k))`` have their own DP, ``w_zigzag``,
+which builds no poset.  Every up-set of a zig-zag is again a zig-zag of
+whole chains and root-less chain tops, so a state is one int with a
+6-bit field per chain, the first chain in the highest field: a whole
+chain of c vertices is ``(c << 1) | 1``, the top u x's of a chain whose
+root has been read are ``u << 1``, and an emptied chain is 0.  Trailing
+empty fields are shifted out and leading ones vanish, so equal ints are
+equal sub-posets whatever index they came from.  The step is the same as
+``w_map``'s on the same lanes: reading a root subtracts 3 and prepends
+y, reading an x subtracts 2.  States of at most ``_SHARED_VERTICES`` = 6
+vertices are memoised across calls, one write-once dict per lane width;
+that set is finite and the same for every input (about 18.5k states over
+all three widths for every index of weight <= 13).  Larger states are
+memoised per call.  Both DPs share the lane choice, the vertex guard
+and the unpacking, ``_extension_words``.
 """
 
 from __future__ import annotations
@@ -43,7 +59,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .indexes import hat_symbols
+from .indexes import check_index, hat_symbols
 from .linear import Combo
 from .words import NcPoly
 
@@ -155,45 +171,114 @@ def _y_count_words(n: int, r: int) -> np.ndarray:
     return bits[np.bitwise_count(bits) == r]
 
 
-def w_map(p: TwoPoset) -> NcPoly:
-    """Sum over linear extensions of the read-off word."""
-    n = p.n
+@lru_cache(maxsize=None)
+def _yshifts(width: int) -> tuple[tuple[int, ...], ...]:
+    """[m - 1][r]: bit offset of the y-first words of weight m with r y's."""
+    return tuple(
+        tuple(width * comb(m - 1, r) for r in range(m + 1))
+        for m in range(1, _MAX_WMAP_VERTICES + 1)
+    )
+
+
+def _extension_words(n: int, r: int, dp) -> NcPoly:
+    """The word polynomial of an n-vertex 2-poset with r y's from its
+    packed DP: ``dp(width, yshift)`` returns the word vector of the whole
+    poset in lanes of ``width`` bits."""
     if n == 0:
         return NcPoly.one()
     if n > _MAX_WMAP_VERTICES:
         raise ValueError(f"poset too large for w_map ({n} vertices)")
     lane = next(t for t in _LANE_TYPES if np.iinfo(t).max >= factorial(n))
     width = np.iinfo(lane).bits
-    below = p.below
-    ybit = [1 if l == "y" else 0 for l in p.labels]
-    ymask = sum(b << v for v, b in enumerate(ybit))
-    # yshift[m - 1][r]: bit offset of the y-first words of weight m with r y's
-    yshift = [[width * comb(m - 1, r) for r in range(m + 1)] for m in range(1, n + 1)]
-    memo: dict[int, int] = {0: 1}
-
-    def rec(S: int) -> int:
-        ylane = yshift[S.bit_count() - 1][(S & ymask).bit_count()]
-        vec = 0
-        rest = S
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            v = low.bit_length() - 1
-            if below[v] & S:
-                continue  # not minimal in S
-            T = S ^ low
-            sub = memo.get(T)
-            if sub is None:
-                sub = rec(T)
-            vec += sub << ylane if ybit[v] else sub
-        memo[S] = vec
-        return vec
-
-    words = _y_count_words(n, ymask.bit_count())
-    vec = np.frombuffer(rec((1 << n) - 1).to_bytes(len(words) * width // 8, "little"), lane)
+    words = _y_count_words(n, r)
+    packed = dp(width, _yshifts(width))
+    vec = np.frombuffer(packed.to_bytes(len(words) * width // 8, "little"), lane)
     nz = np.flatnonzero(vec)
     sentinel = 1 << n
     return NcPoly({sentinel | b: c for b, c in zip(words[nz].tolist(), vec[nz].tolist())})
+
+
+def w_map(p: TwoPoset) -> NcPoly:
+    """Sum over linear extensions of the read-off word."""
+    below = p.below
+    ybit = [1 if l == "y" else 0 for l in p.labels]
+    ymask = sum(b << v for v, b in enumerate(ybit))
+
+    def dp(width: int, yshift) -> int:
+        memo: dict[int, int] = {0: 1}
+
+        def rec(S: int) -> int:
+            ylane = yshift[S.bit_count() - 1][(S & ymask).bit_count()]
+            vec = 0
+            rest = S
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                v = low.bit_length() - 1
+                if below[v] & S:
+                    continue  # not minimal in S
+                T = S ^ low
+                sub = memo.get(T)
+                if sub is None:
+                    sub = rec(T)
+                vec += sub << ylane if ybit[v] else sub
+            memo[S] = vec
+            return vec
+
+        return rec((1 << p.n) - 1)
+
+    return _extension_words(p.n, ymask.bit_count(), dp)
+
+
+# The zig-zag DP's states of at most this many vertices, per lane width:
+# a finite set, the same for every index, filled as it is met and never
+# changed.  Larger states are memoised per call.
+_SHARED_VERTICES = 6
+_SHARED: dict[int, dict[int, int]] = {}
+
+
+def w_zigzag(k: Index) -> NcPoly:
+    """``w_map(x_star(k))``, term for term, by a DP on the chain-length
+    fields of the module docstring, with no poset built.
+
+    The lowest remaining vertex of a chain is minimal unless it is the
+    chain's top (field 2 or 3) and the next-higher chain is whole, its
+    root then lying below that top."""
+    k = check_index(k)
+    n = sum(k)
+
+    def dp(width: int, yshift) -> int:
+        shared = _SHARED.setdefault(width, {0: 1})
+        local: dict[int, int] = {}
+
+        def rec(s: int, m: int, r: int) -> int:
+            ylane = yshift[m - 1][r]
+            memo = shared if m - 1 <= _SHARED_VERTICES else local
+            vec = 0
+            shift = 0
+            rest = s
+            while rest:
+                f = rest & 63
+                rest >>= 6
+                if f and not (f <= 3 and rest & 1):
+                    y = f & 1  # a whole chain reads its root, a y; else its lowest x
+                    T = s - ((2 + y) << shift)
+                    while T and not T & 63:
+                        T >>= 6
+                    sub = memo.get(T)
+                    if sub is None:
+                        sub = rec(T, m - 1, r - y)
+                    vec += sub << ylane if y else sub
+                shift += 6
+            (shared if m <= _SHARED_VERTICES else local)[s] = vec
+            return vec
+
+        state = 0
+        for part in k:
+            state = state << 6 | part << 1 | 1
+        return rec(state, n, len(k))
+
+    return _extension_words(n, len(k), dp)
 
 
 def x_star(k: Index) -> TwoPoset:

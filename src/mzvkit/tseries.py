@@ -10,8 +10,10 @@ cyclic-sum combination over plain ones, per index and per cyclic class.
 Every verifier, and each lemma of the A/B/C split, is a
 ``reports.ExactCheck`` between two word series.
 
-All w_star values and series are cached by index; the caches are
-write-once and safe to share.
+A star word w_star(k) is ``posets.w_zigzag(k)``, the linear-extension
+words of the zig-zag poset of k computed from its chain lengths, with no
+poset built.  All w_star values and series are cached by index; the
+caches are write-once and safe to share.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .indexes import (
     tail_symbols,
 )
 from .linear import Combo, Series
-from .posets import w_map, x_star
+from .posets import w_zigzag
 from .reports import ExactCheck
 from .words import NcPoly, shuffle
 
@@ -76,11 +78,12 @@ _W_STAR_HAT_CACHE: dict[tuple[Index, int], WordSeries] = {}
 
 
 def w_star(k: Index) -> NcPoly:
-    """Linear-extension word polynomial of the zig-zag poset of k."""
+    """Linear-extension word polynomial of the zig-zag poset of k,
+    ``w_map(x_star(k))`` term for term."""
     k = tuple(k)
     got = _W_STAR_CACHE.get(k)
     if got is None:
-        got = _W_STAR_CACHE.setdefault(k, w_map(x_star(k)))
+        got = _W_STAR_CACHE.setdefault(k, w_zigzag(k))
     return got
 
 

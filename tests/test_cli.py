@@ -233,6 +233,20 @@ def test_index_past_w_map_limit_exits_2_before_any_row(capsys):
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == "" and "w_map takes at most" in err
+    assert "suite csf-tsmzsv at --t-order 2 needs posets of 28 vertices;" in err
+
+
+def test_regularization_limit_message_names_no_t_order(capsys):
+    # the regularization suite's star words have wt(k) vertices whatever
+    # --t-order says, so its message does not name the flag
+    with pytest.raises(SystemExit) as exc:
+        main(["--suite", "regularization", "--index", "21", "--t-order", "5", "--cases", "1"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    message = err.strip().splitlines()[-1]  # the usage lines above it list every flag
+    assert out == ""
+    assert "suite regularization needs posets of 21 vertices; w_map takes at most 20" in message
+    assert "--t-order" not in message
 
 
 def test_largest_admitted_index_row_passes(capsys):

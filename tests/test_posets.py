@@ -2,11 +2,13 @@
 
 import itertools
 import random
+import re
 from math import comb, factorial
 
 import numpy as np
 import pytest
 
+from mzvkit import posets, tseries
 from mzvkit.indexes import indices_up_to
 from mzvkit.posets import (
     PosetSeries,
@@ -15,6 +17,7 @@ from mzvkit.posets import (
     is_admissible,
     random_2poset,
     w_map,
+    w_zigzag,
     x_star,
     x_star_hat,
 )
@@ -242,6 +245,79 @@ def test_w_map_of_two_disjoint_chains_is_their_shuffle():
 def test_w_map_h0_iff_admissible():
     for k in indices_up_to(6):
         assert w_map(x_star(k)).is_h0() == is_admissible(x_star(k)), k
+
+
+def _same_as_w_map(k) -> None:
+    assert list(w_zigzag(k).terms.items()) == list(w_map(x_star(k)).terms.items()), k
+
+
+def test_w_zigzag_matches_w_map_on_every_index_up_to_weight_11():
+    for k in indices_up_to(11):
+        _same_as_w_map(k)
+
+
+@pytest.mark.parametrize(
+    "k",
+    [
+        (8,), (1,) * 8, (2, 1, 3, 2), (1, 2, 1, 1, 3, 1),
+        (9,), (1,) * 9, (3, 1, 2, 1, 2), (1, 1, 4, 1, 2),
+        (1,) * 12, (2, 3, 1, 1, 2, 3), (1, 2, 1, 2, 1, 2, 1, 2),
+        (1,) * 13, (4, 1, 2, 3, 1, 2), (3, 1, 1, 1, 2, 1, 1, 3),
+        (20,), (1,) * 20, (4, 4, 1, 3, 4, 2, 2), (2, 2, 3, 1, 4, 1, 1, 2, 2, 2),
+    ],
+)
+def test_w_zigzag_matches_w_map_at_lane_width_switches(k):
+    # 8 / 9, 12 / 13 vertices: the lanes widen from 16 to 32 and from 32
+    # to 64 bits; 20 vertices: the largest poset w_map takes
+    _same_as_w_map(k)
+
+
+def test_w_zigzag_does_not_depend_on_the_shared_states(monkeypatch):
+    ks = list(indices_up_to(9)) + [(3, 1, 2, 1, 3), (1, 1, 2, 1, 1, 2, 1, 1)]
+    monkeypatch.setattr(posets, "_SHARED", {})
+    forward = {k: list(w_zigzag(k).terms.items()) for k in ks}
+    monkeypatch.setattr(posets, "_SHARED", {})
+    for k in reversed(ks):
+        assert list(w_zigzag(k).terms.items()) == forward[k], k
+        assert forward[k] == list(w_map(x_star(k)).terms.items()), k
+
+
+def _state_vertices(state: int) -> int:
+    """Vertices of a zig-zag DP state: f >> 1 for each 6-bit field f."""
+    n = 0
+    while state:
+        n += (state & 63) >> 1
+        state >>= 6
+    return n
+
+
+def test_w_zigzag_shares_only_small_states():
+    for k in [(2, 1, 3, 2, 1), (1,) * 10, (4, 1, 1, 2, 3), (2, 2, 2, 2, 2, 2, 1)]:
+        w_zigzag(k)
+    assert posets._SHARED
+    for width, states in posets._SHARED.items():
+        assert width in (16, 32, 64) and states[0] == 1
+        assert max(map(_state_vertices, states)) <= posets._SHARED_VERTICES
+
+
+def test_w_zigzag_vertex_guard():
+    assert w_zigzag(()) == w_map(x_star(())) == NcPoly.one()
+    message = re.escape("poset too large for w_map (21 vertices)")
+    for star_word in (w_zigzag, lambda k: w_map(x_star(k))):
+        with pytest.raises(ValueError, match=message):
+            star_word((21,))
+    for k in [(0,), (2, 0), (1, -1, 2)]:
+        with pytest.raises(ValueError, match="not an index"):
+            w_zigzag(k)
+
+
+def test_w_star_builds_no_poset(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("w_star built a TwoPoset")
+
+    monkeypatch.setattr(TwoPoset, "_close", refuse)
+    monkeypatch.setattr(tseries, "_W_STAR_CACHE", {})
+    assert tseries.w_star((2, 1, 3)) == w_zigzag((2, 1, 3))
 
 
 def test_disjoint_union_examples():
