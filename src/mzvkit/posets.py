@@ -30,21 +30,24 @@ type that holds n!, so 16, 32 or 64 bits.  The result is unpacked once
 through numpy, against a cached ascending table of the words of its
 y-count.
 
-The star words ``w_map(x_star(k))`` have their own DP, ``w_zigzag``,
-which builds no poset.  Every up-set of a zig-zag is again a zig-zag of
-whole chains and root-less chain tops, so a state is one int with a
-6-bit field per chain, the first chain in the highest field: a whole
-chain of c vertices is ``(c << 1) | 1``, the top u x's of a chain whose
-root has been read are ``u << 1``, and an emptied chain is 0.  Trailing
-empty fields are shifted out and leading ones vanish, so equal ints are
-equal sub-posets whatever index they came from.  The step is the same as
-``w_map``'s on the same lanes: reading a root subtracts 3 and prepends
-y, reading an x subtracts 2.  States of at most ``_SHARED_VERTICES`` = 6
-vertices are memoised across calls, one write-once dict per lane width;
-that set is finite and the same for every input (about 18.5k states over
-all three widths for every index of weight <= 13).  Larger states are
-memoised per call.  Both DPs share the lane choice, the vertex guard
-and the unpacking, ``_extension_words``.
+A zig-zag can also be given to ``w_map`` as ``ZigZag(k)``, its index
+alone; ``w_map`` then reads the words of ``x_star(k)``, term for term,
+by a DP on the index that builds no order.  Every up-set of a zig-zag is
+again a zig-zag of whole chains and root-less chain tops, so a state is
+one int with a 6-bit field per chain, the first chain in the highest
+field: a whole chain of c vertices is ``(c << 1) | 1``, the top u x's of
+a chain whose root has been read are ``u << 1``, and an emptied chain is
+0.  Trailing empty fields are shifted out and leading ones vanish, so
+equal ints are equal sub-posets whatever index they came from.  The step
+is the same as the subset DP's on the same lanes: reading a root
+subtracts 3 and prepends y, reading an x subtracts 2.  States of at most
+``_SHARED_VERTICES`` = 6 vertices are memoised across calls, one
+write-once dict per lane width; the dicts grow with the indices a
+process meets, up to the states that all indices of weight <= 20 reach
+(87,783 over the three widths, 14.3 MB by ``sys.getsizeof``; every index
+of weight <= 13 fills 17,986, 2.8 MB).  Larger states are memoised per
+call.  Both DPs share the lane choice, the vertex guard and the
+unpacking, ``_extension_words``.
 """
 
 from __future__ import annotations
@@ -159,7 +162,8 @@ def disjoint_union(p: TwoPoset, q: TwoPoset) -> TwoPoset:
 # does every lane of every state of its DP; the lanes are the narrowest
 # unsigned type that holds n!: 16 bits up to 8 vertices, 32 up to 12 and
 # 64 up to 20, where 20! < 2^64 still fits and no lane carries into the
-# next.
+# next.  The bound also keeps every part of a ZigZag's index at most 20,
+# within the 6-bit chain fields of its DP (which hold parts up to 31).
 _MAX_WMAP_VERTICES = 20
 _LANE_TYPES = (np.uint16, np.uint32, np.uint64)
 
@@ -198,8 +202,25 @@ def _extension_words(n: int, r: int, dp) -> NcPoly:
     return NcPoly({sentinel | b: c for b, c in zip(words[nz].tolist(), vec[nz].tolist())})
 
 
-def w_map(p: TwoPoset) -> NcPoly:
-    """Sum over linear extensions of the read-off word."""
+@dataclass(frozen=True)
+class ZigZag:
+    """The zig-zag 2-poset ``x_star(index)``, held as its index only."""
+
+    index: Index
+
+    def __post_init__(self):
+        object.__setattr__(self, "index", check_index(self.index))
+
+    @property
+    def n(self) -> int:
+        return sum(self.index)
+
+
+def w_map(p: TwoPoset | ZigZag) -> NcPoly:
+    """Sum over linear extensions of the read-off word; a ``ZigZag``
+    gives the same words as ``x_star`` of its index."""
+    if isinstance(p, ZigZag):
+        return _zigzag_words(p.index)
     below = p.below
     ybit = [1 if l == "y" else 0 for l in p.labels]
     ymask = sum(b << v for v, b in enumerate(ybit))
@@ -231,20 +252,19 @@ def w_map(p: TwoPoset) -> NcPoly:
 
 
 # The zig-zag DP's states of at most this many vertices, per lane width:
-# a finite set, the same for every index, filled as it is met and never
-# changed.  Larger states are memoised per call.
+# filled as indices reach them and never changed, and finite, as the
+# vertex guard bounds the indices.  Larger states are memoised per call.
 _SHARED_VERTICES = 6
 _SHARED: dict[int, dict[int, int]] = {}
 
 
-def w_zigzag(k: Index) -> NcPoly:
+def _zigzag_words(k: Index) -> NcPoly:
     """``w_map(x_star(k))``, term for term, by a DP on the chain-length
     fields of the module docstring, with no poset built.
 
     The lowest remaining vertex of a chain is minimal unless it is the
     chain's top (field 2 or 3) and the next-higher chain is whole, its
     root then lying below that top."""
-    k = check_index(k)
     n = sum(k)
 
     def dp(width: int, yshift) -> int:

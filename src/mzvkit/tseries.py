@@ -10,8 +10,8 @@ cyclic-sum combination over plain ones, per index and per cyclic class.
 Every verifier, and each lemma of the A/B/C split, is a
 ``reports.ExactCheck`` between two word series.
 
-A star word w_star(k) is ``posets.w_zigzag(k)``, the linear-extension
-words of the zig-zag poset of k computed from its chain lengths, with no
+A star word w_star(k) is ``w_map(ZigZag(k))``, the linear-extension
+words of the zig-zag poset of k read off its chain lengths, with no
 poset built.  All w_star values and series are cached by index; the
 caches are write-once and safe to share.
 """
@@ -34,7 +34,7 @@ from .indexes import (
     tail_symbols,
 )
 from .linear import Combo, Series
-from .posets import w_zigzag
+from .posets import ZigZag, w_map
 from .reports import ExactCheck
 from .words import NcPoly, shuffle
 
@@ -83,7 +83,7 @@ def w_star(k: Index) -> NcPoly:
     k = tuple(k)
     got = _W_STAR_CACHE.get(k)
     if got is None:
-        got = _W_STAR_CACHE.setdefault(k, w_zigzag(k))
+        got = _W_STAR_CACHE.setdefault(k, w_map(ZigZag(k)))
     return got
 
 

@@ -16,8 +16,8 @@ from mzvkit.posets import (
     disjoint_union,
     is_admissible,
     random_2poset,
+    ZigZag,
     w_map,
-    w_zigzag,
     x_star,
     x_star_hat,
 )
@@ -248,10 +248,10 @@ def test_w_map_h0_iff_admissible():
 
 
 def _same_as_w_map(k) -> None:
-    assert list(w_zigzag(k).terms.items()) == list(w_map(x_star(k)).terms.items()), k
+    assert list(w_map(ZigZag(k)).terms.items()) == list(w_map(x_star(k)).terms.items()), k
 
 
-def test_w_zigzag_matches_w_map_on_every_index_up_to_weight_11():
+def test_zigzag_matches_w_map_on_every_index_up_to_weight_11():
     for k in indices_up_to(11):
         _same_as_w_map(k)
 
@@ -266,19 +266,19 @@ def test_w_zigzag_matches_w_map_on_every_index_up_to_weight_11():
         (20,), (1,) * 20, (4, 4, 1, 3, 4, 2, 2), (2, 2, 3, 1, 4, 1, 1, 2, 2, 2),
     ],
 )
-def test_w_zigzag_matches_w_map_at_lane_width_switches(k):
+def test_zigzag_matches_w_map_at_lane_width_switches(k):
     # 8 / 9, 12 / 13 vertices: the lanes widen from 16 to 32 and from 32
     # to 64 bits; 20 vertices: the largest poset w_map takes
     _same_as_w_map(k)
 
 
-def test_w_zigzag_does_not_depend_on_the_shared_states(monkeypatch):
+def test_zigzag_does_not_depend_on_the_shared_states(monkeypatch):
     ks = list(indices_up_to(9)) + [(3, 1, 2, 1, 3), (1, 1, 2, 1, 1, 2, 1, 1)]
     monkeypatch.setattr(posets, "_SHARED", {})
-    forward = {k: list(w_zigzag(k).terms.items()) for k in ks}
+    forward = {k: list(w_map(ZigZag(k)).terms.items()) for k in ks}
     monkeypatch.setattr(posets, "_SHARED", {})
     for k in reversed(ks):
-        assert list(w_zigzag(k).terms.items()) == forward[k], k
+        assert list(w_map(ZigZag(k)).terms.items()) == forward[k], k
         assert forward[k] == list(w_map(x_star(k)).terms.items()), k
 
 
@@ -291,24 +291,24 @@ def _state_vertices(state: int) -> int:
     return n
 
 
-def test_w_zigzag_shares_only_small_states():
+def test_zigzag_shares_only_small_states():
     for k in [(2, 1, 3, 2, 1), (1,) * 10, (4, 1, 1, 2, 3), (2, 2, 2, 2, 2, 2, 1)]:
-        w_zigzag(k)
+        w_map(ZigZag(k))
     assert posets._SHARED
     for width, states in posets._SHARED.items():
         assert width in (16, 32, 64) and states[0] == 1
         assert max(map(_state_vertices, states)) <= posets._SHARED_VERTICES
 
 
-def test_w_zigzag_vertex_guard():
-    assert w_zigzag(()) == w_map(x_star(())) == NcPoly.one()
+def test_zigzag_vertex_guard():
+    assert w_map(ZigZag(())) == w_map(x_star(())) == NcPoly.one()
     message = re.escape("poset too large for w_map (21 vertices)")
-    for star_word in (w_zigzag, lambda k: w_map(x_star(k))):
+    for poset in (ZigZag, x_star):
         with pytest.raises(ValueError, match=message):
-            star_word((21,))
+            w_map(poset((21,)))
     for k in [(0,), (2, 0), (1, -1, 2)]:
         with pytest.raises(ValueError, match="not an index"):
-            w_zigzag(k)
+            ZigZag(k)
 
 
 def test_w_star_builds_no_poset(monkeypatch):
@@ -317,7 +317,23 @@ def test_w_star_builds_no_poset(monkeypatch):
 
     monkeypatch.setattr(TwoPoset, "_close", refuse)
     monkeypatch.setattr(tseries, "_W_STAR_CACHE", {})
-    assert tseries.w_star((2, 1, 3)) == w_zigzag((2, 1, 3))
+    assert tseries.w_star((2, 1, 3)) == w_map(ZigZag((2, 1, 3)))
+
+
+def test_w_star_reads_its_words_through_w_map(monkeypatch):
+    # w_map stays the one entry point of the linear-extension words, so a
+    # wrapper on it sees the star words too
+    seen = []
+
+    def recording(p):
+        seen.append(p)
+        return w_map(p)
+
+    monkeypatch.setattr(tseries, "w_map", recording)
+    monkeypatch.setattr(tseries, "_W_STAR_CACHE", {})
+    tseries.w_star((2, 1, 3))
+    assert seen == [ZigZag((2, 1, 3))]
+    assert seen[0].n == x_star((2, 1, 3)).n == 6
 
 
 def test_disjoint_union_examples():
