@@ -10,6 +10,13 @@ cyclic contraction sums ``s_m``, and exact verifiers for the index-level
 identities used to reduce the cyclic sum formula of the t-adic values to
 its star form; each verifier returns a ``reports.ExactCheck``.
 
+Star expansion is linear, so the identities that star-expand an
+alternating s_m sum first collect its indices (or its (index, t-power)
+symbols) with their signed multiplicities, and then expand each distinct
+one that survives once.  The contractions of an index are built left to
+right by doubling, one tuple operation per term, in the order of their
+plus masks.
+
 The t-adic expansion and the cyclic-sum combinations are defined here,
 once, as formal sums of t-adic symbols, plain ``Combo`` objects keyed by
 (index, t-power): ``shift_symbols`` and ``hat_symbols`` sum over
@@ -73,9 +80,18 @@ def _contract(k: Index, plus_mask: int) -> Index:
 
 def _contractions(k: Index, plus_sign: int) -> IndexCombo:
     """Sum of the 2^(r-1) comma/plus contractions of a non-empty k, each
-    weighted by plus_sign to the power of its number of pluses."""
-    masks, signs = range(1 << (len(k) - 1)), (1, plus_sign)
-    return IndexCombo().add_terms((_contract(k, mask), signs[mask.bit_count() & 1]) for mask in masks)
+    weighted by plus_sign to the power of its number of pluses.
+
+    Built left to right by doubling: at each further part, every tuple so
+    far first takes it as a new part, then adds it to its last entry.  The
+    terms come in the mask order of ``_contract`` (bit i - 1 puts a plus
+    before k_{i+1}), one tuple operation each."""
+    terms = [(k[:1], 1)]
+    for p in k[1:]:
+        terms = [(t + (p,), c) for t, c in terms] + [
+            (t[:-1] + (t[-1] + p,), plus_sign * c) for t, c in terms
+        ]
+    return IndexCombo().add_terms(terms)
 
 
 def star_expand(k: Index) -> IndexCombo:
@@ -240,10 +256,12 @@ def s_m(k: Index, m: int, policy: str = "first") -> IndexCombo:
     if policy not in ("first", "last"):
         raise ValueError(f"unknown cut policy {policy!r}")
 
+    full = (1 << r) - 1
+
     def cuts() -> Iterator[tuple[Index, int]]:
         for boxes in _plus_masks(r, m):
-            commas = [j for j in range(r) if not (boxes >> j) & 1]
-            j = commas[0] if policy == "first" else commas[-1]
+            commas = full & ~boxes  # never 0, as m < r
+            j = (commas & -commas if policy == "first" else commas).bit_length() - 1
             # cut after k_{j+1} (0-based box j): the boxes between consecutive
             # entries of the cut sequence are the mask rotated right by j + 1,
             # of which _contract reads the low r - 1 bits
@@ -262,15 +280,20 @@ def _cyclic_split_lhs(k: Index, j: int) -> IndexCombo:
     )
 
 
-def _star_over_sm(k: Index, f: Callable[[Index], Iterable[Index]]) -> IndexCombo:
-    """Alternating sum over m and S_m(k) of the star expansions of f(l)."""
-    out = IndexCombo()
+def _signed_s_m(k: Index) -> Iterator[tuple[Index, int]]:
+    """(l, (-1)^m * multiplicity) for every m = 0..r-1 and term l of s_m(k)."""
     for m in range(len(k)):
         sign = -1 if m & 1 else 1
         for l, mult in s_m(k, m).terms.items():
-            star = (star_expand(idx).terms.items() for idx in f(l))
-            out.add_terms((kk, sign * mult * n) for terms in star for kk, n in terms)
-    return out
+            yield l, sign * mult
+
+
+def _star_over_sm(k: Index, f: Callable[[Index], Iterable[Index]]) -> IndexCombo:
+    """Alternating sum over m and S_m(k) of the star expansions of f(l):
+    the indices f(l) are collected first, and each distinct one that
+    survives is star-expanded once."""
+    pre = IndexCombo().add_terms((idx, c) for l, c in _signed_s_m(k) for idx in f(l))
+    return pre.map_linear(star_expand)
 
 
 def cyclic_symmetrized_s_m(k: Index, m: int, policy: str = "first") -> IndexCombo:
@@ -346,13 +369,16 @@ def verify_index_identity(
 
     if name == "csf_reduction":
         lhs = csf_symbols(k, t_order)
-        rhs = Combo()
-        for m in range(r):
-            sign = -1 if m & 1 else 1
-            for l, mult in s_m(k, m).terms.items():
-                for (idx, e), c in csf_star_hat_symbols(l, t_order).terms.items():
-                    star = star_expand(idx).terms.items()
-                    rhs.add_terms(((kk, e), sign * mult * c * n) for kk, n in star)
+        pre = Combo().add_terms(
+            (sym, c * d)
+            for l, c in _signed_s_m(k)
+            for sym, d in csf_star_hat_symbols(l, t_order).terms.items()
+        )
+        rhs = Combo().add_terms(
+            ((kk, e), c * n)
+            for (idx, e), c in pre.terms.items()
+            for kk, n in star_expand(idx).terms.items()
+        )
         return ExactCheck(name, k, {"t_order": t_order}, lhs, rhs)
 
     raise ValueError(f"unknown identity {name!r}")

@@ -18,7 +18,16 @@ operand.  Instances are treated as immutable once built; ``add_terms``
 fills a fresh one.
 
 ``Poly`` is a combination over the powers of one variable and ``Series``
-a poly truncated at ``order``; ``Series.add_symbols`` evaluates t-adic symbols.
+a poly truncated at ``order``; ``Series.add_symbols`` evaluates t-adic
+symbols through ``Series.add_scaled``, which adds c * v t^e per term.  A
+series whose coefficients are combinations (``tseries.WordSeries``)
+overrides it to add in place: each sum of c * p t^e, such as a star-word
+or two-sided star series or a cyclic-sum combination, fills one
+coefficient per t-power word by word instead of copying a whole
+combination per term.  That is safe because the call mutates only the
+coefficients it creates itself; one already present is copied on first
+use, so no cached value is ever changed.  The words land in the order
+that the copying sum gives them.
 """
 
 from __future__ import annotations
@@ -161,15 +170,21 @@ class Series(Poly):
         order = self.order
         return super().add_terms((e, c) for e, c in pairs if e <= order)
 
+    def add_scaled(self, terms: Iterable[tuple]) -> "Series":
+        """Add c * v t^e in place for each (e, c, v); returns self."""
+        return self.add_terms((e, c * v) for e, c, v in terms)
+
     def add_symbols(self, symbols: Combo, value: Callable[[object, int], "Series"]) -> "Series":
         """Add c * value(key, order - e) * t^e in place for every symbol
         ((key, e), c) with e <= order, in the symbols' order; returns self.
         value(key, n) is a series exact to t^n, and so each term to order."""
         order = self.order
-        for (key, e), c in symbols.terms.items():
-            if e <= order:
-                self.add_terms((e + f, c * v) for f, v in value(key, order - e).terms.items())
-        return self
+        return self.add_scaled(
+            (e + f, c, v)
+            for (key, e), c in symbols.terms.items()
+            if e <= order
+            for f, v in value(key, order - e).terms.items()
+        )
 
     def _aligned(self, other: "Series") -> "Series":
         return self.truncate(min(self.order, other.order))

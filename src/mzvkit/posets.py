@@ -325,8 +325,8 @@ class PosetSeries:
         """Coefficientwise w_map, as a tseries.WordSeries."""
         from .tseries import WordSeries
 
-        return WordSeries(self.order).add_terms(
-            (e, c * w_map(poset)) for e, combos in self.coeffs.items() for c, poset in combos
+        return WordSeries(self.order).add_scaled(
+            (e, c, w_map(poset)) for e, combos in self.coeffs.items() for c, poset in combos
         )
 
 

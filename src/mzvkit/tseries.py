@@ -13,7 +13,9 @@ Every verifier, and each lemma of the A/B/C split, is a
 A star word w_star(k) is ``w_map(ZigZag(k))``, the linear-extension
 words of the zig-zag poset of k read off its chain lengths, with no
 poset built.  All w_star values and series are cached by index; the
-caches are write-once and safe to share.
+caches are write-once and safe to share.  Every sum of word series here
+adds through ``WordSeries.add_scaled``, in place, into polys the sum
+itself creates, so no cached value is changed by a sum that reads it.
 """
 
 from __future__ import annotations
@@ -53,12 +55,34 @@ class WordSeries(Series):
     def from_poly(cls, p: NcPoly, order: int) -> "WordSeries":
         return cls(order, {0: p})
 
+    def add_scaled(self, terms) -> "WordSeries":
+        """Add c * p t^e in place for each (e, c, p), word by word, into one
+        poly per t-power that this call owns: a coefficient already present
+        is copied once, on the first term at its power, and no poly passed
+        in or held before (such as a cached w_star, f_series or w_star_hat
+        value) is changed.  Words and t-powers land in the order that adding
+        each c * p as a new poly gives; returns self."""
+        order, coeffs = self.order, self.terms
+        owned: dict[int, NcPoly] = {}
+        for e, c, p in terms:
+            if e > order:
+                continue
+            acc = owned.get(e)
+            if acc is None:
+                acc = owned[e] = NcPoly(self.coefficient(e).terms)
+            acc.add_terms(p.terms.items() if c == 1 else ((w, c * x) for w, x in p.terms.items()))
+            if acc:
+                coeffs[e] = acc
+            else:
+                coeffs.pop(e, None)
+        return self
+
 
 def series_shuffle(a: WordSeries, b: WordSeries) -> WordSeries:
     """Coefficientwise shuffle convolution, truncated."""
     order = min(a.order, b.order)
-    return WordSeries(order).add_terms(
-        (ea + eb, shuffle(pa, pb))
+    return WordSeries(order).add_scaled(
+        (ea + eb, 1, shuffle(pa, pb))
         for ea, pa in a.terms.items()
         for eb, pb in b.terms.items()
         if ea + eb <= order
@@ -106,10 +130,13 @@ def w_star_hat(k: Index, order: int) -> WordSeries:
     got = _W_STAR_HAT_CACHE.get(key)
     if got is not None:
         return got
-    acc = WordSeries.zero(order)
-    for i in range(len(k) + 1):
-        acc.add_terms(poly_shuffle_series(w_star(k[:i]), f_series(k[i:], order)).terms.items())
-    return _W_STAR_HAT_CACHE.setdefault(key, acc)
+    splits = (poly_shuffle_series(w_star(k[:i]), f_series(k[i:], order)) for i in range(len(k) + 1))
+    return _W_STAR_HAT_CACHE.setdefault(key, _series_sum(splits, order))
+
+
+def _series_sum(series, order: int) -> WordSeries:
+    """The sum of the given word series, truncated at order."""
+    return WordSeries(order).add_scaled((e, 1, p) for s in series for e, p in s.terms.items())
 
 
 # -- cyclic-sum combinations ------------------------------------------
@@ -120,8 +147,8 @@ def w_star_hat(k: Index, order: int) -> WordSeries:
 
 def _star_words(symbols: Combo, order: int) -> WordSeries:
     """Each symbol (k, e) as w_star(k) t^e."""
-    return WordSeries(order).add_terms(
-        (e, c * w_star(idx)) for (idx, e), c in symbols.terms.items()
+    return WordSeries(order).add_scaled(
+        (e, c, w_star(idx)) for (idx, e), c in symbols.terms.items()
     )
 
 
@@ -224,19 +251,19 @@ class SpliceParts:
 
 def abc_split(alpha: CyclicClass, order: int) -> SpliceParts:
     """Compute A, B, C by their defining sums and check the three lemmas."""
-    A = WordSeries.zero(order)
-    B = WordSeries.zero(order)
-    C = WordSeries.zero(order)
-    direct = WordSeries.zero(order)
     pivots = last_pivots(alpha.members)
-    for p, body in pivots:
-        for idx in splices(p, body):
-            for i in range(1, len(idx)):  # non-empty prefix and suffix
-                part = poly_shuffle_series(w_star(idx[:i]), f_series(idx[i:], order))
-                A.add_terms(part.terms.items())
-            B.add_terms([(0, w_star(idx))])
-            C.add_terms(f_series(idx, order).terms.items())
-            direct.add_terms(w_star_hat(idx, order).terms.items())
+    spliced = [idx for p, body in pivots for idx in splices(p, body)]
+    A = _series_sum(
+        (
+            poly_shuffle_series(w_star(idx[:i]), f_series(idx[i:], order))
+            for idx in spliced
+            for i in range(1, len(idx))  # non-empty prefix and suffix
+        ),
+        order,
+    )
+    B = WordSeries(order).add_scaled((0, 1, w_star(idx)) for idx in spliced)
+    C = _series_sum((f_series(idx, order) for idx in spliced), order)
+    direct = _series_sum((w_star_hat(idx, order) for idx in spliced), order)
 
     # the closed forms sum over the symbols (1 + l, m) t^l and (m, 1) per member m
     heads = -tail_symbols(pivots, order)

@@ -9,19 +9,24 @@ from hypothesis import strategies as st
 
 from mzvkit.indexes import (
     IndexCombo,
+    _contract,
     all_cyclic_classes,
     binomial_shifts,
     compositions,
+    csf_star_hat_symbols,
     cyclic_classes,
     cyclic_symmetrized_s_m,
     indices_up_to,
     rotation_pivots,
+    rotations,
     s_m,
     shift_symbols,
+    splices,
     star_expand,
     star_invert,
     verify_index_identity,
 )
+from mzvkit.linear import Combo
 
 
 def brute_star_expand(k):
@@ -56,6 +61,22 @@ def test_star_expand_examples():
 @given(indices)
 def test_star_expand_matches_brute_force(k):
     assert star_expand(k) == IndexCombo(brute_star_expand(k))
+
+
+def mask_order_contractions(k, plus_sign):
+    """One _contract per plus mask, in mask order."""
+    masks = range(1 << (len(k) - 1))
+    return IndexCombo().add_terms(
+        (_contract(k, mask), plus_sign ** mask.bit_count()) for mask in masks
+    )
+
+
+def test_star_expand_and_invert_terms_in_mask_order():
+    # numeval's KY_inv sums floats over the terms of star_invert in this order
+    for k in indices_up_to(8):
+        for f, plus_sign in ((star_expand, 1), (star_invert, -1)):
+            want = mask_order_contractions(k, plus_sign)
+            assert list(f(k).terms.items()) == list(want.terms.items()), (k, plus_sign)
 
 
 def test_star_invert_examples():
@@ -183,6 +204,49 @@ def test_prop1_weight_5_all_j():
 def test_csf_reduction_weight_6():
     for k in indices_up_to(6):
         assert verify_index_identity("csf_reduction", k, t_order=2).equal, k
+
+
+def termwise_star_over_sm(k, f):
+    """The alternating s_m sum of the star expansions of f(l), expanding
+    every term as it comes."""
+    out = IndexCombo()
+    for m in range(len(k)):
+        sign = -1 if m & 1 else 1
+        for l, mult in s_m(k, m).terms.items():
+            for idx in f(l):
+                out.add_terms((kk, sign * mult * n) for kk, n in star_expand(idx).terms.items())
+    return out
+
+
+def termwise_csf_reduction_rhs(k, t_order):
+    out = Combo()
+    for m in range(len(k)):
+        sign = -1 if m & 1 else 1
+        for l, mult in s_m(k, m).terms.items():
+            for (idx, e), c in csf_star_hat_symbols(l, t_order).terms.items():
+                star = star_expand(idx).terms.items()
+                out.add_terms(((kk, e), sign * mult * c * n) for kk, n in star)
+    return out
+
+
+def full_splices(k):
+    for p, rest in rotation_pivots(k):
+        yield from splices(p, rest)
+        yield (p,) + rest + (1,)
+
+
+def test_collected_star_sums_match_termwise_expansion():
+    for k in indices_up_to(6):
+        for j in range(3):
+            want = termwise_star_over_sm(k, lambda l: ((j + 1,) + rot for rot in rotations(l)))
+            assert verify_index_identity("prop1", k, j=j).rhs == want, (k, j)
+        want = termwise_star_over_sm(k, full_splices)
+        assert verify_index_identity("prop2", k).lhs == want, k
+        want = termwise_star_over_sm(k, lambda l: (rot + (1,) for rot in rotations(l)))
+        assert verify_index_identity("prop3", k).lhs == want, k
+        for t_order in range(3):
+            got = verify_index_identity("csf_reduction", k, t_order=t_order).rhs
+            assert got == termwise_csf_reduction_rhs(k, t_order), (k, t_order)
 
 
 def test_csf_reduction_depends_on_order_consistently():

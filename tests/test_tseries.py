@@ -2,7 +2,8 @@
 
 import pytest
 
-from mzvkit.indexes import CyclicClass, all_cyclic_classes, indices_up_to
+from mzvkit import tseries
+from mzvkit.indexes import CyclicClass, all_cyclic_classes, indices_up_to, shift_symbols
 from mzvkit.posets import x_star_hat
 from mzvkit.tseries import (
     WordSeries,
@@ -11,6 +12,7 @@ from mzvkit.tseries import (
     class_csf_hat,
     class_u_csf,
     f_series,
+    poly_shuffle_series,
     series_shuffle,
     verify_class_csf_hat,
     verify_csf_hat,
@@ -139,3 +141,59 @@ def test_abc_b_equals_class_csf():
     for al in all_cyclic_classes(4):
         parts = abc_split(al, 2)
         assert parts.checks["B-vs-class-csf"].equal, str(al)
+
+
+def test_add_scaled_changes_no_poly_it_reads():
+    p, q = z((2,)), z((3,))
+    s = WordSeries.from_poly(p, 2)
+    s.add_scaled([(0, 2, q), (1, 1, q), (3, 1, q)])
+    assert s == WordSeries(2, {0: z((2,)) + 2 * z((3,)), 1: z((3,))})
+    assert p == z((2,)) and q == z((3,))
+    # a power whose sum cancels is dropped and comes back last
+    s.add_scaled([(0, -1, p), (0, -2, q), (0, 1, p)])
+    assert list(s.coeffs) == [1, 0] and s.coefficient(0) == z((2,))
+
+
+def _items(series):
+    """Every t-power with its words in order."""
+    return [(e, list(p.terms.items())) for e, p in series.terms.items()]
+
+
+def _copy_and_add_f_series(k, order):
+    return WordSeries(order).add_terms(
+        (e, c * w_star(idx)) for (idx, e), c in shift_symbols(k, order).terms.items()
+    )
+
+
+def _copy_and_add_w_star_hat(k, order):
+    acc = WordSeries(order)
+    for i in range(len(k) + 1):
+        acc.add_terms(poly_shuffle_series(w_star(k[:i]), f_series(k[i:], order)).terms.items())
+    return acc
+
+
+def test_word_series_sums_leave_cached_values_unchanged():
+    classes = [al for al in all_cyclic_classes(5) if al.weight == 5]
+    for al in classes:
+        assert verify_csf_hat(al.representative, 2).equal
+        assert verify_class_csf_hat(al, 2).equal
+        assert abc_split(al, 2).all_ok
+    caches = {
+        w_star: tseries._W_STAR_CACHE,
+        f_series: tseries._F_CACHE,
+        w_star_hat: tseries._W_STAR_HAT_CACHE,
+    }
+    held = {f: dict(cache) for f, cache in caches.items()}
+    for cache in caches.values():
+        cache.clear()
+    assert held[w_star_hat]
+    for key, p in held[w_star].items():
+        assert list(p.terms.items()) == list(w_star(key).terms.items()), key
+    for f in (f_series, w_star_hat):
+        for key, s in held[f].items():
+            assert _items(s) == _items(f(*key)), (f.__name__, key)
+    # the words of each sum come in the order that a copy per term gives
+    for (k, order), s in held[f_series].items():
+        assert _items(s) == _items(_copy_and_add_f_series(k, order)), k
+    for (k, order), s in held[w_star_hat].items():
+        assert _items(s) == _items(_copy_and_add_w_star_hat(k, order)), k
