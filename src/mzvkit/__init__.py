@@ -5,11 +5,13 @@ The package is organised in layers:
 
 * :mod:`mzvkit.linear` - finite linear combinations: the one sparse
   "dict of coefficients" base of every container, and truncated series.
+* :mod:`mzvkit.indexes` - the formal vector space on indices, the one
+  contraction map behind star expansion/inversion and ``s_m``, cyclic
+  classes, the exact index identities and the cyclic-sum combinations
+  that the word and numeric checks evaluate.
 * :mod:`mzvkit.words` - words over {x, y}, sparse polynomials, the
-  shuffle and harmonic products, the contraction maps.
-* :mod:`mzvkit.indexes` - the formal vector space on indices, star
-  expansion/inversion, cyclic classes, the exact index identities and the
-  cyclic-sum combinations that the word and numeric checks evaluate.
+  shuffle and harmonic products, sigma and ``s_map``, the word form of
+  star expansion.
 * :mod:`mzvkit.posets` - labeled 2-posets, admissibility and the
   linear-extension word map.
 * :mod:`mzvkit.tseries` - truncated t-series of word polynomials and the

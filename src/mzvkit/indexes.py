@@ -10,12 +10,16 @@ cyclic contraction sums ``s_m``, and exact verifiers for the index-level
 identities used to reduce the cyclic sum formula of the t-adic values to
 its star form; each verifier returns a ``reports.ExactCheck``.
 
-Star expansion is linear, so the identities that star-expand an
-alternating s_m sum first collect its indices (or its (index, t-power)
-symbols) with their signed multiplicities, and then expand each distinct
-one that survives once.  The contractions of an index are built left to
-right by doubling, one tuple operation per term, in the order of their
-plus masks.
+Every contraction sum comes from one pruned doubling,
+``_contractions``: it builds the contractions of an index left to right,
+one tuple operation per term, in the order of their plus masks, and
+given a depth it builds only the contractions of that depth.  Star
+expansion and inversion read all of them; ``s_m`` and the right side of
+``lemma112`` read those of one depth; ``words.s_map`` reads star
+expansion.  Star expansion is linear, so the identities that star-expand
+an alternating s_m sum first collect its indices (or its (index,
+t-power) symbols) with their signed multiplicities, and then expand each
+distinct one that survives once.
 
 The t-adic expansion and the cyclic-sum combinations are defined here,
 once, as formal sums of t-adic symbols, plain ``Combo`` objects keyed by
@@ -67,37 +71,38 @@ class IndexCombo(Combo):
         return "+".join(f"{self.terms[k]}*({','.join(map(str, k))})" for k in keys)
 
 
-def _contract(k: Index, plus_mask: int) -> Index:
-    """Merge adjacent parts of k at the slots set in plus_mask (r-1 slots)."""
-    out = [k[0]]
-    for i in range(1, len(k)):
-        if (plus_mask >> (i - 1)) & 1:
-            out[-1] += k[i]
-        else:
-            out.append(k[i])
-    return tuple(out)
-
-
-def _contractions(k: Index, plus_sign: int) -> IndexCombo:
-    """Sum of the 2^(r-1) comma/plus contractions of a non-empty k, each
-    weighted by plus_sign to the power of its number of pluses.
+def _contractions(k: Index, plus_sign: int, depth: int | None = None) -> list[tuple[Index, int]]:
+    """(contraction, plus_sign ** pluses) for every comma/plus contraction
+    of a non-empty k; with ``depth`` (1 <= depth <= len(k)), only for the
+    contractions of that depth.
 
     Built left to right by doubling: at each further part, every tuple so
     far first takes it as a new part, then adds it to its last entry.  The
-    terms come in the mask order of ``_contract`` (bit i - 1 puts a plus
-    before k_{i+1}), one tuple operation each."""
+    terms come in plus-mask order (bit i - 1 puts a plus before k_{i+1}),
+    one tuple operation each.  With ``depth`` the doubling is pruned: a
+    tuple takes a comma only while it is shorter than depth, and a plus
+    only while the parts still to come can bring it up to depth."""
+    r = len(k)
     terms = [(k[:1], 1)]
-    for p in k[1:]:
-        terms = [(t + (p,), c) for t, c in terms] + [
-            (t[:-1] + (t[-1] + p,), plus_sign * c) for t, c in terms
+    for i in range(1, r):
+        p = k[i]
+        if depth is None:
+            terms = [(t + (p,), c) for t, c in terms] + [
+                (t[:-1] + (t[-1] + p,), plus_sign * c) for t, c in terms
+            ]
+            continue
+        # after a plus, the r - 1 - i parts to come add at most r - 1 - i entries
+        short = depth - (r - 1 - i)
+        terms = [(t + (p,), c) for t, c in terms if len(t) < depth] + [
+            (t[:-1] + (t[-1] + p,), plus_sign * c) for t, c in terms if len(t) >= short
         ]
-    return IndexCombo().add_terms(terms)
+    return terms
 
 
 def star_expand(k: Index) -> IndexCombo:
     """Sum of the 2^(r-1) comma/plus contractions of k; () expands to ()."""
     k = check_index(k)
-    return _contractions(k, 1) if k else IndexCombo.of(())
+    return IndexCombo().add_terms(_contractions(k, 1)) if k else IndexCombo.of(())
 
 
 def star_invert(k: Index) -> IndexCombo:
@@ -105,7 +110,7 @@ def star_invert(k: Index) -> IndexCombo:
     k = check_index(k)
     if not k:
         raise ValueError("star inversion needs a non-empty index")
-    return _contractions(k, -1)
+    return IndexCombo().add_terms(_contractions(k, -1))
 
 
 def rotations(k: Index) -> Iterator[Index]:
@@ -168,18 +173,14 @@ def weak_compositions_upto(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def binomial_shift(k: Index, ls: tuple[int, ...]) -> tuple[int, Index]:
-    """(prod_j C(k_j + l_j - 1, l_j), (k_r + l_r, ..., k_1 + l_1)): the
-    coefficient and the reversed index of the shift of k by l."""
-    c = prod(comb(kj + lj - 1, lj) for kj, lj in zip(k, ls))
-    return c, tuple(kj + lj for kj, lj in zip(k, ls))[::-1]
-
-
 def binomial_shifts(k: Index, order: int) -> Iterator[tuple[int, int, Index]]:
     """(|l|, coefficient, reversed shifted index) for every shift l >= 0 of k
-    with |l| <= order: the terms of the binomially shifted expansion."""
+    with |l| <= order: the terms of the binomially shifted expansion, with
+    coefficient prod_j C(k_j + l_j - 1, l_j) and index
+    (k_r + l_r, ..., k_1 + l_1)."""
     for ls in weak_compositions_upto(order, len(k)):
-        yield (sum(ls),) + binomial_shift(k, ls)
+        c = prod(comb(kj + lj - 1, lj) for kj, lj in zip(k, ls))
+        yield sum(ls), c, tuple(kj + lj for kj, lj in zip(k, ls))[::-1]
 
 
 def shift_symbols(k: Index, order: int) -> Combo:
@@ -232,12 +233,6 @@ def cyclic_classes(k: int, r: int) -> list[CyclicClass]:
     return out
 
 
-def _plus_masks(r: int, m: int) -> Iterator[int]:
-    """All r-bit masks with exactly m bits set."""
-    for ones in itertools.combinations(range(r), m):
-        yield sum(1 << i for i in ones)
-
-
 def s_m(k: Index, m: int, policy: str = "first") -> IndexCombo:
     """Cyclic contraction sum: fill the r boxes of (k_1 [] ... k_r []) with
     exactly m pluses, cut the necklace at a comma box and read it off.
@@ -246,6 +241,13 @@ def s_m(k: Index, m: int, policy: str = "first") -> IndexCombo:
     first comma box under the default policy, the last under
     ``policy="last"``; sums that are later cyclically symmetrised do not
     depend on this choice.  Every resulting index has depth r - m.
+
+    Every box on one side of the cut is a plus, so those entries merge
+    into one and the rest is a contraction of depth r - m.  Cutting after
+    k_{j+1} (0-based box j), the first policy reads the contractions of
+    (k_{j+2}, ..., k_r, k_1 + ... + k_{j+1}) for j = 0..m, the last policy
+    those of (k_{j+2} + ... + k_r + k_1, k_2, ..., k_{j+1}) for
+    j = r-1-m..r-1.
     """
     k = check_index(k)
     r = len(k)
@@ -253,22 +255,15 @@ def s_m(k: Index, m: int, policy: str = "first") -> IndexCombo:
         raise ValueError("s_m needs a non-empty index")
     if not 0 <= m <= r - 1:
         raise ValueError(f"need 0 <= m <= depth-1, got m={m}")
-    if policy not in ("first", "last"):
+    if policy == "first":
+        bases = [k[j + 1 :] + (sum(k[: j + 1]),) for j in range(m + 1)]
+    elif policy == "last":
+        bases = [(sum(k[j + 1 :]) + k[0],) + k[1 : j + 1] for j in range(r - 1 - m, r)]
+    else:
         raise ValueError(f"unknown cut policy {policy!r}")
-
-    full = (1 << r) - 1
-
-    def cuts() -> Iterator[tuple[Index, int]]:
-        for boxes in _plus_masks(r, m):
-            commas = full & ~boxes  # never 0, as m < r
-            j = (commas & -commas if policy == "first" else commas).bit_length() - 1
-            # cut after k_{j+1} (0-based box j): the boxes between consecutive
-            # entries of the cut sequence are the mask rotated right by j + 1,
-            # of which _contract reads the low r - 1 bits
-            rotated = (boxes >> (j + 1)) | (boxes << (r - j - 1))
-            yield _contract(k[j + 1 :] + k[: j + 1], rotated), 1
-
-    return IndexCombo().add_terms(cuts())
+    return IndexCombo().add_terms(
+        term for base in bases for term in _contractions(base, 1, r - m)
+    )
 
 
 def _cyclic_split_lhs(k: Index, j: int) -> IndexCombo:
@@ -306,9 +301,9 @@ def cyclic_symmetrized_s_m(k: Index, m: int, policy: str = "first") -> IndexComb
 
 def _lemma112_once(k: Index, m: int) -> tuple[IndexCombo, IndexCombo]:
     lhs = cyclic_symmetrized_s_m(k, m)
-    masks = list(_plus_masks(len(k) - 1, m))
+    depth = len(k) - m
     rhs = IndexCombo().add_terms(
-        (_contract(rot, mask), 1) for rot in rotations(k) for mask in masks
+        term for rot in rotations(k) for term in _contractions(rot, 1, depth)
     )
     return lhs, rhs
 
@@ -336,6 +331,10 @@ def verify_index_identity(
     k = check_index(k)
     if not k:
         raise ValueError("identities need a non-empty index")
+    if j < 0:
+        raise ValueError(f"need j >= 0, got j={j}")
+    if t_order < 0:
+        raise ValueError(f"need t_order >= 0, got t_order={t_order}")
     r = len(k)
 
     if name == "lemma112":

@@ -352,10 +352,11 @@ def _zeta_hat_uncached(
     if variant == "KY_inv":
         if not k:
             return NumericSeries(order, {0: ONE})
-        acc = NumericSeries(order)
-        for idx, c in star_invert(k).terms.items():
-            acc = acc + float(c) * zeta_hat_num(idx, "star_KY", order, cfg)
-        return acc
+        return NumericSeries(order).add_scaled(
+            (e, float(c), v)
+            for idx, c in star_invert(k).terms.items()
+            for e, v in zeta_hat_num(idx, "star_KY", order, cfg).terms.items()
+        )
 
     product = "ast" if variant.endswith("ast") else "sh"
     star = variant.startswith("star")

@@ -211,13 +211,6 @@ def rho_coeffs(
     raise ValueError(f"unknown map {which!r}")
 
 
-def _falling(n: int, j: int) -> int:
-    out = 1
-    for i in range(j):
-        out *= n - i
-    return out
-
-
 def rho_apply(
     p: NumericPolyT, which: str, zeta_source: Callable[[int], float] | None = None
 ) -> NumericPolyT:
@@ -225,7 +218,7 @@ def rho_apply(
     T^n maps to sum_j coeff_j * n!/(n-j)! * T^(n-j)."""
     coef = rho_coeffs(which, p.degree(), zeta_source)
     return NumericPolyT().add_terms(
-        (n - j, (coef[j] * _falling(n, j)) * v)
+        (n - j, (coef[j] * math.perm(n, j)) * v)
         for n, v in p.terms.items()
         for j in range(n + 1)
         if coef[j] != 0.0
@@ -237,7 +230,7 @@ def sin_correction(n: int) -> NumericPolyT:
     sum_m (-1)^m pi^(2m)/(2m+1)! applied as a coefficient kernel."""
     out: dict[int, NumericValue] = {}
     for m in range(0, n // 2 + 1):
-        c = (-1) ** m * math.pi ** (2 * m) / factorial(2 * m + 1) * _falling(n, 2 * m)
+        c = (-1) ** m * math.pi ** (2 * m) / factorial(2 * m + 1) * math.perm(n, 2 * m)
         out[n - 2 * m] = NumericValue(c, 0.0)
     return NumericPolyT(out)
 

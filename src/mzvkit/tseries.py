@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from .indexes import (
     CyclicClass,
     Index,
-    binomial_shift,
     check_index,
     csf_star_hat_symbols,
     csf_star_symbols,
@@ -76,17 +75,6 @@ class WordSeries(Series):
             else:
                 coeffs.pop(e, None)
         return self
-
-
-def series_shuffle(a: WordSeries, b: WordSeries) -> WordSeries:
-    """Coefficientwise shuffle convolution, truncated."""
-    order = min(a.order, b.order)
-    return WordSeries(order).add_scaled(
-        (ea + eb, 1, shuffle(pa, pb))
-        for ea, pa in a.terms.items()
-        for eb, pb in b.terms.items()
-        if ea + eb <= order
-    )
 
 
 def poly_shuffle_series(p: NcPoly, s: WordSeries) -> WordSeries:
@@ -207,14 +195,6 @@ def class_csf_hat(alpha: CyclicClass, order: int) -> WordSeries:
     pivots = last_pivots(alpha.members)
     symbols = splice_symbols(pivots) + tail_symbols(pivots, order)
     return WordSeries(order).add_symbols(symbols, w_star_hat)
-
-
-def class_u_csf(alpha: CyclicClass, ls: tuple[int, ...]) -> NcPoly:
-    """Binomially weighted splice sum of the members shifted by ls and
-    reversed: one term of the class u-sum, without its sign and t-power."""
-    shifts = (binomial_shift(m, ls) for m in alpha.members)
-    symbols = Combo().add_terms(((s, 0), c) for c, s in shifts)
-    return _star_words(_shifted_sum(_member_splices, symbols), 0).coefficient(0)
 
 
 def _class_u_sum(alpha: CyclicClass, order: int) -> Combo:

@@ -27,6 +27,10 @@ memoised per word pair.  The harmonic (quasi-shuffle) product works
 on the z-word factorisation of the packed words themselves: it peels the
 last z-letter off by its lowest set bit, memoised per word pair, with no
 index tuples in between.
+
+``s_map``, the word form of star expansion, reads
+``indexes.star_expand`` on the index of each word; ``sigma`` stays as
+the letter-level definition it agrees with.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from .indexes import star_expand
 from .linear import Combo
 
 X = 0
@@ -358,21 +363,16 @@ def sigma(p: NcPoly) -> NcPoly:
 def s_map(p: NcPoly) -> NcPoly:
     """Linear map with 1 -> 1 and y*w -> y*sigma(w); defined on H1.
 
-    On z-words this produces the sum over all comma/plus contractions of
-    the index, the word-level expansion behind the star values.
+    On z-words this is the sum over all comma/plus contractions of the
+    index, the word-level expansion behind the star values, so each word
+    reads ``indexes.star_expand`` of its index.  The contractions are read
+    in reverse, descending plus masks, which is the y*sigma(w) order.
     """
-    return NcPoly().add_terms((v, c) for w, c in p.terms.items() for v in _s_map_word(w))
-
-
-def _s_map_word(w: int) -> list[int]:
-    """The words of s_map on a single word."""
-    if w == EMPTY_WORD:
-        return [w]
-    if first_letter(w) != Y:
-        raise ValueError(f"word {word_str(w)!r} not in H1")
-    n = weight(w)
-    tail = (w & ((1 << (n - 1)) - 1)) | (1 << (n - 1))  # strip leading y
-    return [concat(0b11, v) for v in _sigma_word(tail)]  # prepend y
+    return NcPoly().add_terms(
+        (word_of_index(kk), c)
+        for w, c in p.terms.items()
+        for kk in reversed(star_expand(index_of_word(w)).terms)
+    )
 
 
 def y_power(n: int) -> int:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from mzvkit.indexes import (
     IndexCombo,
-    _contract,
     all_cyclic_classes,
     binomial_shifts,
     compositions,
@@ -61,6 +60,23 @@ def test_star_expand_examples():
 @given(indices)
 def test_star_expand_matches_brute_force(k):
     assert star_expand(k) == IndexCombo(brute_star_expand(k))
+
+
+def _contract(k, plus_mask):
+    """Merge adjacent parts of k at the slots set in plus_mask (r-1 slots)."""
+    out = [k[0]]
+    for i in range(1, len(k)):
+        if (plus_mask >> (i - 1)) & 1:
+            out[-1] += k[i]
+        else:
+            out.append(k[i])
+    return tuple(out)
+
+
+def _plus_masks(r, m):
+    """All r-bit masks with exactly m bits set."""
+    for ones in itertools.combinations(range(r), m):
+        yield sum(1 << i for i in ones)
 
 
 def mask_order_contractions(k, plus_sign):
@@ -155,6 +171,32 @@ def _binom(n, m):
     return comb(n, m)
 
 
+def bit_rotation_s_m(k, m, policy):
+    """s_m by plus masks over the r boxes: cut at the first or last comma
+    box j and contract the cut sequence at the mask rotated right by j + 1."""
+    r = len(k)
+    full = (1 << r) - 1
+    out = IndexCombo()
+    for boxes in _plus_masks(r, m):
+        commas = full & ~boxes
+        j = (commas & -commas if policy == "first" else commas).bit_length() - 1
+        rotated = (boxes >> (j + 1)) | (boxes << (r - j - 1))
+        out.add_terms([(_contract(k[j + 1 :] + k[: j + 1], rotated), 1)])
+    return out
+
+
+def test_s_m_and_lemma112_match_per_mask_oracles():
+    for k in indices_up_to(8):
+        r = len(k)
+        for m in range(r):
+            for policy in ("first", "last"):
+                assert s_m(k, m, policy) == bit_rotation_s_m(k, m, policy), (k, m, policy)
+            want = IndexCombo().add_terms(
+                (_contract(rot, mask), 1) for rot in rotations(k) for mask in _plus_masks(r - 1, m)
+            )
+            assert verify_index_identity("lemma112", k, m=m).rhs.coefficient(m) == want, (k, m)
+
+
 def test_s_m_policy_washout_weight_8():
     for k in indices_up_to(8):
         for m in range(len(k)):
@@ -187,6 +229,13 @@ def test_unknown_identity_rejected():
         verify_index_identity("prop99", (2,))
     with pytest.raises(ValueError):
         verify_index_identity("prop1", ())
+
+
+@pytest.mark.parametrize("name", ["prop1", "csf_reduction", "lemma112"])
+def test_negative_j_or_t_order_rejected(name):
+    for kw, arg in (({"t_order": -1}, "t_order"), ({"t_order": -2}, "t_order"), ({"j": -1}, "j")):
+        with pytest.raises(ValueError, match=rf"\b{arg}=-"):
+            verify_index_identity(name, (1, 2), **kw)
 
 
 @pytest.mark.parametrize("name", ["lemma112", "prop2", "prop3"])

@@ -10,10 +10,8 @@ from mzvkit.tseries import (
     abc_split,
     class_csf,
     class_csf_hat,
-    class_u_csf,
     f_series,
     poly_shuffle_series,
-    series_shuffle,
     verify_class_csf_hat,
     verify_csf_hat,
     w_csf,
@@ -37,15 +35,6 @@ def test_series_arithmetic():
     assert a.truncate(0).coeffs == {0: z((2,))}
     with pytest.raises(ValueError):
         WordSeries(-1)
-
-
-def test_series_shuffle_truncates():
-    a = WordSeries(1, {0: NcPoly.from_str("y"), 1: NcPoly.from_str("y")})
-    prod = series_shuffle(a, a)
-    assert prod.order == 1
-    assert prod.coefficient(0) == 2 * NcPoly.from_str("yy")
-    assert prod.coefficient(1) == 4 * NcPoly.from_str("yy")
-    assert 2 not in prod.coeffs
 
 
 def test_f_series_examples():
@@ -120,12 +109,6 @@ def test_class_csf_matches_rotation_multiplicity():
     # the full per-index rotation sum (up to the weight term)
     al = CyclicClass.of((1, 2))
     assert class_csf(al) == w_csf((1, 2)) + 3 * w_star((4,))
-
-
-def test_class_u_csf_zero_shift():
-    # with l = 0 the u-sum is the plain class splice sum
-    al = CyclicClass.of((1, 2))
-    assert class_u_csf(al, (0, 0)) == class_csf(al)
 
 
 def test_abc_split_examples():

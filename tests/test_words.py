@@ -11,12 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mzvkit.indexes import compositions, star_expand
+from mzvkit.indexes import compositions, indices_up_to
 from mzvkit.linear import Combo
 from mzvkit.words import (
     _INT64_SAFE,
     EMPTY_WORD,
     NcPoly,
+    concat,
     harmonic,
     in_h0,
     in_h1,
@@ -436,14 +437,13 @@ def test_s_map_spec_examples():
 
 
 def test_s_map_is_contraction_sum():
-    # the z-word image of s_map must match the index-level star expansion
-    for n in range(1, 8):
-        for r in range(1, n + 1):
-            for k in compositions(n, r):
-                want = NcPoly.zero()
-                for idx, c in star_expand(k).terms.items():
-                    want = want + c * NcPoly.from_index(idx)
-                assert s_map(NcPoly.from_index(k)) == want, k
+    # s_map(y w) = y sigma(w), term for term and in sigma's order
+    for k in indices_up_to(8):
+        w = word_of_index(k)
+        n = weight(w)
+        tail = (w & ((1 << (n - 1)) - 1)) | (1 << (n - 1))  # strip the leading y
+        want = [(concat(word("y"), v), c) for v, c in sigma(NcPoly.from_word(tail)).terms.items()]
+        assert list(s_map(NcPoly.from_index(k)).terms.items()) == want, k
 
 
 def test_s_map_weight_preserving_and_unitriangular():
