@@ -10,13 +10,16 @@ cyclic contraction sums ``s_m``, and exact verifiers for the index-level
 identities used to reduce the cyclic sum formula of the t-adic values to
 its star form; each verifier returns a ``reports.ExactCheck``.
 
-Every contraction sum comes from one pruned doubling,
+Every contraction sum on indices comes from one pruned doubling,
 ``_contractions``: it builds the contractions of an index left to right,
 one tuple operation per term, in the order of their plus masks, and
 given a depth it builds only the contractions of that depth.  Star
-expansion and inversion read all of them; ``s_m`` and the right side of
-``lemma112`` read those of one depth; ``words.s_map`` reads star
-expansion.  Star expansion is linear, so the identities that star-expand
+expansion and inversion read all of them; ``s_m`` reads those of one
+depth; the right side of ``lemma112`` sorts the full doubling of each
+rotation by depth, one side per m; ``words.s_map`` reads star
+expansion.  The letter-level ``words.sigma`` (y -> x + y) is the one
+other doubling, kept as public API and as the test oracle of
+``s_map``.  Star expansion is linear, so the identities that star-expand
 an alternating s_m sum first collect its indices (or its (index,
 t-power) symbols) with their signed multiplicities, and then expand each
 distinct one that survives once.
@@ -83,17 +86,15 @@ def _contractions(k: Index, plus_sign: int, depth: int | None = None) -> list[tu
     tuple takes a comma only while it is shorter than depth, and a plus
     only while the parts still to come can bring it up to depth."""
     r = len(k)
+    # without depth both filters always hold: len(t) <= i < r and len(t) >= 1
+    hi = depth or r
+    lo = depth or 1
     terms = [(k[:1], 1)]
     for i in range(1, r):
         p = k[i]
-        if depth is None:
-            terms = [(t + (p,), c) for t, c in terms] + [
-                (t[:-1] + (t[-1] + p,), plus_sign * c) for t, c in terms
-            ]
-            continue
         # after a plus, the r - 1 - i parts to come add at most r - 1 - i entries
-        short = depth - (r - 1 - i)
-        terms = [(t + (p,), c) for t, c in terms if len(t) < depth] + [
+        short = lo - (r - 1 - i)
+        terms = [(t + (p,), c) for t, c in terms if len(t) < hi] + [
             (t[:-1] + (t[-1] + p,), plus_sign * c) for t, c in terms if len(t) >= short
         ]
     return terms
@@ -299,13 +300,15 @@ def cyclic_symmetrized_s_m(k: Index, m: int, policy: str = "first") -> IndexComb
     )
 
 
-def _lemma112_once(k: Index, m: int) -> tuple[IndexCombo, IndexCombo]:
-    lhs = cyclic_symmetrized_s_m(k, m)
-    depth = len(k) - m
-    rhs = IndexCombo().add_terms(
-        term for rot in rotations(k) for term in _contractions(rot, 1, depth)
-    )
-    return lhs, rhs
+def _lemma112_rhs(k: Index) -> list[IndexCombo]:
+    """Per m, the depth-(r - m) contractions of every rotation of k, read
+    off one full doubling per rotation."""
+    r = len(k)
+    by_m: list[list[tuple[Index, int]]] = [[] for _ in range(r)]
+    for rot in rotations(k):
+        for t, c in _contractions(rot, 1):
+            by_m[r - len(t)].append((t, c))
+    return [IndexCombo().add_terms(terms) for terms in by_m]
 
 
 def _full_splices(k: Index) -> Iterator[Index]:
@@ -341,9 +344,9 @@ def verify_index_identity(
         ms = [m] if m is not None else list(range(r))
         if any(not 0 <= mm <= r - 1 for mm in ms):
             raise ValueError(f"lemma112 needs 0 <= m <= {r - 1}")
-        sides = {mm: _lemma112_once(k, mm) for mm in ms}
-        lhs = Combo({mm: pair[0] for mm, pair in sides.items()})
-        rhs = Combo({mm: pair[1] for mm, pair in sides.items()})
+        rhs_by_m = _lemma112_rhs(k)
+        lhs = Combo({mm: cyclic_symmetrized_s_m(k, mm) for mm in ms})
+        rhs = Combo({mm: rhs_by_m[mm] for mm in ms})
         return ExactCheck(name, k, {"m": m}, lhs, rhs)
 
     if name == "prop1":

@@ -108,7 +108,7 @@ def word_of_index(k: tuple[int, ...]) -> int:
     """z_{k_1} ... z_{k_r}; the empty index gives the empty word."""
     w = EMPTY_WORD
     for part in k:
-        w = concat(w, z_word(part))
+        w = (w << part) | (1 << (part - 1))  # append z_part; a part < 1 is a negative shift
     return w
 
 
