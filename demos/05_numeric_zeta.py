@@ -16,7 +16,7 @@ cfg = EvalConfig()
 print("== zeta(2) ==")
 exact = math.pi**2 / 6
 raw = raw_partial_sum((2,), N=cfg.cutoff)
-val = mzv_num((2,), cfg=cfg)
+val = mzv_num((2,))
 print(f"zeta(2) exact        = {exact:.15f}")
 print(f"plain partial sum    = {raw:.15f}   (off by {abs(raw - exact):.2e})")
 print(f"Hölder convolution   = {val.value:.15f}   (off by {abs(val.value - exact):.2e},"
@@ -24,13 +24,13 @@ print(f"Hölder convolution   = {val.value:.15f}   (off by {abs(val.value - exac
 print()
 
 print("== star values are contraction sums ==")
-v = mzv_num((1, 2), star=True, cfg=cfg)
-print(f"zeta*(1,2) = {v.value:.12f}  = 2 zeta(3) = {2 * mzv_num((3,), cfg=cfg).value:.12f}")
+v = mzv_num((1, 2), star=True)
+print(f"zeta*(1,2) = {v.value:.12f}  = 2 zeta(3) = {2 * mzv_num((3,)).value:.12f}")
 print()
 
 print("== t-adic series variants of (2) ==")
 for variant in ("ast", "sh", "star_KY"):
-    s = zeta_hat_num((2,), variant, 2, cfg)
+    s = zeta_hat_num((2,), variant, 2)
     coeffs = ", ".join(f"t^{e}: {s.coefficient(e).value:+.8f}" for e in range(3))
     print(f"  {variant:8s} {coeffs}")
 print("(the three star variants agree modulo zeta(2): compare star_KY against star_sh)")

@@ -10,8 +10,8 @@ The package is organised in layers:
   classes, the exact index identities and the cyclic-sum combinations
   that the word and numeric checks evaluate.
 * :mod:`mzvkit.words` - words over {x, y}, sparse polynomials, the
-  shuffle and harmonic products, sigma and ``s_map``, the word form of
-  star expansion.
+  shuffle and harmonic products, sigma and ``s_map`` (y*sigma(tail),
+  the word form of star expansion).
 * :mod:`mzvkit.posets` - labeled 2-posets, admissibility and the
   linear-extension word map.
 * :mod:`mzvkit.tseries` - truncated t-series of word polynomials and the

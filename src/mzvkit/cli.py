@@ -244,8 +244,6 @@ def _poset_cases(args, cfg) -> list[Case]:
 
 
 def _regularization_cases(args, cfg) -> list[Case]:
-    zeta = regularize.default_zeta_source(cfg)
-
     def round_trip():
         rng = random.Random(f"{_SEED}:round-trip")
         for _ in range(args.cases):
@@ -262,7 +260,7 @@ def _regularization_cases(args, cfg) -> list[Case]:
         for n in range(7):
             p = regularize.NumericPolyT.monomial(n)
             for a, b in (("rho_inv", "rho"), ("rho_star_inv", "rho_star")):
-                got = regularize.rho_apply(regularize.rho_apply(p, a, zeta), b, zeta)
+                got = regularize.rho_apply(regularize.rho_apply(p, a), b)
                 for i in range(n + 1):
                     want = 1.0 if i == n else 0.0
                     if abs(got.coefficient(i).value - want) > 1e-9:
@@ -272,9 +270,7 @@ def _regularization_cases(args, cfg) -> list[Case]:
     def sin_check():
         for n in range(7):
             got = regularize.rho_apply(
-                regularize.rho_apply(regularize.NumericPolyT.monomial(n), "rho_inv", zeta),
-                "rho_star",
-                zeta,
+                regularize.rho_apply(regularize.NumericPolyT.monomial(n), "rho_inv"), "rho_star"
             )
             if abs(got.coefficient(n).value - 1.0) > 1e-9:
                 return False, f"T^{n} leading"
@@ -363,14 +359,14 @@ def _key_prop_cases(args, cfg) -> list[Case]:
 
 def _csf_mzsv_cases(args, cfg) -> list[Case]:
     def oracles():
-        v = numeval.mzv_num((2,), cfg=cfg)
+        v = numeval.mzv_num((2,))
         if abs(v.value - pi**2 / 6) >= 1e-8:
             return False, f"single zeta(2): {v.value}"
-        a = numeval.mzv_num((1, 2), cfg=cfg)
-        b = numeval.mzv_num((3,), cfg=cfg)
+        a = numeval.mzv_num((1, 2))
+        b = numeval.mzv_num((3,))
         if abs(a.value - b.value) >= 1e-8:
             return False, "depth-2 reduction to zeta(3)"
-        s = numeval.mzv_num((1, 2), star=True, cfg=cfg)
+        s = numeval.mzv_num((1, 2), star=True)
         if abs(s.value - 2 * b.value) >= 1e-8:
             return False, "star depth-2 vs 2 zeta(3)"
         return True, "pi^2/6, Euler reduction, star double"
@@ -417,18 +413,22 @@ def build_cases(args, cfg) -> list[Case]:
 
 
 # suites whose t-adic zig-zag posets have wt(k) + t + 1 vertices; the
-# regularization suite's star words have wt(k); the others build none
-# from the index
+# poset-laws suite's chain-shifting fixtures (k <= 4) have up to t + 5;
+# the regularization suite's star words have wt(k); the others build none
 _HAT_POSET_SUITES = ("second-main", "key-prop", "csf-tsmzsv", "csf-tsmzv-exact", "all")
+_SHIFTING_SUITES = ("poset-laws", "all")
 
 
 def _largest_poset(args) -> int:
     """Vertices of the largest poset the suite builds from the weight in
-    play (the index's weight, else --max-weight)."""
+    play (the index's weight, else --max-weight) and the t-order."""
     w = sum(args.index) if args.index is not None else args.max_weight
+    n = w if args.suite == "regularization" else 0
     if args.suite in _HAT_POSET_SUITES:
-        return w + args.t_order + 1
-    return w if args.suite == "regularization" else 0
+        n = w + args.t_order + 1
+    if args.suite in _SHIFTING_SUITES:
+        n = max(n, args.t_order + 5)
+    return n
 
 
 def run_suite(args, out=None) -> int:
@@ -489,9 +489,11 @@ def main(argv=None) -> int:
             ap.error("--index: single-case mode needs a non-empty index")
     n = _largest_poset(args)
     if n > posets._MAX_WMAP_VERTICES:
-        at = f" at --t-order {args.t_order}" if args.suite in _HAT_POSET_SUITES else ""
+        t_suites = _HAT_POSET_SUITES + _SHIFTING_SUITES
+        at = f" at --t-order {args.t_order}" if args.suite in t_suites else ""
+        flags = "--t-order" if args.suite == "poset-laws" else "--index/--max-weight"
         ap.error(
-            f"--index/--max-weight: suite {args.suite}{at} needs posets"
+            f"{flags}: suite {args.suite}{at} needs posets"
             f" of {n} vertices; w_map takes at most {posets._MAX_WMAP_VERTICES}"
         )
     return run_suite(args)

@@ -16,10 +16,10 @@ one tuple operation per term, in the order of their plus masks, and
 given a depth it builds only the contractions of that depth.  Star
 expansion and inversion read all of them; ``s_m`` reads those of one
 depth; the right side of ``lemma112`` sorts the full doubling of each
-rotation by depth, one side per m; ``words.s_map`` reads star
-expansion.  The letter-level ``words.sigma`` (y -> x + y) is the one
-other doubling, kept as public API and as the test oracle of
-``s_map``.  Star expansion is linear, so the identities that star-expand
+rotation by depth, one side per m.  The word side has its own
+doubling, the letter-level ``words.sigma`` (y -> x + y): ``words.s_map``
+is y*sigma(tail), which on a z-word gives the contractions of its index
+in reverse plus-mask order.  Star expansion is linear, so the identities that star-expand
 an alternating s_m sum first collect its indices (or its (index,
 t-power) symbols) with their signed multiplicities, and then expand each
 distinct one that survives once.

@@ -9,8 +9,10 @@ M = 96 coefficients.  One value costs 2w vector steps over M
 coefficients, and since every coefficient is at most 1 the truncation
 error is at most 2(w+1) 2^-M: a proven bound, not an estimate.  Star
 values are the linear extension over the contraction-sum word.  A value
-depends only on its index, so every value cache keys on the index
-arguments alone.
+depends only on its word, so plain and star values are cached by packed
+word (``_word_num``), and no value function takes a config: ``EvalConfig``
+reaches only the verifiers, which read its tolerance, and ``mzv_num`` and
+``raw_partial_sum``, which the benchmark calls with one.
 
 Every value carries an error: the tail bound plus a rounding allowance
 for the operations in the working dtype.  Errors propagate additively
@@ -50,7 +52,7 @@ from .indexes import (
 )
 from .linear import Series
 from .reports import Report
-from .words import NcPoly, index_of_word, s_map
+from .words import EMPTY_WORD, NcPoly, s_map, weight, word_of_index
 
 TOL_PLAIN = 1e-6  # identities between convergent sums
 TOL_REG = 1e-5  # identities mixing regularized values
@@ -177,28 +179,36 @@ def raw_partial_sum(k: Index, star: bool = False, N: int | None = None, cfg: Eva
     return float(_outer_terms(k, star, N, cfg.dtype).sum())
 
 
-_MZV_CACHE: dict = {}
+_MZV_CACHE: dict = {}  # (packed H0 word, star) -> NumericValue
 _REG_CACHE: dict = {}
 
 
 def mzv_num(k: Index, star: bool = False, cfg: EvalConfig = DEFAULT_CONFIG) -> NumericValue:
     """Nested (star) zeta sum of an admissible index, by Hölder convolution.
 
-    Raises for non-admissible indices (the series diverges).
+    Raises for non-admissible indices (the series diverges).  ``cfg`` is
+    unused: it stays only because the benchmark passes one (ROADMAP item
+    3a).
     """
     k = check_index(k)
-    if not k:
-        return ONE
-    if k[-1] < 2:
+    if k and k[-1] < 2:
         raise ValueError(f"index {k} is not admissible: series diverges")
-    key = (k, star)
+    return _word_num(word_of_index(k), star)
+
+
+def _word_num(w: int, star: bool = False) -> NumericValue:
+    """Value of an H0 word, or with star of its contraction-sum word; the
+    one value cache, keyed by (word, star).  The empty word is ONE."""
+    if w == EMPTY_WORD:
+        return ONE
+    key = (w, star)
     got = _MZV_CACHE.get(key)
     if got is not None:
         return got
     if star:
-        out = z_num(s_map(NcPoly.from_index(k)), cfg)
+        out = z_num(s_map(NcPoly.from_word(w)))
     else:
-        out = _holder_num(k, HOLDER_TERMS, cfg.dtype)
+        out = _holder_num(w, HOLDER_TERMS, EvalConfig.dtype)
     return _MZV_CACHE.setdefault(key, out)
 
 
@@ -208,28 +218,28 @@ def mzv_num(k: Index, star: bool = False, cfg: EvalConfig = DEFAULT_CONFIG) -> N
 HOLDER_TERMS = 96  # M: power-series coefficients kept; tail <= 2(w+1) 2^-M
 
 
-def _integrate(c: np.ndarray, letter: str, n: np.ndarray) -> None:
+def _integrate(c: np.ndarray, letter: int, n: np.ndarray) -> None:
     """In place: the coefficients of the integral from 0 of the series c
-    against dt/t (letter x) or dt/(1-t) (letter y); n = 0..M."""
-    if letter == "y":
+    against dt/t (letter x, 0) or dt/(1-t) (letter y, 1); n = 0..M."""
+    if letter:
         c[1:] = np.cumsum(c[:-1])
     c[1:] /= n[1:]
     c[0] = 0.0
 
 
-def _holder_num(k: Index, M: int, dtype) -> NumericValue:
-    """Plain admissible value by Hölder convolution at p = 2, with power
-    series truncated after M coefficients, in the given dtype.
+def _holder_num(zw: int, M: int, dtype) -> NumericValue:
+    """Plain value of the packed H0 word zw by Hölder convolution at p = 2,
+    with power series truncated after M coefficients, in the given dtype.
 
-    With the word a_1...a_w = x^{s_1-1}y...x^{s_d-1}y of s = reversed(k)
-    (a_1 outermost) and L(b)(z) the iterated integral of the word b from 0
-    to z, zeta = sum_j L(tau(a_1...a_j))(1/2) L(a_{j+1}...a_w)(1/2), where
-    tau reverses a word and swaps x and y.  One pass over a_w, a_{w-1}, ...
+    With the letters a_1...a_w of zw read backwards (a_1 outermost) and
+    L(b)(z) the iterated integral of the word b from 0 to z,
+    zeta = sum_j L(tau(a_1...a_j))(1/2) L(a_{j+1}...a_w)(1/2), where tau
+    reverses a word and swaps x and y.  One pass over a_w, a_{w-1}, ...
     gives every suffix value, one over tau(a_1), tau(a_2), ... every
     tau-prefix value.
     """
-    word = "".join("x" * (s - 1) + "y" for s in reversed(k))
-    w = len(word)
+    w = weight(zw)
+    word = [(zw >> i) & 1 for i in range(w)]  # a_1..a_w: bit i is a_{i+1}
     n = np.arange(M + 1, dtype=dtype)
     half = np.ldexp(np.ones(M + 1, dtype=dtype), -np.arange(M + 1))  # 2^-n, exact
 
@@ -243,7 +253,7 @@ def _holder_num(k: Index, M: int, dtype) -> NumericValue:
         return out
 
     suffix = values(reversed(word))[::-1]  # suffix[j] = L(a_{j+1}...a_w)(1/2)
-    prefix = values("y" if a == "x" else "x" for a in word)  # prefix[j] = L(tau(a_1...a_j))(1/2)
+    prefix = values(1 - a for a in word)  # prefix[j] = L(tau(a_1...a_j))(1/2)
     value = float(sum(p * s for p, s in zip(prefix, suffix)))
     # every term is positive, so the relative rounding error is at most
     # (w M + 2M + w + 1) eps <= 2(w+1) M eps: up to M operations per letter
@@ -254,31 +264,29 @@ def _holder_num(k: Index, M: int, dtype) -> NumericValue:
     return NumericValue(value, 2 * (w + 1) * 2.0**-M + rounding)
 
 
-def z_num(p: NcPoly, cfg: EvalConfig = DEFAULT_CONFIG) -> NumericValue:
-    """Linear extension of mzv_num over an admissible word polynomial."""
+def z_num(p: NcPoly) -> NumericValue:
+    """Linear extension of the word values over an H0 word polynomial."""
     if not p.is_h0():
         raise ValueError("z_num needs an H0 polynomial (admissible words)")
     acc_v = 0.0
     acc_e = 0.0
     for w, c in p.terms.items():
-        nv = mzv_num(index_of_word(w), False, cfg)
+        nv = _word_num(w)
         fc = float(c)
         acc_v += fc * nv.value
         acc_e += abs(fc) * nv.err
     return NumericValue(acc_v, acc_e + 1e-16 * abs(acc_v))
 
 
-def z_reg_num(p: NcPoly, product: str, cfg: EvalConfig = DEFAULT_CONFIG) -> NumericValue:
+def z_reg_num(p: NcPoly, product: str) -> NumericValue:
     """Regularised value of an H1 polynomial: its regularisation
     polynomial at T = 0, the constant part of its decomposition."""
     from .regularize import decompose
 
-    return z_num(decompose(p, product)[0], cfg)
+    return z_num(decompose(p, product)[0])
 
 
-def zeta_reg(
-    k: Index, product: str, cfg: EvalConfig = DEFAULT_CONFIG, star: bool = False
-) -> NumericValue:
+def zeta_reg(k: Index, product: str, *, star: bool = False) -> NumericValue:
     """Regularised zeta value of an arbitrary index (constant term at T=0);
     with star, of its contraction-sum word."""
     k = check_index(k)
@@ -286,7 +294,7 @@ def zeta_reg(
     got = _REG_CACHE.get(key)
     if got is None:
         p = NcPoly.from_index(k)
-        got = _REG_CACHE.setdefault(key, z_reg_num(s_map(p) if star else p, product, cfg))
+        got = _REG_CACHE.setdefault(key, z_reg_num(s_map(p) if star else p, product))
     return got
 
 
@@ -311,9 +319,7 @@ _HAT_CACHE: dict = {}
 _KY_COEFF_CACHE: dict = {}  # (k, e) -> regularised t^e value of star_KY
 
 
-def zeta_hat_num(
-    k: Index, variant: str, order: int, cfg: EvalConfig = DEFAULT_CONFIG
-) -> NumericSeries:
+def zeta_hat_num(k: Index, variant: str, order: int) -> NumericSeries:
     """t-adic symmetric (star) zeta series, coefficients up to t^order.
 
     ast / sh: two-sided sums of regularised plain values.
@@ -329,14 +335,11 @@ def zeta_hat_num(
     got = _HAT_CACHE.get(key)
     if got is not None:
         return got
-    out = _zeta_hat_uncached(k, variant, order, cfg)
+    out = _zeta_hat_uncached(k, variant, order)
     return _HAT_CACHE.setdefault(key, out)
 
 
-def _zeta_hat_uncached(
-    k: Index, variant: str, order: int, cfg: EvalConfig
-) -> NumericSeries:
-
+def _zeta_hat_uncached(k: Index, variant: str, order: int) -> NumericSeries:
     if variant == "star_KY":
         from .tseries import w_star_hat
 
@@ -345,7 +348,7 @@ def _zeta_hat_uncached(
         for e, p in w_star_hat(k, order).terms.items():
             got = _KY_COEFF_CACHE.get((k, e))
             if got is None:
-                got = _KY_COEFF_CACHE.setdefault((k, e), z_reg_num(p, "sh", cfg))
+                got = _KY_COEFF_CACHE.setdefault((k, e), z_reg_num(p, "sh"))
             vals[e] = got
         return NumericSeries(order, vals)
 
@@ -355,13 +358,13 @@ def _zeta_hat_uncached(
         return NumericSeries(order).add_scaled(
             (e, float(c), v)
             for idx, c in star_invert(k).terms.items()
-            for e, v in zeta_hat_num(idx, "star_KY", order, cfg).terms.items()
+            for e, v in zeta_hat_num(idx, "star_KY", order).terms.items()
         )
 
     product = "ast" if variant.endswith("ast") else "sh"
     star = variant.startswith("star")
     return NumericSeries(order).add_terms(
-        (e, c * (zeta_reg(head, product, cfg, star) * zeta_reg(tail, product, cfg, star)))
+        (e, c * (zeta_reg(head, product, star=star) * zeta_reg(tail, product, star=star)))
         for ((head, tail), e), c in hat_symbols(k, order).terms.items()
     )
 
@@ -369,9 +372,7 @@ def _zeta_hat_uncached(
 # -- cyclic sum formula verifiers ---------------------------------------
 
 
-def csf_series(
-    which: str, k: Index, order: int = 2, cfg: EvalConfig = DEFAULT_CONFIG
-) -> NumericSeries:
+def csf_series(which: str, k: Index, order: int = 2) -> NumericSeries:
     """The cyclic-sum combination that ``verify_csf(which, k, order)``
     checks, evaluated without its all-ones trace term: a series up to
     t^order, or a constant (order 0) for mzsv."""
@@ -387,8 +388,8 @@ def csf_series(
     def value(idx: Index, n: int) -> NumericSeries:
         if variant is None:
             # a depth-1 star sum is the plain sum; its plain key shares the cache
-            return NumericSeries(n, {0: mzv_num(idx, star=len(idx) > 1, cfg=cfg)})
-        return zeta_hat_num(idx, variant, n, cfg)
+            return NumericSeries(n, {0: mzv_num(idx, star=len(idx) > 1)})
+        return zeta_hat_num(idx, variant, n)
 
     return NumericSeries(order).add_symbols(symbols, value)
 
@@ -408,12 +409,12 @@ def verify_csf(
     k = check_index(k)
     if not k:
         raise ValueError("needs a non-empty index")
-    combo = csf_series(which, k, order, cfg)
+    combo = csf_series(which, k, order)
     if all(p == 1 for p in k):
         # all-ones trace; for mzsv it cancels the weight term of an empty splice sum
         wt = sum(k)
         c = wt if which == "mzsv" else (1.0 + (-1.0) ** (wt + 1)) * wt
-        trace = NumericValue(c * mzv_num((wt + 1,), cfg=cfg).value, 0.0)
+        trace = NumericValue(c * mzv_num((wt + 1,)).value, 0.0)
         combo = combo + NumericSeries(combo.order, {0: trace})
     tol = cfg.tolerance(TOL_PLAIN if which == "mzsv" else TOL_REG)
     return Report.numeric(

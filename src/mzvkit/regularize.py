@@ -154,22 +154,17 @@ def residuals(lhs: NumericPolyT, rhs: NumericPolyT) -> list[float]:
     return [abs(diff.coefficient(i).value) for i in degs] or [0.0]
 
 
-def numeric_reg_poly(p: NcPoly, product: str, cfg: EvalConfig = DEFAULT_CONFIG) -> NumericPolyT:
+def numeric_reg_poly(p: NcPoly, product: str) -> NumericPolyT:
     """Numeric T-polynomial of the regularisation of p."""
-    return NumericPolyT({i: z_num(a, cfg) for i, a in enumerate(decompose(p, product)) if a})
-
-
-def default_zeta_source(cfg: EvalConfig = DEFAULT_CONFIG) -> Callable[[int], float]:
-    """Single zeta values from the library's own Hölder convolution."""
-    return lambda n: mzv_num((n,), cfg=cfg).value
+    return NumericPolyT({i: z_num(a) for i, a in enumerate(decompose(p, product)) if a})
 
 
 def a_coeffs(max_deg: int, zeta_source: Callable[[int], float] | None = None) -> list[float]:
-    """Taylor coefficients of exp(sum_{n>=2} (-1)^n zeta(n) x^n / n)."""
-    if zeta_source is None:
-        zeta_source = default_zeta_source()
+    """Taylor coefficients of exp(sum_{n>=2} (-1)^n zeta(n) x^n / n); the
+    single zeta values come from ``zeta_source``, else from ``mzv_num``."""
     c = [0.0, 0.0] + [
-        ((-1) ** n) * zeta_source(n) / n for n in range(2, max_deg + 1)
+        ((-1) ** n) * (zeta_source(n) if zeta_source else mzv_num((n,)).value) / n
+        for n in range(2, max_deg + 1)
     ]
     a = [1.0] + [0.0] * max_deg
     for m in range(1, max_deg + 1):
@@ -248,8 +243,8 @@ def verify_reg_relation(which: str, k, cfg: EvalConfig = DEFAULT_CONFIG) -> Repo
         p = s_map(p)
     elif which != "plain":
         raise ValueError(f"unknown relation {which!r}")
-    lhs = numeric_reg_poly(p, "sh", cfg)
-    rhs = rho_apply(numeric_reg_poly(p, "ast", cfg), "rho", default_zeta_source(cfg))
+    lhs = numeric_reg_poly(p, "sh")
+    rhs = rho_apply(numeric_reg_poly(p, "ast"), "rho")
     return Report.numeric(f"rho-comparison-{which}", k, residuals(lhs, rhs), cfg.tolerance(TOL_RHO))
 
 
@@ -261,13 +256,12 @@ def compare_star_regs(k, cfg: EvalConfig = DEFAULT_CONFIG) -> Report:
     from .tseries import w_star  # deferred: tseries only needed here
 
     k = tuple(k)
-    lhs = numeric_reg_poly(w_star(k), "sh", cfg)
-    base = numeric_reg_poly(s_map(NcPoly.from_index(k)), "sh", cfg)
-    zeta = default_zeta_source(cfg)
-    rhs = rho_apply(rho_apply(base, "rho_inv", zeta), "rho_star", zeta)
+    lhs = numeric_reg_poly(w_star(k), "sh")
+    base = numeric_reg_poly(s_map(NcPoly.from_index(k)), "sh")
+    rhs = rho_apply(rho_apply(base, "rho_inv"), "rho_star")
     resid = residuals(lhs, rhs)
     # correction kernel against the sine series, up to the degree in play
     for n in range(base.degree() + 1):
-        got = rho_apply(rho_apply(NumericPolyT.monomial(n), "rho_inv", zeta), "rho_star", zeta)
+        got = rho_apply(rho_apply(NumericPolyT.monomial(n), "rho_inv"), "rho_star")
         resid.append(got.max_residual(sin_correction(n)))
     return Report.numeric("reg-star-compare", k, resid, cfg.tolerance(TOL_RHO))

@@ -28,9 +28,10 @@ on the z-word factorisation of the packed words themselves: it peels the
 last z-letter off by its lowest set bit, memoised per word pair, with no
 index tuples in between.
 
-``s_map``, the word form of star expansion, reads
-``indexes.star_expand`` on the index of each word; ``sigma`` stays as
-the letter-level definition it agrees with.
+``s_map``, the word form of star expansion, is y*sigma(tail) on each
+word: the letter-level doubling of ``sigma`` (y -> x + y) on everything
+after the leading y, which on a z-word is the sum over the comma/plus
+contractions of its index.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .indexes import star_expand
 from .linear import Combo
 
 X = 0
@@ -97,11 +97,9 @@ def in_h0(w: int) -> bool:
     return w == EMPTY_WORD or (first_letter(w) == Y and (w & 1) == X)
 
 
-def z_word(k: int) -> int:
-    """The word z_k = y x^(k-1), packed."""
-    if k < 1:
-        raise ValueError("z_k needs k >= 1")
-    return 3 << (k - 1)
+def _check_h1(w: int) -> None:
+    if not in_h1(w):
+        raise ValueError(f"word {word_str(w)!r} starts with x, not in H1")
 
 
 def word_of_index(k: tuple[int, ...]) -> int:
@@ -114,10 +112,7 @@ def word_of_index(k: tuple[int, ...]) -> int:
 
 def index_of_word(w: int) -> tuple[int, ...]:
     """The unique index whose z-word is w.  Raises for words outside H1."""
-    if w == EMPTY_WORD:
-        return ()
-    if first_letter(w) != Y:
-        raise ValueError(f"word {word_str(w)!r} starts with x, not in H1")
+    _check_h1(w)
     parts: list[int] = []
     for bit in letters(w):
         if bit == Y:
@@ -334,8 +329,7 @@ def _quasi_shuffle(u: int, v: int) -> tuple[tuple[int, int], ...]:
 def harmonic(a: NcPoly, b: NcPoly) -> NcPoly:
     """Harmonic (quasi-shuffle) product.  Inputs must lie in H1."""
     for w in [*a.terms, *b.terms]:
-        if not in_h1(w):
-            raise ValueError(f"word {word_str(w)!r} starts with x, not in H1")
+        _check_h1(w)
     out = NcPoly()
     for wa, ca in a.terms.items():
         for wb, cb in b.terms.items():
@@ -364,15 +358,19 @@ def s_map(p: NcPoly) -> NcPoly:
     """Linear map with 1 -> 1 and y*w -> y*sigma(w); defined on H1.
 
     On z-words this is the sum over all comma/plus contractions of the
-    index, the word-level expansion behind the star values, so each word
-    reads ``indexes.star_expand`` of its index.  The contractions are read
-    in reverse, descending plus masks, which is the y*sigma(w) order.
+    index (Hoffman's map S), the word-level expansion behind the star
+    values.  Packed, the tail of a weight-n word w is w ^ (1 << n) and
+    y*v is v | (1 << n).
     """
-    return NcPoly().add_terms(
-        (word_of_index(kk), c)
-        for w, c in p.terms.items()
-        for kk in reversed(star_expand(index_of_word(w)).terms)
-    )
+    out = NcPoly()
+    for w, c in p.terms.items():
+        _check_h1(w)
+        if w == EMPTY_WORD:
+            out.add_terms([(w, c)])
+        else:
+            top = 1 << weight(w)
+            out.add_terms((v | top, c) for v in _sigma_word(w ^ top))
+    return out
 
 
 def y_power(n: int) -> int:

@@ -249,6 +249,22 @@ def test_regularization_limit_message_names_no_t_order(capsys):
     assert "--t-order" not in message
 
 
+@pytest.mark.parametrize("suite", ["poset-laws", "all"])
+def test_t_order_past_the_shifting_fixtures_exits_2(suite, capsys, monkeypatch):
+    # poset-laws' chain-shifting fixtures have up to t + 5 vertices, so
+    # t-order 16 needs 21 whatever the weight; 15 is still admitted
+    import mzvkit.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "run_suite", lambda args: 0)
+    with pytest.raises(SystemExit) as exc:
+        main(["--suite", suite, "--max-weight", "1", "--t-order", "16", "--cases", "1"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"suite {suite} at --t-order 16 needs posets of 21 vertices;" in err
+    assert main(["--suite", suite, "--max-weight", "1", "--t-order", "15", "--cases", "1"]) == 0
+
+
 def test_largest_admitted_index_row_passes(capsys):
     # weight 17 at t-order 2 builds 20-vertex posets, the w_map limit
     assert main(["--suite", "csf-tsmzsv", "--index", "17", "--cases", "1", "--json"]) == 0

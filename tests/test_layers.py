@@ -16,7 +16,7 @@ import inspect
 import sys
 from pathlib import Path
 
-from mzvkit import indexes, tseries
+from mzvkit import indexes, numeval, regularize, tseries
 from mzvkit.cli import make_parser
 from mzvkit.indexes import CyclicClass
 from mzvkit.numeval import EvalConfig, raw_partial_sum
@@ -77,3 +77,24 @@ def test_benchmark_keeps_its_flags_cutoff_and_raw_partial_sum():
     cfg = EvalConfig(cutoff=scale.cutoff)
     assert cfg.cutoff == scale.cutoff and cfg.dtype is not None
     assert raw_partial_sum((2,), N=1000, cfg=cfg) > 0
+
+
+def test_only_the_entry_points_take_a_config():
+    # values depend on their words alone; a config reaches the verifiers,
+    # which read its tolerance, and the two functions the benchmark calls
+    # with one
+    takes_cfg = {
+        f"{module.__name__}.{name}"
+        for module in (numeval, regularize)
+        for name, fn in vars(module).items()
+        if inspect.isfunction(fn)
+        and fn.__module__ == module.__name__
+        and "cfg" in inspect.signature(fn).parameters
+    }
+    assert takes_cfg == {
+        "mzvkit.numeval.mzv_num",
+        "mzvkit.numeval.raw_partial_sum",
+        "mzvkit.numeval.verify_csf",
+        "mzvkit.regularize.verify_reg_relation",
+        "mzvkit.regularize.compare_star_regs",
+    }

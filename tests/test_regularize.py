@@ -187,17 +187,14 @@ def test_reg_pass_means_residual_within_printed_tol():
         assert not rep.passed, rep.identity
 
 
-def test_reg_checks_evaluate_rho_under_the_callers_config(monkeypatch):
-    # the rho checks and cases run under a caller's config, and the single
-    # zeta values inside the rho maps come from mzv_num
-    cfg = EvalConfig(cutoff=10**4)
+def test_rho_maps_draw_single_zetas_through_mzv_num(monkeypatch):
+    # the rho maps of the regularization suite take zeta(2)..zeta(6) from
+    # mzv_num's word-keyed cache, not from a source of their own
     cache = {}
     monkeypatch.setattr(numeval, "_MZV_CACHE", cache)
-    verify_reg_relation("plain", (1, 1, 2, 1), cfg)
-    verify_reg_relation("star", (1, 1, 2, 1), cfg)
-    compare_star_regs((1, 1, 2, 1), cfg)
     args = make_parser().parse_args(["--suite", "regularization", "--cases", "1"])
-    for name, case in build_cases(args, cfg):
+    for name, case in build_cases(args, EvalConfig()):
         if name in ("rho-inverse-pairs", "rho-star-correction"):
             assert case().passed, name
-    assert {key[0] for key in cache} >= {(n,) for n in range(2, 7)}
+    assert set(cache) == {(word_of_index((n,)), False) for n in range(2, 7)}
+    assert a_coeffs(6) == a_coeffs(6, lambda n: numeval.mzv_num((n,)).value)

@@ -11,13 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mzvkit.indexes import compositions, indices_up_to
+from mzvkit.indexes import compositions, indices_up_to, star_expand
 from mzvkit.linear import Combo
 from mzvkit.words import (
     _INT64_SAFE,
     EMPTY_WORD,
     NcPoly,
-    concat,
     harmonic,
     in_h0,
     in_h1,
@@ -437,13 +436,23 @@ def test_s_map_spec_examples():
 
 
 def test_s_map_is_contraction_sum():
-    # s_map(y w) = y sigma(w), term for term and in sigma's order
+    # on a z-word, s_map is the contraction sum of star_expand, term for
+    # term, read in reverse (descending plus masks is y sigma(tail)'s order)
     for k in indices_up_to(8):
-        w = word_of_index(k)
-        n = weight(w)
-        tail = (w & ((1 << (n - 1)) - 1)) | (1 << (n - 1))  # strip the leading y
-        want = [(concat(word("y"), v), c) for v, c in sigma(NcPoly.from_word(tail)).terms.items()]
+        want = [(word_of_index(kk), c) for kk, c in reversed(star_expand(k).terms.items())]
         assert list(s_map(NcPoly.from_index(k)).terms.items()) == want, k
+
+
+def test_words_outside_h1_are_refused_alike():
+    msg = "word 'xy' starts with x, not in H1"
+    for fn in (
+        lambda: s_map(NcPoly.from_str("xy")),
+        lambda: s_map(NcPoly.from_str("yx") + NcPoly.from_str("xy")),
+        lambda: harmonic(NcPoly.from_str("xy"), NcPoly.one()),
+        lambda: index_of_word(word("xy")),
+    ):
+        with pytest.raises(ValueError, match=msg):
+            fn()
 
 
 def test_s_map_weight_preserving_and_unitriangular():
