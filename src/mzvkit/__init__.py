@@ -14,9 +14,11 @@ The package is organised in layers:
   the word form of star expansion).
 * :mod:`mzvkit.posets` - labeled 2-posets, admissibility and the
   linear-extension word map.
-* :mod:`mzvkit.tseries` - truncated t-series of word polynomials and the
-  exact cyclic-sum expansions.
-* :mod:`mzvkit.regularize` - H1 = H0[y] decompositions, symbolic and
+* :mod:`mzvkit.tseries` - truncated t-series of word polynomials, the
+  two-sided star series and its poset oracle, and the exact cyclic-sum
+  expansions.
+* :mod:`mzvkit.regularize` - the one table of the two products, H1 =
+  H0[y] decompositions against one y-power, symbolic and
   numeric T-polynomials and the gamma-series comparison maps.
 * :mod:`mzvkit.numeval` - admissible values by Hölder convolution, the
   t-adic series variants and numeric verification of the cyclic sum
@@ -49,7 +51,7 @@ from .numeval import (
     z_reg_num,
     zeta_hat_num,
 )
-from .posets import TwoPoset, disjoint_union, is_admissible, w_map, x_star, x_star_hat
+from .posets import TwoPoset, disjoint_union, is_admissible, w_map, x_star
 from .regularize import (
     NumericPolyT,
     RegPolynomial,
@@ -71,6 +73,7 @@ from .tseries import (
     w_csf_hat,
     w_star,
     w_star_hat,
+    x_star_hat,
 )
 from .words import NcPoly, harmonic, index_of_word, s_map, shuffle, sigma, word, word_of_index
 

@@ -52,6 +52,7 @@ from .indexes import (
 )
 from .linear import Series
 from .reports import Report
+from .tseries import w_star_hat
 from .words import EMPTY_WORD, NcPoly, s_map, weight, word_of_index
 
 TOL_PLAIN = 1e-6  # identities between convergent sums
@@ -281,7 +282,7 @@ def z_num(p: NcPoly) -> NumericValue:
 def z_reg_num(p: NcPoly, product: str) -> NumericValue:
     """Regularised value of an H1 polynomial: its regularisation
     polynomial at T = 0, the constant part of its decomposition."""
-    from .regularize import decompose
+    from .regularize import decompose  # the one real cycle: regularize reads values from here
 
     return z_num(decompose(p, product)[0])
 
@@ -341,8 +342,6 @@ def zeta_hat_num(k: Index, variant: str, order: int) -> NumericSeries:
 
 def _zeta_hat_uncached(k: Index, variant: str, order: int) -> NumericSeries:
     if variant == "star_KY":
-        from .tseries import w_star_hat
-
         # the t^e coefficient of w_star_hat does not depend on the order
         vals = {}
         for e, p in w_star_hat(k, order).terms.items():
@@ -409,6 +408,8 @@ def verify_csf(
     k = check_index(k)
     if not k:
         raise ValueError("needs a non-empty index")
+    if order < 0:
+        raise ValueError("order must be >= 0")
     combo = csf_series(which, k, order)
     if all(p == 1 for p in k):
         # all-ones trace; for mzsv it cancels the weight term of an empty splice sum

@@ -62,7 +62,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .indexes import check_index, hat_symbols
+from .indexes import check_index
 from .linear import Combo
 from .words import NcPoly
 
@@ -308,38 +308,6 @@ def x_star(k: Index) -> TwoPoset:
     rels = [r for i in range(len(k)) for r in pairwise(range(roots[i], roots[i + 1]))]
     rels += [(roots[i - 1], roots[i + 1] - 1) for i in range(1, len(k))]
     return TwoPoset("".join("y" + "x" * (part - 1) for part in k), rels)
-
-
-@dataclass
-class PosetSeries:
-    """Truncated power series in t with 2-poset combinations as coefficients.
-
-    Posets are kept exactly as constructed (no isomorphism collapsing);
-    downstream consumers compare their w_map images.
-    """
-
-    order: int
-    coeffs: dict[int, list[tuple[object, TwoPoset]]]
-
-    def w_image(self):
-        """Coefficientwise w_map, as a tseries.WordSeries."""
-        from .tseries import WordSeries
-
-        return WordSeries(self.order).add_scaled(
-            (e, c, w_map(poset)) for e, combos in self.coeffs.items() for c, poset in combos
-        )
-
-
-def x_star_hat(k: Index, t_order: int) -> PosetSeries:
-    """The two-sided poset combination behind the t-adic star values:
-    alternating-sign prefix posets joined with binomially shifted reversed
-    suffix posets, truncated at total t-power t_order."""
-    if t_order < 0:
-        raise ValueError("t_order must be >= 0")
-    coeffs: dict[int, list[tuple[object, TwoPoset]]] = {}
-    for ((head, tail), e), c in hat_symbols(k, t_order).terms.items():
-        coeffs.setdefault(e, []).append((c, disjoint_union(x_star(head), x_star(tail))))
-    return PosetSeries(t_order, coeffs)
 
 
 # -- fixtures of the chain identities ------------------------------------

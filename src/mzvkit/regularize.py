@@ -2,11 +2,18 @@
 products, symbolic T-polynomials, and the comparison maps between the
 harmonic, shuffle and integral-representation regularisations.
 
-``decompose`` peels an H1 polynomial into the unique coefficients a_i in
-H0 with  p = sum_i a_i * y^(*i)  (product powers of y; under the harmonic
-product y means the depth-one weight-one word).  The peeling removes the
-highest trailing power of y in each round, so it terminates, and the
-result is exact in rational arithmetic.
+The two products are one table, ``PRODUCTS`` ("sh" shuffle, "ast"
+harmonic), and both peel against one recursion for the power of y,
+y^(*n) = y^(*(n-1)) * y (the word y is also z_1).  ``decompose`` peels an
+H1 polynomial into the unique coefficients a_i in H0 with
+p = sum_i a_i * y^(*i).  Each round takes the part with the highest
+trailing power n of y, records a_n = top / n! and subtracts
+top * (y^(*n) / n!), which is a_n * y^(*n) written in the unit basis
+y^(*n) / n!.  Under shuffle that unit is y^n itself, so an integral
+polynomial keeps integral remainders and divides only in the recorded
+a_n; under the harmonic product a Fraction appears only where a division
+is inexact.  Each round lowers the highest trailing power, so the
+peeling terminates, and the result is exact.
 
 The gamma-series map rho and its star companion act coefficientwise on
 numeric T-polynomials through the exponential series
@@ -21,38 +28,24 @@ supported on even powers of pi, which :func:`sin_correction` predicts and
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from math import factorial
 from typing import Callable
 
+from .indexes import check_index
 from .linear import Poly
-from .numeval import (
-    DEFAULT_CONFIG,
-    EvalConfig,
-    NumericValue,
-    ZERO,
-    mzv_num,
-    z_num,
-)
+from .numeval import DEFAULT_CONFIG, ZERO, EvalConfig, NumericValue, mzv_num, z_num
 from .reports import Report
-from .words import (
-    NcPoly,
-    harmonic,
-    harmonic_power_z1,
-    s_map,
-    shuffle,
-    weight,
-    y_power,
-)
+from .tseries import w_star
+from .words import NcPoly, harmonic, s_map, shuffle, weight
 
-PRODUCTS = ("sh", "ast")
+PRODUCTS = {"sh": shuffle, "ast": harmonic}
 
 
 def _product(a: NcPoly, b: NcPoly, product: str) -> NcPoly:
-    if product == "sh":
-        return shuffle(a, b)
-    if product == "ast":
-        return harmonic(a, b)
-    raise ValueError(f"unknown product {product!r}")
+    if product not in PRODUCTS:
+        raise ValueError(f"unknown product {product!r}")
+    return PRODUCTS[product](a, b)
 
 
 def _split_trailing(w: int) -> tuple[int, int]:
@@ -63,11 +56,12 @@ def _split_trailing(w: int) -> tuple[int, int]:
     return w >> t, t
 
 
+@lru_cache(maxsize=None)
 def y_product_power(n: int, product: str) -> NcPoly:
-    """The n-fold product power of y (n! y^n under shuffle)."""
-    if product == "sh":
-        return NcPoly({y_power(n): factorial(n)})
-    return harmonic_power_z1(n)
+    """The n-fold product power of y: y^(*n) = y^(*(n-1)) * y."""
+    if n == 0:
+        return NcPoly.one()
+    return _product(y_product_power(n - 1, product), NcPoly.from_str("y"), product)
 
 
 def decompose(p: NcPoly, product: str = "sh") -> list[NcPoly]:
@@ -84,9 +78,9 @@ def decompose(p: NcPoly, product: str = "sh") -> list[NcPoly]:
         if out and n >= min(out):
             raise AssertionError("peeling failed to reduce trailing degree")
         top = NcPoly({sw: c for (sw, t), c in split if t == n})
-        a_n = top / factorial(n)
-        out[n] = a_n
-        rem = rem - _product(a_n, y_product_power(n, product), product)
+        out[n] = top / factorial(n)
+        # top * (y^(*n) / n!) is a_n * y^(*n), and divides only where it must
+        rem = rem - _product(top, y_product_power(n, product) / factorial(n), product)
     deg = max(out, default=0)
     return [out.get(i, NcPoly.zero()) for i in range(deg + 1)]
 
@@ -237,7 +231,7 @@ def verify_reg_relation(which: str, k, cfg: EvalConfig = DEFAULT_CONFIG) -> Repo
     """Numeric check that the shuffle T-polynomial is rho of the harmonic
     one, for the plain z-word of k ("plain") or its contraction-sum star
     word ("star")."""
-    k = tuple(k)
+    k = check_index(k)
     p = NcPoly.from_index(k)
     if which == "star":
         p = s_map(p)
@@ -253,8 +247,6 @@ def compare_star_regs(k, cfg: EvalConfig = DEFAULT_CONFIG) -> Report:
     rho_star o rho_inv of the contraction-sum shuffle regularisation, and
     that the correction kernel matches the sine series.
     """
-    from .tseries import w_star  # deferred: tseries only needed here
-
     k = tuple(k)
     lhs = numeric_reg_poly(w_star(k), "sh")
     base = numeric_reg_poly(s_map(NcPoly.from_index(k)), "sh")

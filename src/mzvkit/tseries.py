@@ -3,10 +3,12 @@
 ``WordSeries`` is a ``linear.Series``: a power series in t, truncated at a
 fixed order, whose coefficients are NcPolys.  On top of it this module
 builds the binomially shifted reversed series F, the two-sided star series
-w_star_hat, the word values of the cyclic-sum combinations defined in
-``indexes`` (per index and per cyclic class), the A/B/C splitting of the
-double splice sum, and exact verifiers for the expansion of the hatted
-cyclic-sum combination over plain ones, per index and per cyclic class.
+w_star_hat and its oracle x_star_hat (a ``PosetSeries`` of the posets
+behind it, read through ``w_map``), the word values of the cyclic-sum
+combinations defined in ``indexes`` (per index and per cyclic class),
+the A/B/C splitting of the double splice sum, and exact verifiers for
+the expansion of the hatted cyclic-sum combination over plain ones, per
+index and per cyclic class.
 Every verifier, and each lemma of the A/B/C split, is a
 ``reports.ExactCheck`` between two word series.
 
@@ -28,6 +30,7 @@ from .indexes import (
     check_index,
     csf_star_hat_symbols,
     csf_star_symbols,
+    hat_symbols,
     last_pivots,
     shift_symbols,
     splice_symbols,
@@ -35,7 +38,7 @@ from .indexes import (
     tail_symbols,
 )
 from .linear import Combo, Series
-from .posets import ZigZag, w_map
+from .posets import TwoPoset, ZigZag, disjoint_union, w_map, x_star
 from .reports import ExactCheck
 from .words import NcPoly, shuffle
 
@@ -102,7 +105,7 @@ def w_star(k: Index) -> NcPoly:
 def f_series(k: Index, order: int) -> WordSeries:
     """The signed shift expansion of k (``indexes.shift_symbols``) read as
     star words: a series in t of reversed shifted star words."""
-    k = tuple(k)
+    k = check_index(k)
     key = (k, order)
     got = _F_CACHE.get(key)
     if got is not None:
@@ -113,13 +116,45 @@ def f_series(k: Index, order: int) -> WordSeries:
 def w_star_hat(k: Index, order: int) -> WordSeries:
     """Two-sided star series: sum over the split position of the prefix
     star word shuffled with the F-series of the suffix."""
-    k = tuple(k)
+    k = check_index(k)
     key = (k, order)
     got = _W_STAR_HAT_CACHE.get(key)
     if got is not None:
         return got
     splits = (poly_shuffle_series(w_star(k[:i]), f_series(k[i:], order)) for i in range(len(k) + 1))
     return _W_STAR_HAT_CACHE.setdefault(key, _series_sum(splits, order))
+
+
+@dataclass
+class PosetSeries:
+    """Truncated power series in t with 2-poset combinations as coefficients.
+
+    Posets are kept exactly as constructed (no isomorphism collapsing);
+    downstream consumers compare their w_map images.
+    """
+
+    order: int
+    coeffs: dict[int, list[tuple[object, TwoPoset]]]
+
+    def w_image(self) -> WordSeries:
+        """Coefficientwise w_map."""
+        return WordSeries(self.order).add_scaled(
+            (e, c, w_map(poset)) for e, combos in self.coeffs.items() for c, poset in combos
+        )
+
+
+def x_star_hat(k: Index, t_order: int) -> PosetSeries:
+    """The two-sided poset combination behind the t-adic star values, the
+    oracle for :func:`w_star_hat`: alternating-sign prefix posets joined
+    with binomially shifted reversed suffix posets, truncated at total
+    t-power t_order."""
+    k = check_index(k)
+    if t_order < 0:
+        raise ValueError("t_order must be >= 0")
+    coeffs: dict[int, list[tuple[object, TwoPoset]]] = {}
+    for ((head, tail), e), c in hat_symbols(k, t_order).terms.items():
+        coeffs.setdefault(e, []).append((c, disjoint_union(x_star(head), x_star(tail))))
+    return PosetSeries(t_order, coeffs)
 
 
 def _series_sum(series, order: int) -> WordSeries:

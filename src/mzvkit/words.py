@@ -122,6 +122,13 @@ def index_of_word(w: int) -> tuple[int, ...]:
     return tuple(parts)
 
 
+def _exact_quotient(c, d):
+    """c / d in exact arithmetic: an int when it is a whole number, else a
+    Fraction."""
+    q = Fraction(c, d)
+    return q.numerator if q.denominator == 1 else q
+
+
 class NcPoly(Combo):
     """Sparse noncommutative polynomial: a combination of packed words.
 
@@ -161,7 +168,8 @@ class NcPoly(Combo):
         )
 
     def __truediv__(self, scalar) -> "NcPoly":
-        return self.__rmul__(Fraction(1) / scalar)
+        """Exact division; a whole-number quotient stays an int."""
+        return self._like({w: _exact_quotient(c, scalar) for w, c in self.terms.items()})
 
     # -- inspection --------------------------------------------------
 
@@ -371,19 +379,6 @@ def s_map(p: NcPoly) -> NcPoly:
             top = 1 << weight(w)
             out.add_terms((v | top, c) for v in _sigma_word(w ^ top))
     return out
-
-
-def y_power(n: int) -> int:
-    """The word y^n."""
-    return (1 << (n + 1)) - 1
-
-
-@lru_cache(maxsize=None)
-def harmonic_power_z1(n: int) -> "NcPoly":
-    """z_1 harmonic-multiplied with itself n times."""
-    if n == 0:
-        return NcPoly.one()
-    return harmonic(harmonic_power_z1(n - 1), NcPoly.from_index((1,)))
 
 
 def random_word(rng, max_weight: int = 8, h1: bool = False, h0: bool = False) -> int:

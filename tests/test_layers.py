@@ -3,11 +3,11 @@ each layer keeps to what it defines.
 
 ``perfbench/spans.py`` wraps the functions listed in its ``LAYERS`` table
 and the workloads read ``.equal`` and ``.all_ok`` off the exact checks,
-pass ``--jobs`` and ``--cutoff-N`` to the CLI and call
-``raw_partial_sum``.  The benchmark's own tests are outside the default
-test paths, so this module keeps a rename or deletion here from passing
-the gate while breaking the benchmark.  It reads ``perfbench/`` and edits
-nothing there.
+pass ``--jobs`` and ``--cutoff-N`` to the CLI, call ``raw_partial_sum``
+and round-trip ``decompose`` under each name in ``regularize.PRODUCTS``.
+The benchmark's own tests are outside the default test paths, so this
+module keeps a rename or deletion here from passing the gate while
+breaking the benchmark.  It reads ``perfbench/`` and edits nothing there.
 """
 
 import importlib
@@ -20,6 +20,7 @@ from mzvkit import indexes, numeval, regularize, tseries
 from mzvkit.cli import make_parser
 from mzvkit.indexes import CyclicClass
 from mzvkit.numeval import EvalConfig, raw_partial_sum
+from mzvkit.words import NcPoly
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SOURCES = Path(indexes.__file__).resolve().parent
@@ -77,6 +78,12 @@ def test_benchmark_keeps_its_flags_cutoff_and_raw_partial_sum():
     cfg = EvalConfig(cutoff=scale.cutoff)
     assert cfg.cutoff == scale.cutoff and cfg.dtype is not None
     assert raw_partial_sum((2,), N=1000, cfg=cfg) > 0
+    # exact-series round-trips decompose and recompose under each product
+    # name, in the order it iterates regularize.PRODUCTS
+    assert list(regularize.PRODUCTS) == ["sh", "ast"]
+    p = NcPoly.from_str("yxy") + 3 * NcPoly.from_str("yyy")
+    for prod in regularize.PRODUCTS:
+        assert regularize.recompose(regularize.decompose(p, prod), prod) == p, prod
 
 
 def test_only_the_entry_points_take_a_config():

@@ -220,6 +220,9 @@ def test_verify_csf_rejects():
         verify_csf("nope", (2,))
     with pytest.raises(ValueError):
         verify_csf("mzsv", ())
+    for which in ("mzsv", "tsmzsv", "tsmzv_exact"):
+        with pytest.raises(ValueError, match="order must be >= 0"):
+            verify_csf(which, (1, 2), order=-1, cfg=FAST)
 
 
 def test_pass_means_residual_within_tolerance():

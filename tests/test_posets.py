@@ -11,7 +11,6 @@ import pytest
 from mzvkit import posets, tseries
 from mzvkit.indexes import indices_up_to
 from mzvkit.posets import (
-    PosetSeries,
     TwoPoset,
     disjoint_union,
     is_admissible,
@@ -19,8 +18,8 @@ from mzvkit.posets import (
     ZigZag,
     w_map,
     x_star,
-    x_star_hat,
 )
+from mzvkit.tseries import PosetSeries, x_star_hat
 from mzvkit.words import NcPoly, shuffle, word
 
 

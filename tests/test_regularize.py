@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from mzvkit.indexes import indices_up_to
-from mzvkit import numeval, regularize
+from mzvkit import numeval, regularize, words
 from mzvkit.cli import build_cases, make_parser
 from mzvkit.numeval import EvalConfig
 from mzvkit.regularize import (
@@ -62,6 +62,67 @@ def test_product_powers_of_y():
     assert y_product_power(2, "sh") == 2 * NcPoly.from_str("yy")
     assert y_product_power(2, "ast") == 2 * z((1, 1)) + z((2,))
     assert y_product_power(0, "ast") == NcPoly.one()
+
+
+def test_shuffle_power_of_y_is_n_factorial_y_to_the_n():
+    # the closed form n! y^n is the oracle of the one recursion; its unit
+    # y^(sh n) / n! is y^n with an int coefficient
+    for n in range(9):
+        y_n = (1 << (n + 1)) - 1
+        assert y_product_power(n, "sh") == NcPoly({y_n: math.factorial(n)}), n
+        unit = y_product_power(n, "sh") / math.factorial(n)
+        assert list(unit.terms.items()) == [(y_n, 1)] and type(unit.terms[y_n]) is int, n
+    with pytest.raises(ValueError, match="unknown product"):
+        y_product_power(2, "nope")
+
+
+def test_harmonic_power_of_y_is_the_z1_recursion():
+    def z1_power(n: int) -> NcPoly:  # z_1 harmonic-multiplied with itself n times
+        return NcPoly.one() if n == 0 else harmonic(z1_power(n - 1), z((1,)))
+
+    for n in range(7):
+        got = y_product_power(n, "ast")
+        assert list(got.terms.items()) == list(z1_power(n).terms.items()), n
+    # one definition: the word layer keeps no power of y of its own
+    assert not hasattr(words, "harmonic_power_z1") and not hasattr(words, "y_power")
+
+
+def peel_dividing_first(p: NcPoly, product: str) -> list[NcPoly]:
+    """The earlier peel, kept as the reference: a_n = top / n! in
+    Fractions, then subtract a_n * y^(*n)."""
+    mul = shuffle if product == "sh" else harmonic
+    out, rem = {}, p
+    while rem:
+        split = [(regularize._split_trailing(w), c) for w, c in rem.terms.items()]
+        n = max(t for (_, t), _ in split)
+        top = NcPoly({sw: Fraction(c) for (sw, t), c in split if t == n})
+        out[n] = Fraction(1, math.factorial(n)) * top
+        rem = rem - mul(out[n], y_product_power(n, product))
+    return [out.get(i, NcPoly.zero()) for i in range(max(out, default=0) + 1)]
+
+
+@pytest.mark.parametrize("product", ["sh", "ast"])
+def test_unit_basis_peel_matches_dividing_first(product):
+    rng = random.Random(57)
+    polys = [random_ncpoly(rng, max_weight=7, max_terms=4, h1=True) for _ in range(40)]
+    polys += [Fraction(2, 3) * p for p in polys[:10]]
+    polys += [s_map(z(k)) for k in [(1, 1, 1), (2, 1, 1, 1), (1, 3, 1, 1)]]
+    for p in polys:
+        got, want = decompose(p, product), peel_dividing_first(p, product)
+        assert [list(a.terms.items()) for a in got] == [list(a.terms.items()) for a in want], str(p)
+
+
+def test_shuffle_decompose_of_integral_poly_stays_integral():
+    # under shuffle the peel divides only in the recorded a_n = top / n!:
+    # a_0 and a_1 of an integral polynomial are ints, and n! a_n is integral
+    rng = random.Random(58)
+    for _ in range(60):
+        p = random_ncpoly(rng, max_weight=7, max_terms=4, h1=True)
+        parts = decompose(p, "sh")
+        for n, a in enumerate(parts):
+            if n <= 1:
+                assert all(type(c) is int for c in a.terms.values()), (str(p), n)
+            assert all(Fraction(c * math.factorial(n)).denominator == 1 for c in a.terms.values())
 
 
 @pytest.mark.parametrize("product", ["sh", "ast"])
@@ -157,6 +218,13 @@ def test_rho_star_correction_structure():
 def test_rho_coeffs_reject_unknown():
     with pytest.raises(ValueError):
         rho_coeffs("sigma", 3)
+
+
+@pytest.mark.parametrize("which", ["plain", "star"])
+@pytest.mark.parametrize("k", [(0,), (1.5,)])
+def test_rho_comparison_rejects_a_non_index(which, k):
+    with pytest.raises(ValueError, match="not an index"):
+        verify_reg_relation(which, k, FAST)
 
 
 def test_rho_comparisons_small():

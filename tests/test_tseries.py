@@ -4,7 +4,6 @@ import pytest
 
 from mzvkit import tseries
 from mzvkit.indexes import CyclicClass, all_cyclic_classes, indices_up_to, shift_symbols
-from mzvkit.posets import x_star_hat
 from mzvkit.tseries import (
     WordSeries,
     abc_split,
@@ -18,6 +17,7 @@ from mzvkit.tseries import (
     w_csf_hat,
     w_star,
     w_star_hat,
+    x_star_hat,
 )
 from mzvkit.words import NcPoly, weight
 
@@ -78,6 +78,14 @@ def test_w_csf_examples():
         assert w_csf((1,) * r) == -r * z((r + 1,))
     with pytest.raises(ValueError):
         w_csf(())
+
+
+@pytest.mark.parametrize(
+    "build, k", [(f_series, (0,)), (w_star_hat, (0, 2)), (x_star_hat, (1.5,))]
+)
+def test_star_series_reject_a_non_index(build, k):
+    with pytest.raises(ValueError, match="not an index"):
+        build(k, 1)
 
 
 def test_w_csf_lands_in_h0():

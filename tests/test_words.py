@@ -259,6 +259,13 @@ def test_shuffle_fraction_coefficients_exact():
     assert got.terms[word("yyx")] == Fraction(2, 5)  # two interleavings put y first
 
 
+def test_division_keeps_whole_quotients_as_ints():
+    p = NcPoly({word("y"): 6, word("yx"): 3, word("yy"): Fraction(4, 3)})
+    for d, want in ((3, [2, 1, Fraction(4, 9)]), (Fraction(2, 3), [9, Fraction(9, 2), 2])):
+        got = list((p / d).terms.values())
+        assert got == want and [type(c) for c in got] == [type(c) for c in want], d
+
+
 def test_shuffle_object_fallback_matches_oracle():
     # 2^40 on each side of a weight-4 pair puts the bound at 70 * 2^80,
     # past _INT64_SAFE, so the product runs on Python ints
