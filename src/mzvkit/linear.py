@@ -163,8 +163,7 @@ class Series(Poly):
         if order < 0:
             raise ValueError("order must be >= 0")
         self.order = order
-        self.terms = {}
-        self.add_terms((coeffs or {}).items())
+        self.terms = {e: c for e, c in (coeffs or {}).items() if e <= order and c}
 
     def add_terms(self, pairs: Iterable[tuple]) -> "Series":
         order = self.order

@@ -22,7 +22,10 @@ widen it.
 
 The t-adic values are ``NumericSeries``, a ``linear.Series`` of
 NumericValues: ``c * v`` is ``v.scaled(c)`` and a value is zero only
-when both its value and its error are 0.0.
+when both its value and its error are 0.0.  Like the word series, a
+t-adic value is cached by coefficient: ``_hat_coeff`` holds the t^e
+coefficient per (index, variant, e) for all six variants, and
+``zeta_hat_num`` reads a series of order n off those for e <= n.
 
 The nested-sum kernel (``_outer_terms``) serves only
 ``raw_partial_sum``, the uncorrected partial sum up to the config's
@@ -38,6 +41,7 @@ and replaced when either changes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -316,9 +320,6 @@ class NumericSeries(Series):
 
 VARIANTS = ("ast", "sh", "star_ast", "star_sh", "star_KY", "KY_inv")
 
-_HAT_CACHE: dict = {}
-_KY_COEFF_CACHE: dict = {}  # (k, e) -> regularised t^e value of star_KY
-
 
 def zeta_hat_num(k: Index, variant: str, order: int) -> NumericSeries:
     """t-adic symmetric (star) zeta series, coefficients up to t^order.
@@ -332,40 +333,35 @@ def zeta_hat_num(k: Index, variant: str, order: int) -> NumericSeries:
     k = check_index(k)
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    key = (k, variant, order)
-    got = _HAT_CACHE.get(key)
-    if got is not None:
-        return got
-    out = _zeta_hat_uncached(k, variant, order)
-    return _HAT_CACHE.setdefault(key, out)
+    return NumericSeries(order, {e: _hat_coeff(k, variant, e) for e in range(order + 1)})
 
 
-def _zeta_hat_uncached(k: Index, variant: str, order: int) -> NumericSeries:
+@lru_cache(maxsize=None)
+def _hat_coeff(k: Index, variant: str, e: int) -> NumericValue:
+    """The t^e coefficient of zeta_hat_num(k, variant, order) for every
+    order >= e, summed over the symbols of t-power e in series order.  A
+    zero star_KY coefficient is never decomposed, and adds nothing to
+    KY_inv."""
     if variant == "star_KY":
-        # the t^e coefficient of w_star_hat does not depend on the order
-        vals = {}
-        for e, p in w_star_hat(k, order).terms.items():
-            got = _KY_COEFF_CACHE.get((k, e))
-            if got is None:
-                got = _KY_COEFF_CACHE.setdefault((k, e), z_reg_num(p, "sh"))
-            vals[e] = got
-        return NumericSeries(order, vals)
+        p = w_star_hat(k, e).coefficient(e)
+        return z_reg_num(p, "sh") if p else ZERO
 
     if variant == "KY_inv":
         if not k:
-            return NumericSeries(order, {0: ONE})
-        return NumericSeries(order).add_scaled(
-            (e, float(c), v)
+            return ONE if e == 0 else ZERO
+        values = (
+            (float(c), zeta_hat_num(idx, "star_KY", e).coefficient(e))
             for idx, c in star_invert(k).terms.items()
-            for e, v in zeta_hat_num(idx, "star_KY", order).terms.items()
         )
+        return NumericSeries(e).add_scaled((e, c, v) for c, v in values if v).coefficient(e)
 
     product = "ast" if variant.endswith("ast") else "sh"
     star = variant.startswith("star")
-    return NumericSeries(order).add_terms(
+    return NumericSeries(e).add_terms(
         (e, c * (zeta_reg(head, product, star=star) * zeta_reg(tail, product, star=star)))
-        for ((head, tail), e), c in hat_symbols(k, order).terms.items()
-    )
+        for ((head, tail), f), c in hat_symbols(k, e).terms.items()
+        if f == e
+    ).coefficient(e)
 
 
 # -- cyclic sum formula verifiers ---------------------------------------

@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from math import factorial
-from typing import Callable
 
 from .indexes import check_index
 from .linear import Poly
@@ -153,13 +152,10 @@ def numeric_reg_poly(p: NcPoly, product: str) -> NumericPolyT:
     return NumericPolyT({i: z_num(a) for i, a in enumerate(decompose(p, product)) if a})
 
 
-def a_coeffs(max_deg: int, zeta_source: Callable[[int], float] | None = None) -> list[float]:
-    """Taylor coefficients of exp(sum_{n>=2} (-1)^n zeta(n) x^n / n); the
-    single zeta values come from ``zeta_source``, else from ``mzv_num``."""
-    c = [0.0, 0.0] + [
-        ((-1) ** n) * (zeta_source(n) if zeta_source else mzv_num((n,)).value) / n
-        for n in range(2, max_deg + 1)
-    ]
+def a_coeffs(max_deg: int) -> list[float]:
+    """Taylor coefficients of exp(sum_{n>=2} (-1)^n zeta(n) x^n / n), with
+    the single zeta values from ``mzv_num``."""
+    c = [0.0, 0.0] + [((-1) ** n) * mzv_num((n,)).value / n for n in range(2, max_deg + 1)]
     a = [1.0] + [0.0] * max_deg
     for m in range(1, max_deg + 1):
         a[m] = sum(j * c[j] * a[m - j] for j in range(1, m + 1)) / m
@@ -182,13 +178,11 @@ def _alternate(series: list[float]) -> list[float]:
 RHO_KINDS = ("rho", "rho_inv", "rho_star", "rho_star_inv")
 
 
-def rho_coeffs(
-    which: str, max_deg: int, zeta_source: Callable[[int], float] | None = None
-) -> list[float]:
+def rho_coeffs(which: str, max_deg: int) -> list[float]:
     """Series coefficients characterising each map: rho multiplies the
     exponential generating kernel by A(x), rho_inv by 1/A(x), rho_star by
     1/A(-x), rho_star_inv by A(-x)."""
-    a = a_coeffs(max_deg, zeta_source)
+    a = a_coeffs(max_deg)
     if which == "rho":
         return a
     if which == "rho_inv":
@@ -200,12 +194,10 @@ def rho_coeffs(
     raise ValueError(f"unknown map {which!r}")
 
 
-def rho_apply(
-    p: NumericPolyT, which: str, zeta_source: Callable[[int], float] | None = None
-) -> NumericPolyT:
+def rho_apply(p: NumericPolyT, which: str) -> NumericPolyT:
     """Apply rho / rho_inv / rho_star / rho_star_inv coefficientwise:
     T^n maps to sum_j coeff_j * n!/(n-j)! * T^(n-j)."""
-    coef = rho_coeffs(which, p.degree(), zeta_source)
+    coef = rho_coeffs(which, p.degree())
     return NumericPolyT().add_terms(
         (n - j, (coef[j] * math.perm(n, j)) * v)
         for n, v in p.terms.items()

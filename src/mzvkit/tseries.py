@@ -14,7 +14,10 @@ Every verifier, and each lemma of the A/B/C split, is a
 
 A star word w_star(k) is ``w_map(ZigZag(k))``, the linear-extension
 words of the zig-zag poset of k read off its chain lengths, with no
-poset built.  All w_star values and series are cached by index; the
+poset built.  A w_star value is cached by index, and a series by its
+coefficients: the t^e coefficient of f_series or w_star_hat does not
+depend on the truncation order, so each is built once per (index, e)
+and a series of order n is read off its coefficients for e <= n.  The
 caches are write-once and safe to share.  Every sum of word series here
 adds through ``WordSeries.add_scaled``, in place, into polys the sum
 itself creates, so no cached value is changed by a sum that reads it.
@@ -23,6 +26,7 @@ itself creates, so no cached value is changed by a sum that reads it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .indexes import (
     CyclicClass,
@@ -88,8 +92,6 @@ def poly_shuffle_series(p: NcPoly, s: WordSeries) -> WordSeries:
 # -- cached building blocks -------------------------------------------
 
 _W_STAR_CACHE: dict[Index, NcPoly] = {}
-_F_CACHE: dict[tuple[Index, int], WordSeries] = {}
-_W_STAR_HAT_CACHE: dict[tuple[Index, int], WordSeries] = {}
 
 
 def w_star(k: Index) -> NcPoly:
@@ -106,23 +108,32 @@ def f_series(k: Index, order: int) -> WordSeries:
     """The signed shift expansion of k (``indexes.shift_symbols``) read as
     star words: a series in t of reversed shifted star words."""
     k = check_index(k)
-    key = (k, order)
-    got = _F_CACHE.get(key)
-    if got is not None:
-        return got
-    return _F_CACHE.setdefault(key, _star_words(shift_symbols(k, order), order))
+    return WordSeries(order, {e: _f_coeff(k, e) for e in range(order + 1)})
 
 
 def w_star_hat(k: Index, order: int) -> WordSeries:
     """Two-sided star series: sum over the split position of the prefix
     star word shuffled with the F-series of the suffix."""
     k = check_index(k)
-    key = (k, order)
-    got = _W_STAR_HAT_CACHE.get(key)
-    if got is not None:
-        return got
-    splits = (poly_shuffle_series(w_star(k[:i]), f_series(k[i:], order)) for i in range(len(k) + 1))
-    return _W_STAR_HAT_CACHE.setdefault(key, _series_sum(splits, order))
+    return WordSeries(order, {e: _star_hat_coeff(k, e) for e in range(order + 1)})
+
+
+@lru_cache(maxsize=None)
+def _f_coeff(k: Index, e: int) -> NcPoly:
+    """The t^e coefficient of f_series(k, order) for every order >= e:
+    the star words of the shift symbols of t-power e."""
+    symbols = shift_symbols(k, e).terms.items()
+    terms = ((e, c, w_star(idx)) for (idx, f), c in symbols if f == e)
+    return WordSeries(e).add_scaled(terms).coefficient(e)
+
+
+@lru_cache(maxsize=None)
+def _star_hat_coeff(k: Index, e: int) -> NcPoly:
+    """The t^e coefficient of w_star_hat(k, order) for every order >= e;
+    a split whose suffix coefficient is zero adds nothing and runs no
+    shuffle."""
+    splits = ((w_star(k[:i]), _f_coeff(k[i:], e)) for i in range(len(k) + 1))
+    return WordSeries(e).add_scaled((e, 1, shuffle(p, q)) for p, q in splits if q).coefficient(e)
 
 
 @dataclass

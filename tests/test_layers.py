@@ -45,6 +45,14 @@ def test_traced_layers_resolve_to_functions():
         module = importlib.import_module(f"mzvkit.{mod}")
         for name in names:
             assert inspect.isfunction(getattr(module, name, None)), f"mzvkit.{mod}.{name}"
+    # the tracer reads these arguments by position when they are not passed by name
+    positional = {
+        numeval.zeta_hat_num: ["k", "variant", "order"],
+        tseries.w_star_hat: ["k", "order"],
+        numeval.mzv_num: ["k", "star", "cfg"],
+    }
+    for fn, params in positional.items():
+        assert list(inspect.signature(fn).parameters)[: len(params)] == params, fn.__name__
 
 
 def test_exact_checks_expose_what_the_workloads_read():

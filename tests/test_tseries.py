@@ -1,9 +1,12 @@
 """Truncated word series and the exact cyclic-sum expansions."""
 
+from functools import partial
+
 import pytest
 
 from mzvkit import tseries
 from mzvkit.indexes import CyclicClass, all_cyclic_classes, indices_up_to, shift_symbols
+from mzvkit.numeval import VARIANTS, zeta_hat_num
 from mzvkit.tseries import (
     WordSeries,
     abc_split,
@@ -145,9 +148,9 @@ def test_add_scaled_changes_no_poly_it_reads():
     assert list(s.coeffs) == [1, 0] and s.coefficient(0) == z((2,))
 
 
-def _items(series):
-    """Every t-power with its words in order."""
-    return [(e, list(p.terms.items())) for e, p in series.terms.items()]
+def _items(p):
+    """Every word of a polynomial with its coefficient, in order."""
+    return list(p.terms.items())
 
 
 def _copy_and_add_f_series(k, order):
@@ -169,22 +172,38 @@ def test_word_series_sums_leave_cached_values_unchanged():
         assert verify_csf_hat(al.representative, 2).equal
         assert verify_class_csf_hat(al, 2).equal
         assert abc_split(al, 2).all_ok
-    caches = {
-        w_star: tseries._W_STAR_CACHE,
-        f_series: tseries._F_CACHE,
-        w_star_hat: tseries._W_STAR_HAT_CACHE,
-    }
-    held = {f: dict(cache) for f, cache in caches.items()}
-    for cache in caches.values():
-        cache.clear()
-    assert held[w_star_hat]
-    for key, p in held[w_star].items():
-        assert list(p.terms.items()) == list(w_star(key).terms.items()), key
-    for f in (f_series, w_star_hat):
-        for key, s in held[f].items():
-            assert _items(s) == _items(f(*key)), (f.__name__, key)
+    # the coefficients the sums left cached, read at every index of weight
+    # <= 6 (the spliced indices of the classes and all their suffixes) and
+    # t-power <= 2
+    indices = indices_up_to(6)
+    builders = (tseries._f_coeff, tseries._star_hat_coeff)
+    keys = [(k, e) for k in indices for e in range(3)]
+    hits = tseries._star_hat_coeff.cache_info().hits
+    held = {f: {key: f(*key) for key in keys} for f in builders}
+    assert tseries._star_hat_coeff.cache_info().hits > hits
+    held_w_star = dict(tseries._W_STAR_CACHE)
+    for f in builders:
+        f.cache_clear()
+    tseries._W_STAR_CACHE.clear()
+    for key, p in held_w_star.items():
+        assert _items(p) == _items(w_star(key)), key
+    for f in builders:
+        for key, p in held[f].items():
+            assert _items(p) == _items(f(*key)), (f.__name__, key)
     # the words of each sum come in the order that a copy per term gives
-    for (k, order), s in held[f_series].items():
-        assert _items(s) == _items(_copy_and_add_f_series(k, order)), k
-    for (k, order), s in held[w_star_hat].items():
-        assert _items(s) == _items(_copy_and_add_w_star_hat(k, order)), k
+    copies = {tseries._f_coeff: _copy_and_add_f_series, tseries._star_hat_coeff: _copy_and_add_w_star_hat}
+    for f, copy_and_add in copies.items():
+        for k in indices:
+            s = copy_and_add(k, 2)
+            for e in range(3):
+                assert _items(held[f][k, e]) == _items(s.coefficient(e)), (f.__name__, k, e)
+
+
+def test_series_coefficients_are_shared_across_orders():
+    # a t^e coefficient is built once per (index, e), whatever the order
+    series = [f_series, w_star_hat] + [partial(zeta_hat_num, variant=v) for v in VARIANTS]
+    for build in series:
+        for k in ((2,), (1, 2), (2, 1), (1, 1, 2), (2, 1, 3)):
+            low, high = build(k, order=1), build(k, order=2)
+            for e in (0, 1):
+                assert low.coefficient(e) is high.coefficient(e), (build, k, e)
