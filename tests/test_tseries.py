@@ -172,15 +172,17 @@ def test_word_series_sums_leave_cached_values_unchanged():
         assert verify_csf_hat(al.representative, 2).equal
         assert verify_class_csf_hat(al, 2).equal
         assert abc_split(al, 2).all_ok
-    # the coefficients the sums left cached, read at every index of weight
-    # <= 6 (the spliced indices of the classes and all their suffixes) and
-    # t-power <= 2
-    indices = indices_up_to(6)
+    # the coefficients the sums left cached, read at every key they can touch:
+    # the spliced indices have weight 6 and are read up to t^2, and the
+    # t-shifted tails (j + 1, rest, p) have weight 6 + j and are read up to
+    # t^(2 - j), so every (k, e) with wt(k) + e <= 8 and e <= 2, suffixes
+    # included
+    top = {k: min(2, 8 - sum(k)) for k in indices_up_to(8)}
+    keys = [(k, e) for k, order in top.items() for e in range(order + 1)]
     builders = (tseries._f_coeff, tseries._star_hat_coeff)
-    keys = [(k, e) for k in indices for e in range(3)]
-    hits = tseries._star_hat_coeff.cache_info().hits
+    hits = [f.cache_info().hits for f in builders]
     held = {f: {key: f(*key) for key in keys} for f in builders}
-    assert tseries._star_hat_coeff.cache_info().hits > hits
+    assert all(f.cache_info().hits > h for f, h in zip(builders, hits))
     held_w_star = dict(tseries._W_STAR_CACHE)
     for f in builders:
         f.cache_clear()
@@ -193,9 +195,9 @@ def test_word_series_sums_leave_cached_values_unchanged():
     # the words of each sum come in the order that a copy per term gives
     copies = {tseries._f_coeff: _copy_and_add_f_series, tseries._star_hat_coeff: _copy_and_add_w_star_hat}
     for f, copy_and_add in copies.items():
-        for k in indices:
-            s = copy_and_add(k, 2)
-            for e in range(3):
+        for k, order in top.items():
+            s = copy_and_add(k, order)
+            for e in range(order + 1):
                 assert _items(held[f][k, e]) == _items(s.coefficient(e)), (f.__name__, k, e)
 
 
