@@ -25,7 +25,9 @@ NumericValues: ``c * v`` is ``v.scaled(c)`` and a value is zero only
 when both its value and its error are 0.0.  Like the word series, a
 t-adic value is cached by coefficient: ``_hat_coeff`` holds the t^e
 coefficient per (index, variant, e) for all six variants, and
-``zeta_hat_num`` reads a series of order n off those for e <= n.
+``zeta_hat_num`` reads a series of order n off those for e <= n.  A
+KY_inv coefficient reads its star_KY terms from the same cache, over a
+``star_invert`` built once per index.
 
 The nested-sum kernel (``_outer_terms``) serves only
 ``raw_partial_sum``, the uncorrected partial sum up to the config's
@@ -349,10 +351,7 @@ def _hat_coeff(k: Index, variant: str, e: int) -> NumericValue:
     if variant == "KY_inv":
         if not k:
             return ONE if e == 0 else ZERO
-        values = (
-            (float(c), zeta_hat_num(idx, "star_KY", e).coefficient(e))
-            for idx, c in star_invert(k).terms.items()
-        )
+        values = ((c, _hat_coeff(idx, "star_KY", e)) for idx, c in _star_inverse(k))
         return NumericSeries(e).add_scaled((e, c, v) for c, v in values if v).coefficient(e)
 
     product = "ast" if variant.endswith("ast") else "sh"
@@ -362,6 +361,13 @@ def _hat_coeff(k: Index, variant: str, e: int) -> NumericValue:
         for ((head, tail), f), c in hat_symbols(k, e).terms.items()
         if f == e
     ).coefficient(e)
+
+
+@lru_cache(maxsize=None)
+def _star_inverse(k: Index) -> tuple[tuple[Index, float], ...]:
+    """The terms of ``star_invert(k)`` in order, coefficients as floats:
+    built once per index and read by every t-power of its KY_inv series."""
+    return tuple((idx, float(c)) for idx, c in star_invert(k).terms.items())
 
 
 # -- cyclic sum formula verifiers ---------------------------------------

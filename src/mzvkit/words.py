@@ -17,16 +17,22 @@ words that are empty or start with y is called H1 here, and H0 is the
 subspace of words that also end with x; H0 words are exactly the images of
 admissible indices under :func:`word_of_index`.
 
-The shuffle product of a weight-p and a weight-q part is a riffle
-scatter (see :func:`_shuffle_block`): every pair of nonzero words is sent
-through the C(p+q, p) interleavings at once, from a table of output bit
-positions cached per (p, q), and the products are added into a dense
-weight-(p+q) vector that is read back in ascending word order; a weight
-block with a single word on each side reads its counts from a table
-memoised per word pair.  The harmonic (quasi-shuffle) product works
-on the z-word factorisation of the packed words themselves: it peels the
-last z-letter off by its lowest set bit, memoised per word pair, with no
-index tuples in between.
+The shuffle product works block by block, one weight-p part of the left
+factor against one weight-q part of the right, and every block reads back
+in ascending word order.  A weight-0 side is a scalar.  A small block,
+p + q <= 8 with at most 192 interleaving products na * nb * C(p+q, p), is
+summed in Python ints (see :func:`_small_block`): a spread table cached
+per (p, q) holds, for every word of each side, its letters' output bits
+under each interleaving, so a pair's outputs are the ORs of two rows.
+All those tables together hold 18,644 ints below 2^8, about 0.2 MB.  Any
+other block is a riffle scatter (see :func:`_shuffle_block`): every pair
+of nonzero words is sent through the interleavings at once in numpy, and
+the products are added into a dense weight-(p+q) vector, whose fixed cost
+of some tens of microseconds pays off only on larger blocks.
+
+The harmonic (quasi-shuffle) product works on the z-word factorisation
+of the packed words themselves: it peels the last z-letter off by its
+lowest set bit, memoised per word pair, with no index tuples in between.
 
 ``s_map``, the word form of star expansion, is y*sigma(tail) on each
 word: the letter-level doubling of ``sigma`` (y -> x + y) on everything
@@ -279,31 +285,62 @@ def _shuffle_block(ap: dict, p: int, bp: dict, q: int) -> Iterable[tuple[int, ob
     return zip((nz | (1 << (p + q))).tolist(), vec[nz].tolist())
 
 
+# The blocks that _small_block sums: past weight 8 the spread tables grow
+# (2^p rows of C(p+q, p) entries a side), and past about 200 products the
+# riffle has already paid back its fixed numpy cost.
+_SMALL_WEIGHT = 8
+_SMALL_PRODUCTS = 192
+
+
 @lru_cache(maxsize=None)
-def _word_shuffle(u: int, p: int, v: int, q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(words, counts) of the shuffle of the single weight-p word u and the
-    single weight-q word v (both without their sentinel), words ascending,
-    built once by the riffle scatter of :func:`_shuffle_block`."""
-    words, counts = zip(*_shuffle_block({u: 1}, p, {v: 1}, q))
-    return words, counts
+def _spread(p: int, q: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """The output bits of every weight-p and every weight-q word under the
+    C(p+q, p) interleavings: row u of the left table holds the output bits
+    of u's letters in each interleaving, in :func:`_interleavings` order,
+    and the right table likewise.  Every entry is below 2^(p+q)."""
+    left, right = _interleavings(p, q)
+    return (
+        tuple(map(tuple, _scatter(list(range(1 << p)), p, left).tolist())),
+        tuple(map(tuple, _scatter(list(range(1 << q)), q, right).tolist())),
+    )
+
+
+def _small_block(ap: dict, p: int, bp: dict, q: int) -> list[tuple[int, object]]:
+    """The nonzero terms of the shuffle of one weight-p and one weight-q
+    part (p, q >= 1), words ascending, in exact Python arithmetic: a pair
+    of words u, v gives the outputs ``map(int.__or__, left[u], right[v])``
+    of the :func:`_spread` tables, each counted with the product of the two
+    coefficients."""
+    left, right = _spread(p, q)
+    acc: dict = {}
+    get = acc.get
+    for u, ca in ap.items():
+        lu = left[u]
+        for v, cb in bp.items():
+            c = ca * cb
+            for w in map(int.__or__, lu, right[v]):
+                acc[w] = get(w, 0) + c
+    top = 1 << (p + q)
+    return [(w | top, c) for w, c in sorted(acc.items()) if c]
 
 
 def shuffle(a: NcPoly, b: NcPoly) -> NcPoly:
     """Shuffle product, bilinear over all weight pairs.
 
-    A weight block with one word on each side reads its counts from a
-    table memoised per word pair; every other block runs the riffle
-    scatter.  Both give the words ascending with the same coefficients.
+    A block is dispatched on what it shows: with p, q >= 1, p + q <=
+    ``_SMALL_WEIGHT`` and at most ``_SMALL_PRODUCTS`` interleaving products
+    na * nb * C(p+q, p) it runs :func:`_small_block`, else
+    :func:`_shuffle_block` (the scalar path for a weight-0 side, the riffle
+    scatter otherwise).  Both give the same words, ascending, with the same
+    coefficients of the same types.
     """
     out = NcPoly()
     pa, pb = a.homogeneous_parts(), b.homogeneous_parts()
     for p, ap in pa.items():
         for q, bp in pb.items():
-            if len(ap) == 1 and len(bp) == 1:
-                ((u, ca),), ((v, cb),) = ap.items(), bp.items()
-                words, counts = _word_shuffle(u, p, v, q)
-                c = ca * cb
-                out.add_terms(zip(words, [c * m for m in counts]))
+            n = p + q
+            if p and q and n <= _SMALL_WEIGHT and len(ap) * len(bp) * comb(n, p) <= _SMALL_PRODUCTS:
+                out.add_terms(_small_block(ap, p, bp, q))
             else:
                 out.add_terms(_shuffle_block(ap, p, bp, q))
     return out

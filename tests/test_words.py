@@ -12,11 +12,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mzvkit.indexes import compositions, indices_up_to, star_expand
+from mzvkit import words
 from mzvkit.linear import Combo
 from mzvkit.words import (
     _INT64_SAFE,
     EMPTY_WORD,
     NcPoly,
+    _interleavings,
+    _shuffle_block,
+    _small_block,
+    _spread,
     harmonic,
     in_h0,
     in_h1,
@@ -316,6 +321,114 @@ def test_shuffle_block_past_the_slice_bound_matches_moveaxis_reference():
             b = NcPoly({(1 << q) | v: scale * rng.choice([1, 5, -1]) for v in rng.sample(range(1 << q), nb)})
             got = list(shuffle(a, b).terms.items())
             assert got == list(moveaxis_shuffle(a, b).terms.items()), (a, b)
+
+
+SMALL_PAIRS = [(p, q) for p in range(1, 8) for q in range(1, 9 - p)]
+
+
+def _block_paths(monkeypatch) -> list[str]:
+    """Record which path each weight block of a shuffle takes."""
+    paths: list[str] = []
+    for name, label in (("_small_block", "small"), ("_shuffle_block", "riffle")):
+
+        def spy(*args, fn=getattr(words, name), label=label):
+            paths.append(label)
+            return fn(*args)
+
+        monkeypatch.setattr(words, name, spy)
+    return paths
+
+
+@pytest.mark.parametrize("p, q", SMALL_PAIRS)
+def test_spread_tables_are_the_interleavings_in_small_ints(p, q):
+    left, right = _spread(p, q)
+    lpos, rpos = _interleavings(p, q)
+    for table, n, pos in ((left, p, lpos), (right, q, rpos)):
+        assert len(table) == 1 << n
+        for u, row in enumerate(table):
+            assert row == tuple(
+                sum(((u >> (n - 1 - j)) & 1) << int(at[j]) for j in range(n)) for at in pos
+            )
+            assert all(type(b) is int and 0 <= b < 1 << 8 for b in row)
+
+
+@pytest.mark.parametrize("p, q", SMALL_PAIRS)
+def test_small_block_matches_the_riffle(p, q):
+    # term for term, in order, with the same coefficient types
+    rng = random.Random(100 * p + q)
+
+    def part(n, scale):
+        k = rng.randint(1, min(4, 1 << n))
+        return {u: scale * rng.choice([1, -2, 3, 5]) for u in rng.sample(range(1 << n), k)}
+
+    for sa, sb in [(1, 1), (1 << 62, 1 << 40), (Fraction(2, 7), Fraction(-3, 5)), (1, Fraction(1, 3))]:
+        for _ in range(3):
+            ap, bp = part(p, sa), part(q, sb)
+            got = _small_block(ap, p, bp, q)
+            want = list(_shuffle_block(ap, p, bp, q))
+            assert got == want, (ap, bp)
+            assert [type(c) for _, c in got] == [type(c) for _, c in want]
+    # signed coefficients on every word until some output word cancels
+    # (a word that is reached but sums to zero must be dropped)
+    for _ in range(200):
+        ap = {u: rng.choice([1, -1, 2, -2]) for u in range(1 << p)}
+        bp = {v: rng.choice([1, -1, 2, -2]) for v in range(1 << q)}
+        reached = _small_block({u: 1 for u in ap}, p, {v: 1 for v in bp}, q)
+        got = _small_block(ap, p, bp, q)
+        if len(got) < len(reached):
+            break
+    else:
+        raise AssertionError(f"no cancelling draw at {(p, q)}")
+    assert got == list(_shuffle_block(ap, p, bp, q))
+    assert all(c for _, c in got)
+
+
+def test_shuffle_dispatches_blocks_on_weight_and_product_count(monkeypatch):
+    paths = _block_paths(monkeypatch)
+    # 1 x 1 at 4 + 4 is 70 products; 3 x 3 at 4 + 4 is 630; 5 + 4 is past weight 8;
+    # a weight-0 side is a scalar
+    a1, a3 = NcPoly.from_str("yxyx"), NcPoly({word(s): 1 for s in ("yxxx", "yyxx", "xyxy")})
+    b1, b3 = NcPoly.from_str("xyyx", 2), NcPoly({word(s): 3 for s in ("xxxy", "yxxy", "yyyx")})
+    for a, b, want in [
+        (a1, b1, "small"),
+        (a3, b3, "riffle"),
+        (NcPoly.from_str("yxyxy"), b1, "riffle"),
+        (NcPoly.one(), b3, "riffle"),
+    ]:
+        paths.clear()
+        shuffle(a, b)
+        assert paths == [want], (a, b)
+
+
+def test_riffle_object_fallback_past_the_small_weight(monkeypatch):
+    # 5 + 4 letters is past the small path's weight bound, so the riffle's
+    # object-dtype branch runs: C(9, 4) * 2^80 is past _INT64_SAFE
+    paths = _block_paths(monkeypatch)
+    rng = random.Random(9)
+    big = 1 << 40
+    for _ in range(10):
+        u = "".join(rng.choice("xy") for _ in range(5))
+        v = "".join(rng.choice("xy") for _ in range(4))
+        cu, cv = big + rng.randint(-9, 9), -big - rng.randint(0, 9)
+        got = shuffle(NcPoly.from_str(u, cu), NcPoly.from_str(v, cv))
+        assert got == poly_from_strs({w: cu * cv * m for w, m in shuffle_oracle(u, v).items()}), (u, v)
+        assert all(type(c) is int and abs(c) > _INT64_SAFE for c in got.terms.values())
+    assert set(paths) == {"riffle"}
+
+
+def test_riffle_slices_past_the_small_weight(monkeypatch):
+    # at 5 + 4 an index array may hold 5 * 2^9 = 2560 elements, and
+    # 5 * 5 * C(9, 4) = 3150 goes in slices of four left words
+    paths = _block_paths(monkeypatch)
+    rng = random.Random(45)
+    p, q, na, nb = 5, 4, 5, 5
+    assert na * nb * comb(p + q, p) > (min(p, q) + 1) << (p + q)
+    for scale in (1, 1 << 40):
+        a = NcPoly({(1 << p) | u: scale * rng.choice([1, -2, 3]) for u in rng.sample(range(1 << p), na)})
+        b = NcPoly({(1 << q) | v: scale * rng.choice([1, 5, -1]) for v in rng.sample(range(1 << q), nb)})
+        got = list(shuffle(a, b).terms.items())
+        assert got == list(moveaxis_shuffle(a, b).terms.items()), (a, b)
+    assert paths == ["riffle", "riffle"]
 
 
 # -- harmonic ------------------------------------------------------------
