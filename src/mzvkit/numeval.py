@@ -16,18 +16,23 @@ reaches only the verifiers, which read its tolerance, and ``mzv_num`` and
 
 Every value carries an error: the tail bound plus a rounding allowance
 for the operations in the working dtype.  Errors propagate additively
-through sums and first-order through products.  A cyclic-sum check
-passes when every residual is within its tolerance; the error does not
-widen it.
+through sums, each adding 1e-16 of its size for rounding, and
+first-order through products.  A cyclic-sum check passes when every
+residual is within its tolerance; the error does not widen it.
 
 The t-adic values are ``NumericSeries``, a ``linear.Series`` of
 NumericValues: ``c * v`` is ``v.scaled(c)`` and a value is zero only
 when both its value and its error are 0.0.  Like the word series, a
 t-adic value is cached by coefficient: ``_hat_coeff`` holds the t^e
 coefficient per (index, variant, e) for all six variants, and
-``zeta_hat_num`` reads a series of order n off those for e <= n.  A
-KY_inv coefficient reads its star_KY terms from the same cache, over a
-``star_invert`` built once per index.
+``zeta_hat_num`` reads a series of order n off those for e <= n.  Every
+variant but KY_inv is one sum over the splits of k of V(head) times the
+sum of V over the suffix's shift symbols of t-power e, with V one cached
+value per index.  For star_KY, V is the shuffle-regularised star word
+value: reg_sh at T = 0 is a shuffle homomorphism (Ihara, Kaneko and
+Zagier 2006), so these products are the regularised two-sided star word
+series without building it.  A KY_inv coefficient reads its star_KY
+terms from the same cache, over a ``star_invert`` built once per index.
 
 The nested-sum kernel (``_outer_terms``) serves only
 ``raw_partial_sum``, the uncorrected partial sum up to the config's
@@ -53,13 +58,13 @@ from .indexes import (
     csf_star_hat_symbols,
     csf_star_symbols,
     csf_symbols,
-    hat_symbols,
+    shift_symbols,
     star_invert,
 )
 from .linear import Series
 from .reports import Report
-from .tseries import w_star_hat
-from .words import EMPTY_WORD, NcPoly, s_map, weight, word_of_index
+from .tseries import w_star
+from .words import EMPTY_WORD, NcPoly, reg_shuffle_constant, s_map, weight, word_of_index
 
 TOL_PLAIN = 1e-6  # identities between convergent sums
 TOL_REG = 1e-5  # identities mixing regularized values
@@ -271,23 +276,30 @@ def _holder_num(zw: int, M: int, dtype) -> NumericValue:
     return NumericValue(value, 2 * (w + 1) * 2.0**-M + rounding)
 
 
+def _sum(terms) -> NumericValue:
+    """sum c * v over the (c, v) in order: errors add as |c| * err, plus a
+    rounding allowance of 1e-16 * |sum|."""
+    acc_v = 0.0
+    acc_e = 0.0
+    for c, v in terms:
+        acc_v += c * v.value
+        acc_e += abs(c) * v.err
+    return NumericValue(acc_v, acc_e + 1e-16 * abs(acc_v))
+
+
 def z_num(p: NcPoly) -> NumericValue:
     """Linear extension of the word values over an H0 word polynomial."""
     if not p.is_h0():
         raise ValueError("z_num needs an H0 polynomial (admissible words)")
-    acc_v = 0.0
-    acc_e = 0.0
-    for w, c in p.terms.items():
-        nv = _word_num(w)
-        fc = float(c)
-        acc_v += fc * nv.value
-        acc_e += abs(fc) * nv.err
-    return NumericValue(acc_v, acc_e + 1e-16 * abs(acc_v))
+    return _sum((float(c), _word_num(w)) for w, c in p.terms.items())
 
 
 def z_reg_num(p: NcPoly, product: str) -> NumericValue:
     """Regularised value of an H1 polynomial: its regularisation
-    polynomial at T = 0, the constant part of its decomposition."""
+    polynomial at T = 0, in closed form for shuffle, else the constant
+    part of its decomposition."""
+    if product == "sh":
+        return z_num(reg_shuffle_constant(p))
     from .regularize import decompose  # the one real cycle: regularize reads values from here
 
     return z_num(decompose(p, product)[0])
@@ -328,7 +340,8 @@ def zeta_hat_num(k: Index, variant: str, order: int) -> NumericSeries:
 
     ast / sh: two-sided sums of regularised plain values.
     star_ast / star_sh: the same with contraction-sum star values.
-    star_KY: the regularised image of the two-sided star word series.
+    star_KY: the same sums of products of regularised star word values,
+    the regularised two-sided star word series in product form.
     KY_inv: the star_KY series pushed through the signed contraction
     inversion (the derived plain-value analogue of star_KY).
     """
@@ -341,26 +354,38 @@ def zeta_hat_num(k: Index, variant: str, order: int) -> NumericSeries:
 @lru_cache(maxsize=None)
 def _hat_coeff(k: Index, variant: str, e: int) -> NumericValue:
     """The t^e coefficient of zeta_hat_num(k, variant, order) for every
-    order >= e, summed over the symbols of t-power e in series order.  A
-    zero star_KY coefficient is never decomposed, and adds nothing to
-    KY_inv."""
-    if variant == "star_KY":
-        p = w_star_hat(k, e).coefficient(e)
-        return z_reg_num(p, "sh") if p else ZERO
-
+    order >= e: sum_i V(k[:i]) * _tail(k[i:], variant, e), or for KY_inv
+    the signed contraction inversion of star_KY.  Each product carries
+    the first-order error of ``NumericValue.__mul__``."""
     if variant == "KY_inv":
         if not k:
             return ONE if e == 0 else ZERO
-        values = ((c, _hat_coeff(idx, "star_KY", e)) for idx, c in _star_inverse(k))
-        return NumericSeries(e).add_scaled((e, c, v) for c, v in values if v).coefficient(e)
+        return _sum((c, _hat_coeff(idx, "star_KY", e)) for idx, c in _star_inverse(k))
+    return _sum(
+        (1.0, _index_value(k[:i], variant) * _tail(k[i:], variant, e)) for i in range(len(k) + 1)
+    )
 
-    product = "ast" if variant.endswith("ast") else "sh"
-    star = variant.startswith("star")
-    return NumericSeries(e).add_terms(
-        (e, c * (zeta_reg(head, product, star=star) * zeta_reg(tail, product, star=star)))
-        for ((head, tail), f), c in hat_symbols(k, e).terms.items()
-        if f == e
-    ).coefficient(e)
+
+@lru_cache(maxsize=None)
+def _tail(s: Index, variant: str, e: int) -> NumericValue:
+    """sum c * V(idx) over the symbols (idx, e) of ``shift_symbols(s, e)``."""
+    symbols = shift_symbols(s, e).terms.items()
+    return _sum((c, _index_value(idx, variant)) for (idx, f), c in symbols if f == e)
+
+
+def _index_value(k: Index, variant: str) -> NumericValue:
+    """V(k): the regularised plain or contraction-sum star value under the
+    variant's product, or for star_KY the regularised star word value."""
+    if variant == "star_KY":
+        return _star_word_reg(k)
+    return zeta_reg(k, "ast" if variant.endswith("ast") else "sh", star=variant.startswith("star"))
+
+
+@lru_cache(maxsize=None)
+def _star_word_reg(k: Index) -> NumericValue:
+    """The shuffle-regularised value of the star word ``w_star(k)``; ONE
+    for the empty index."""
+    return z_reg_num(w_star(k), "sh") if k else ONE
 
 
 @lru_cache(maxsize=None)

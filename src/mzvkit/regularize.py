@@ -36,7 +36,7 @@ from .linear import Poly
 from .numeval import DEFAULT_CONFIG, ZERO, EvalConfig, NumericValue, mzv_num, z_num
 from .reports import Report
 from .tseries import w_star
-from .words import NcPoly, harmonic, s_map, shuffle, weight
+from .words import NcPoly, harmonic, s_map, shuffle, split_trailing
 
 PRODUCTS = {"sh": shuffle, "ast": harmonic}
 
@@ -45,14 +45,6 @@ def _product(a: NcPoly, b: NcPoly, product: str) -> NcPoly:
     if product not in PRODUCTS:
         raise ValueError(f"unknown product {product!r}")
     return PRODUCTS[product](a, b)
-
-
-def _split_trailing(w: int) -> tuple[int, int]:
-    """(stripped word, trailing degree) of an H1 word: its trailing y
-    letters, which are also its trailing z_1 letters, so one split serves
-    both products."""
-    t = min((~w & (w + 1)).bit_length() - 1, weight(w))  # trailing 1 bits, not the sentinel
-    return w >> t, t
 
 
 @lru_cache(maxsize=None)
@@ -72,7 +64,7 @@ def decompose(p: NcPoly, product: str = "sh") -> list[NcPoly]:
     out: dict[int, NcPoly] = {}
     rem = p
     while rem:
-        split = [(_split_trailing(w), c) for w, c in rem.terms.items()]
+        split = [(split_trailing(w), c) for w, c in rem.terms.items()]
         n = max(t for (_, t), _ in split)
         if out and n >= min(out):
             raise AssertionError("peeling failed to reduce trailing degree")

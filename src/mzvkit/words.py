@@ -34,6 +34,10 @@ The harmonic (quasi-shuffle) product works on the z-word factorisation
 of the packed words themselves: it peels the last z-letter off by its
 lowest set bit, memoised per word pair, with no index tuples in between.
 
+``reg_shuffle_constant`` is the T^0 term of the shuffle regularisation
+in closed form, u·x·y^m -> (-1)^m (u ш y^m)·x, with one shuffle per
+trailing count m.
+
 ``s_map``, the word form of star expansion, is y*sigma(tail) on each
 word: the letter-level doubling of ``sigma`` (y -> x + y) on everything
 after the leading y, which on a z-word is the sum over the comma/plus
@@ -343,6 +347,38 @@ def shuffle(a: NcPoly, b: NcPoly) -> NcPoly:
                 out.add_terms(_small_block(ap, p, bp, q))
             else:
                 out.add_terms(_shuffle_block(ap, p, bp, q))
+    return out
+
+
+def split_trailing(w: int) -> tuple[int, int]:
+    """(stripped word, trailing degree) of an H1 word: its trailing y
+    letters, which are also its trailing z_1 letters, so one split serves
+    both products."""
+    t = min((~w & (w + 1)).bit_length() - 1, weight(w))  # trailing 1 bits, not the sentinel
+    return w >> t, t
+
+
+def reg_shuffle_constant(p: NcPoly) -> NcPoly:
+    """The T^0 term of the shuffle regularisation of an H1 polynomial, in
+    closed form: a word w = u·x·y^m goes to (-1)^m (u ш y^m)·x, so an H0
+    word is itself and a word y^m with m >= 1 goes to 0.  This is the
+    shuffle homomorphism H1 = H0[y] -> H0 with y -> 0 (Ihara, Kaneko and
+    Zagier, Compositio 142 (2006)); it equals ``decompose(p, "sh")[0]`` of
+    ``regularize``.  The u of the words of each trailing count m are
+    summed first, so there is one shuffle per m, largest m first."""
+    out = NcPoly()
+    heads: dict[int, NcPoly] = {}
+    for w, c in p.terms.items():
+        _check_h1(w)
+        stripped, m = split_trailing(w)
+        if m == 0:
+            out.add_terms([(w, c)])
+        elif stripped != EMPTY_WORD:
+            heads.setdefault(m, NcPoly()).add_terms([(stripped >> 1, c)])
+    for m in sorted(heads, reverse=True):
+        sign = -1 if m & 1 else 1
+        y_m = NcPoly.from_word((1 << (m + 1)) - 1)
+        out.add_terms((v << 1, sign * c) for v, c in shuffle(heads[m], y_m).terms.items())
     return out
 
 

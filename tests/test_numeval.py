@@ -28,7 +28,7 @@ from mzvkit.numeval import (
     zeta_hat_num,
     zeta_reg,
 )
-from mzvkit.tseries import w_csf_hat, w_star
+from mzvkit.tseries import w_csf_hat, w_star, w_star_hat
 from mzvkit.words import NcPoly, harmonic, random_word, shuffle, word_of_index
 
 FAST = EvalConfig(cutoff=20000)
@@ -143,6 +143,34 @@ def test_z_reg_num_examples():
     assert abs(v.value + 2 * mzv_num((3,)).value) < 1e-8
     adm = NcPoly.from_index((3,))
     assert z_reg_num(adm, "sh").value == z_num(adm).value
+
+
+def test_z_reg_num_shuffle_runs_no_peel(monkeypatch):
+    # the shuffle regularisation is read off its closed form; only the
+    # harmonic product reaches regularize.decompose
+    from mzvkit import regularize
+
+    p = w_star((1, 2, 1))
+    want = z_reg_num(p, "sh")
+
+    def refuse(*args):
+        raise AssertionError("decompose called")
+
+    monkeypatch.setattr(regularize, "decompose", refuse)
+    assert z_reg_num(p, "sh") == want
+    with pytest.raises(AssertionError):
+        z_reg_num(p, "ast")
+
+
+def test_star_ky_products_match_regularised_words():
+    # the star_KY coefficient, a sum of products of regularised star word
+    # values, against the regularised value of the whole t^e coefficient of
+    # the two-sided star word series, within the sum of their errors
+    for k in indices_up_to(6):
+        for e in range(3):
+            got = zeta_hat_num(k, "star_KY", e).coefficient(e)
+            want = z_reg_num(w_star_hat(k, e).coefficient(e), "sh")
+            assert abs(got.value - want.value) <= got.err + want.err, (k, e, got, want)
 
 
 def test_reg_known_value():

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from mzvkit.indexes import indices_up_to
+from mzvkit.indexes import hat_symbols, indices_up_to
 from mzvkit import numeval, regularize, words
 from mzvkit.cli import build_cases, make_parser
 from mzvkit.numeval import EvalConfig
@@ -23,11 +23,15 @@ from mzvkit.regularize import (
     verify_reg_relation,
     y_product_power,
 )
+from mzvkit.tseries import w_star, w_star_hat
 from mzvkit.words import (
     NcPoly,
     harmonic,
+    in_h1,
     index_of_word,
     random_ncpoly,
+    random_word,
+    reg_shuffle_constant,
     s_map,
     shuffle,
     word_of_index,
@@ -93,7 +97,7 @@ def peel_dividing_first(p: NcPoly, product: str) -> list[NcPoly]:
     mul = shuffle if product == "sh" else harmonic
     out, rem = {}, p
     while rem:
-        split = [(regularize._split_trailing(w), c) for w, c in rem.terms.items()]
+        split = [(regularize.split_trailing(w), c) for w, c in rem.terms.items()]
         n = max(t for (_, t), _ in split)
         top = NcPoly({sw: Fraction(c) for (sw, t), c in split if t == n})
         out[n] = Fraction(1, math.factorial(n)) * top
@@ -151,7 +155,7 @@ def test_decompose_ast_matches_index_split(monkeypatch):
     polys += [Fraction(3, 4) * p for p in polys[:10]]
     polys += [s_map(z(k)) for k in [(1,), (2, 1), (1, 1, 1), (2, 1, 1, 1), (1, 3, 1, 1)]]
     got = [decompose(p, "ast") for p in polys]
-    monkeypatch.setattr(regularize, "_split_trailing", index_split_trailing)
+    monkeypatch.setattr(regularize, "split_trailing", index_split_trailing)
     want = [decompose(p, "ast") for p in polys]
     for p, g, w in zip(polys, got, want):
         assert [list(a.terms.items()) for a in g] == [list(a.terms.items()) for a in w], str(p)
@@ -163,6 +167,51 @@ def test_decompose_is_unique():
     parts = decompose(a, "sh")
     assert recompose(parts, "sh") == a
     assert parts[1] == z((2,))  # the top coefficient is forced
+
+
+def _peel(p: NcPoly) -> NcPoly:
+    return decompose(p, "sh")[0]
+
+
+def test_shuffle_reg_closed_form_matches_peel():
+    # the closed-form T^0 term against the peel, on every H1 word of weight <= 10
+    for n in range(11):
+        for bits in range(1 << n):
+            w = (1 << n) | bits
+            if in_h1(w):
+                p = NcPoly.from_word(w)
+                assert reg_shuffle_constant(p) == _peel(p), words.word_str(w)
+    # and on Fraction combinations mixing H0 words, pure powers of y and
+    # words with trailing y's, so that words of one trailing count collect
+    rng = random.Random(61)
+    for _ in range(200):
+        p = NcPoly()
+        for _ in range(rng.randint(1, 6)):
+            kind = rng.randrange(3)
+            if kind == 0:
+                w = random_word(rng, 8, h0=True)
+            elif kind == 1:
+                w = words.word("y" * rng.randint(1, 5))
+            else:
+                w = words.concat(random_word(rng, 6, h0=True), words.word("y" * rng.randint(1, 4)))
+            p.add_terms([(w, Fraction(rng.randint(-9, 9), rng.randint(1, 6)))])
+        assert reg_shuffle_constant(p) == _peel(p), str(p)
+    with pytest.raises(ValueError):
+        reg_shuffle_constant(NcPoly.from_str("xy"))
+
+
+def test_star_hat_regularises_as_products_of_star_words():
+    # reg_sh at T = 0 is a shuffle homomorphism, so the regularised t^e
+    # coefficient of w_star_hat(k) is the sum of the shuffles of the
+    # regularised star words of its two-sided symbols: the link between
+    # the word series and the star_KY values, which multiply those values
+    for k in indices_up_to(7):
+        for e in range(3):
+            rhs = NcPoly()
+            for ((head, tail), f), c in hat_symbols(k, e).terms.items():
+                if f == e:
+                    rhs.add_terms((c * shuffle(_peel(w_star(head)), _peel(w_star(tail)))).terms.items())
+            assert _peel(w_star_hat(k, e).coefficient(e)) == rhs, (k, e)
 
 
 def test_reg_T_examples():
