@@ -18,8 +18,8 @@ The package is organised in layers:
   two-sided star series and its poset oracle, and the exact cyclic-sum
   expansions.
 * :mod:`mzvkit.regularize` - the one table of the two products, H1 =
-  H0[y] decompositions against one y-power, symbolic and
-  numeric T-polynomials and the gamma-series comparison maps.
+  H0[y] decompositions (shuffle in closed form, harmonic peeled against
+  one y-power), symbolic and numeric T-polynomials and the rho maps.
 * :mod:`mzvkit.numeval` - admissible values by Hölder convolution, the
   t-adic series variants and numeric verification of the cyclic sum
   formulas.

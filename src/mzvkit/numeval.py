@@ -192,7 +192,6 @@ def raw_partial_sum(k: Index, star: bool = False, N: int | None = None, cfg: Eva
 
 
 _MZV_CACHE: dict = {}  # (packed H0 word, star) -> NumericValue
-_REG_CACHE: dict = {}
 
 
 def mzv_num(k: Index, star: bool = False, cfg: EvalConfig = DEFAULT_CONFIG) -> NumericValue:
@@ -295,9 +294,8 @@ def z_num(p: NcPoly) -> NumericValue:
 
 
 def z_reg_num(p: NcPoly, product: str) -> NumericValue:
-    """Regularised value of an H1 polynomial: its regularisation
-    polynomial at T = 0, in closed form for shuffle, else the constant
-    part of its decomposition."""
+    """Regularised value of an H1 polynomial at T = 0: for shuffle the
+    closed form ``reg_shuffle_constant``, else the harmonic peel's a_0."""
     if product == "sh":
         return z_num(reg_shuffle_constant(p))
     from .regularize import decompose  # the one real cycle: regularize reads values from here
@@ -308,13 +306,13 @@ def z_reg_num(p: NcPoly, product: str) -> NumericValue:
 def zeta_reg(k: Index, product: str, *, star: bool = False) -> NumericValue:
     """Regularised zeta value of an arbitrary index (constant term at T=0);
     with star, of its contraction-sum word."""
-    k = check_index(k)
-    key = (k, product, star)
-    got = _REG_CACHE.get(key)
-    if got is None:
-        p = NcPoly.from_index(k)
-        got = _REG_CACHE.setdefault(key, z_reg_num(s_map(p) if star else p, product))
-    return got
+    return _zeta_reg(check_index(k), product, star)
+
+
+@lru_cache(maxsize=None)
+def _zeta_reg(k: Index, product: str, star: bool) -> NumericValue:
+    p = NcPoly.from_index(k)
+    return z_reg_num(s_map(p) if star else p, product)
 
 
 # -- t-adic series ------------------------------------------------------

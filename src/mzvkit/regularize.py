@@ -3,17 +3,12 @@ products, symbolic T-polynomials, and the comparison maps between the
 harmonic, shuffle and integral-representation regularisations.
 
 The two products are one table, ``PRODUCTS`` ("sh" shuffle, "ast"
-harmonic), and both peel against one recursion for the power of y,
-y^(*n) = y^(*(n-1)) * y (the word y is also z_1).  ``decompose`` peels an
-H1 polynomial into the unique coefficients a_i in H0 with
-p = sum_i a_i * y^(*i).  Each round takes the part with the highest
-trailing power n of y, records a_n = top / n! and subtracts
-top * (y^(*n) / n!), which is a_n * y^(*n) written in the unit basis
-y^(*n) / n!.  Under shuffle that unit is y^n itself, so an integral
-polynomial keeps integral remainders and divides only in the recorded
-a_n; under the harmonic product a Fraction appears only where a division
-is inexact.  Each round lowers the highest trailing power, so the
-peeling terminates, and the result is exact.
+harmonic), with one recursion y^(*n) = y^(*(n-1)) * y (y is also z_1).
+``decompose`` gives the unique a_i in H0 with p = sum_i a_i * y^(*i): for
+shuffle ``words.reg_shuffle`` in closed form, for the harmonic product a
+peel.  Each round records a_n = top / n! for the part with the highest
+trailing power n of y and subtracts top * (y^(*n) / n!), which lowers that
+power; a Fraction appears only where a division is inexact.
 
 The gamma-series map rho and its star companion act coefficientwise on
 numeric T-polynomials through the exponential series
@@ -36,7 +31,7 @@ from .linear import Poly
 from .numeval import DEFAULT_CONFIG, ZERO, EvalConfig, NumericValue, mzv_num, z_num
 from .reports import Report
 from .tseries import w_star
-from .words import NcPoly, harmonic, s_map, shuffle, split_trailing
+from .words import NcPoly, harmonic, reg_shuffle, s_map, shuffle, split_trailing
 
 PRODUCTS = {"sh": shuffle, "ast": harmonic}
 
@@ -56,11 +51,14 @@ def y_product_power(n: int, product: str) -> NcPoly:
 
 
 def decompose(p: NcPoly, product: str = "sh") -> list[NcPoly]:
-    """Unique a_0..a_n in H0 with p = sum a_i * y^(product-power i)."""
+    """Unique a_0..a_n in H0 with p = sum a_i * y^(product-power i); for
+    shuffle ``words.reg_shuffle``, the T-coefficients of reg_sh."""
     if product not in PRODUCTS:
         raise ValueError(f"unknown product {product!r}")
     if not p.is_h1():
         raise ValueError("decompose needs an H1 polynomial")
+    if product == "sh":
+        return reg_shuffle(p)
     out: dict[int, NcPoly] = {}
     rem = p
     while rem:
@@ -71,7 +69,7 @@ def decompose(p: NcPoly, product: str = "sh") -> list[NcPoly]:
         top = NcPoly({sw: c for (sw, t), c in split if t == n})
         out[n] = top / factorial(n)
         # top * (y^(*n) / n!) is a_n * y^(*n), and divides only where it must
-        rem = rem - _product(top, y_product_power(n, product) / factorial(n), product)
+        rem = rem - harmonic(top, y_product_power(n, "ast") / factorial(n))
     deg = max(out, default=0)
     return [out.get(i, NcPoly.zero()) for i in range(deg + 1)]
 
@@ -99,14 +97,7 @@ class RegPolynomial(Poly):
 
 def reg_T(p: NcPoly, product: str = "sh") -> RegPolynomial:
     """Symbolic regularisation of an H1 polynomial as a polynomial in T."""
-    parts = decompose(p, product)
-    coeffs = {}
-    for i, a in enumerate(parts):
-        if a:
-            if not a.is_h0():
-                raise AssertionError("decomposition left a non-admissible coefficient")
-            coeffs[i] = a
-    return RegPolynomial(product, coeffs)
+    return RegPolynomial(product, dict(enumerate(decompose(p, product))))
 
 
 # -- the gamma-series maps on numeric T-polynomials ---------------------

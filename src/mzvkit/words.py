@@ -34,9 +34,9 @@ The harmonic (quasi-shuffle) product works on the z-word factorisation
 of the packed words themselves: it peels the last z-letter off by its
 lowest set bit, memoised per word pair, with no index tuples in between.
 
-``reg_shuffle_constant`` is the T^0 term of the shuffle regularisation
-in closed form, u·x·y^m -> (-1)^m (u ш y^m)·x, with one shuffle per
-trailing count m.
+``reg_shuffle`` is the shuffle regularisation in closed form: its T^j term
+is the T^0 map u·x·y^m -> (-1)^m (u ш y^m)·x (``reg_shuffle_constant``,
+one shuffle per trailing count m) of the j-th trailing-y derivative, over j!.
 
 ``s_map``, the word form of star expansion, is y*sigma(tail) on each
 word: the letter-level doubling of ``sigma`` (y -> x + y) on everything
@@ -49,7 +49,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations
-from math import comb
+from math import comb, factorial
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -359,13 +359,10 @@ def split_trailing(w: int) -> tuple[int, int]:
 
 
 def reg_shuffle_constant(p: NcPoly) -> NcPoly:
-    """The T^0 term of the shuffle regularisation of an H1 polynomial, in
-    closed form: a word w = u·x·y^m goes to (-1)^m (u ш y^m)·x, so an H0
-    word is itself and a word y^m with m >= 1 goes to 0.  This is the
-    shuffle homomorphism H1 = H0[y] -> H0 with y -> 0 (Ihara, Kaneko and
-    Zagier, Compositio 142 (2006)); it equals ``decompose(p, "sh")[0]`` of
-    ``regularize``.  The u of the words of each trailing count m are
-    summed first, so there is one shuffle per m, largest m first."""
+    """The T^0 term of :func:`reg_shuffle`: a word u·x·y^m goes to
+    (-1)^m (u ш y^m)·x, so an H0 word is itself and y^m (m >= 1) goes to
+    0.  The u of the words of each trailing count m are summed first, so
+    there is one shuffle per m, largest m first."""
     out = NcPoly()
     heads: dict[int, NcPoly] = {}
     for w, c in p.terms.items():
@@ -379,6 +376,20 @@ def reg_shuffle_constant(p: NcPoly) -> NcPoly:
         sign = -1 if m & 1 else 1
         y_m = NcPoly.from_word((1 << (m + 1)) - 1)
         out.add_terms((v << 1, sign * c) for v, c in shuffle(heads[m], y_m).terms.items())
+    return out
+
+
+def reg_shuffle(p: NcPoly) -> list[NcPoly]:
+    """The T^0..T^n coefficients of the shuffle regularisation of an H1
+    polynomial: the shuffle homomorphism H1 = H0[y] -> H0[T] with y -> T
+    (Ihara, Kaneko and Zagier, Compositio 142 (2006)).  Deleting one
+    trailing y of each word (words ending in x go to 0) is a derivation
+    that kills H0 and sends y to 1, hence d/dT: the T^j coefficient is
+    ``reg_shuffle_constant`` of the j-th derivative over j!."""
+    out: list[NcPoly] = []
+    while p or not out:
+        out.append(reg_shuffle_constant(p) / factorial(len(out)))
+        p = NcPoly({w >> 1: c for w, c in p.terms.items() if w & 1 and w != EMPTY_WORD})
     return out
 
 

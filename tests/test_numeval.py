@@ -19,6 +19,7 @@ from mzvkit.numeval import (
     HOLDER_TERMS,
     _holder_num,
     _outer_terms,
+    _zeta_reg,
     csf_series,
     mzv_num,
     raw_partial_sum,
@@ -177,6 +178,16 @@ def test_reg_known_value():
     # harmonic-regularised zeta(1,1) at T=0 is -zeta(2)/2... T^2/2 - zeta(2)/2
     v = zeta_reg((1, 1), "ast")
     assert abs(v.value + math.pi**2 / 12) < 1e-8
+
+
+def test_zeta_reg_calls_share_one_cache_key():
+    # the index is checked before the cache, so a list and a tuple of it
+    # hit the same entry
+    zeta_reg((1, 2), "sh", star=True)
+    before = _zeta_reg.cache_info()
+    assert zeta_reg([1, 2], "sh", star=True) == zeta_reg((1, 2), "sh", star=True)
+    after = _zeta_reg.cache_info()
+    assert (after.hits - before.hits, after.misses) == (2, before.misses)
 
 
 def test_zeta_hat_examples():

@@ -69,8 +69,8 @@ def test_product_powers_of_y():
 
 
 def test_shuffle_power_of_y_is_n_factorial_y_to_the_n():
-    # the closed form n! y^n is the oracle of the one recursion; its unit
-    # y^(sh n) / n! is y^n with an int coefficient
+    # the closed form n! y^n is the oracle of the one recursion, which
+    # recompose reads; y^(sh n) / n! is y^n with an int coefficient
     for n in range(9):
         y_n = (1 << (n + 1)) - 1
         assert y_product_power(n, "sh") == NcPoly({y_n: math.factorial(n)}), n
@@ -117,8 +117,8 @@ def test_unit_basis_peel_matches_dividing_first(product):
 
 
 def test_shuffle_decompose_of_integral_poly_stays_integral():
-    # under shuffle the peel divides only in the recorded a_n = top / n!:
-    # a_0 and a_1 of an integral polynomial are ints, and n! a_n is integral
+    # the shuffle decomposition divides only by n! at T^n: a_0 and a_1 of
+    # an integral polynomial are ints, and n! a_n is integral
     rng = random.Random(58)
     for _ in range(60):
         p = random_ncpoly(rng, max_weight=7, max_terms=4, h1=True)
@@ -170,17 +170,25 @@ def test_decompose_is_unique():
 
 
 def _peel(p: NcPoly) -> NcPoly:
-    return decompose(p, "sh")[0]
+    """The T^0 term of the reference peel, independent of the closed form."""
+    return peel_dividing_first(p, "sh")[0]
+
+
+def _check_closed_form(p: NcPoly) -> None:
+    # every T-power of the closed form, through decompose and directly,
+    # against the reference peel; and its T^0 term alone
+    want = peel_dividing_first(p, "sh")
+    assert decompose(p, "sh") == words.reg_shuffle(p) == want, str(p)
+    assert reg_shuffle_constant(p) == want[0], str(p)
 
 
 def test_shuffle_reg_closed_form_matches_peel():
-    # the closed-form T^0 term against the peel, on every H1 word of weight <= 10
+    # the closed form against the peel, on every H1 word of weight <= 10
     for n in range(11):
         for bits in range(1 << n):
             w = (1 << n) | bits
             if in_h1(w):
-                p = NcPoly.from_word(w)
-                assert reg_shuffle_constant(p) == _peel(p), words.word_str(w)
+                _check_closed_form(NcPoly.from_word(w))
     # and on Fraction combinations mixing H0 words, pure powers of y and
     # words with trailing y's, so that words of one trailing count collect
     rng = random.Random(61)
@@ -195,7 +203,7 @@ def test_shuffle_reg_closed_form_matches_peel():
             else:
                 w = words.concat(random_word(rng, 6, h0=True), words.word("y" * rng.randint(1, 4)))
             p.add_terms([(w, Fraction(rng.randint(-9, 9), rng.randint(1, 6)))])
-        assert reg_shuffle_constant(p) == _peel(p), str(p)
+        _check_closed_form(p)
     with pytest.raises(ValueError):
         reg_shuffle_constant(NcPoly.from_str("xy"))
 
@@ -212,6 +220,60 @@ def test_star_hat_regularises_as_products_of_star_words():
                 if f == e:
                     rhs.add_terms((c * shuffle(_peel(w_star(head)), _peel(w_star(tail)))).terms.items())
             assert _peel(w_star_hat(k, e).coefficient(e)) == rhs, (k, e)
+
+
+def _trailing_y_derivative(p: NcPoly) -> NcPoly:
+    """Delete one trailing y of each word; words ending in x go to 0."""
+    out = NcPoly()
+    for w, c in p.terms.items():
+        s = words.word_str(w)
+        if s.endswith("y"):
+            out.add_terms([(words.word(s[:-1]), c)])
+    return out
+
+
+@pytest.mark.parametrize("product", ["sh", "ast"])
+def test_trailing_y_deletion_is_a_derivation_and_d_by_dT(product):
+    # deleting a trailing y is a derivation of either product that kills
+    # H0 and sends y to 1, so under either regularisation it is d/dT: the
+    # identity that the closed form's higher T-powers rest on, and a check
+    # of the harmonic peel's higher powers
+    mul = regularize.PRODUCTS[product]
+    d = _trailing_y_derivative
+    rng = random.Random(66)
+    for _ in range(300):
+        a = random_ncpoly(rng, max_weight=5, max_terms=3, h1=True)
+        b = random_ncpoly(rng, max_weight=5, max_terms=3, h1=True)
+        assert d(mul(a, b)) == mul(d(a), b) + mul(a, d(b)), (str(a), str(b))
+        p = random_ncpoly(rng, max_weight=8, max_terms=4, h1=True)
+        # a_j of d(p) is (j + 1) a_(j+1) of p
+        want = [j * a for j, a in enumerate(decompose(p, product))][1:] or [NcPoly()]
+        assert decompose(d(p), product) == want, str(p)
+
+
+def test_shuffle_regularisation_runs_no_peel(monkeypatch):
+    # decompose, reg_T and numeric_reg_poly read the closed form under
+    # shuffle: none of them reaches the power of y or the product table
+    p = w_star((1, 2, 1)) + s_map(z((1, 1, 1))) - Fraction(1, 3) * NcPoly.from_str("yyy")
+    want = (decompose(p, "sh"), reg_T(p, "sh"), regularize.numeric_reg_poly(p, "sh"))
+    power, product = regularize.y_product_power, regularize._product
+
+    def refuse_power(n, prod):
+        if prod == "sh":
+            raise AssertionError("shuffle power of y called")
+        return power(n, prod)
+
+    def refuse_product(a, b, prod):
+        if prod == "sh":
+            raise AssertionError("shuffle product called")
+        return product(a, b, prod)
+
+    monkeypatch.setattr(regularize, "y_product_power", refuse_power)
+    monkeypatch.setattr(regularize, "_product", refuse_product)
+    assert (decompose(p, "sh"), reg_T(p, "sh"), regularize.numeric_reg_poly(p, "sh")) == want
+    assert recompose(decompose(p, "ast"), "ast") == p  # the harmonic peel still runs
+    with pytest.raises(AssertionError):
+        recompose(want[0], "sh")
 
 
 def test_reg_T_examples():
