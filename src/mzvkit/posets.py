@@ -176,6 +176,13 @@ def _y_count_words(n: int, r: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def _lane(n: int) -> tuple[type, int]:
+    """The lane type of an n-vertex DP and its width in bits."""
+    lane = next(t for t in _LANE_TYPES if np.iinfo(t).max >= factorial(n))
+    return lane, np.iinfo(lane).bits
+
+
+@lru_cache(maxsize=None)
 def _yshifts(width: int) -> tuple[tuple[int, ...], ...]:
     """[m - 1][r]: bit offset of the y-first words of weight m with r y's."""
     return tuple(
@@ -192,8 +199,7 @@ def _extension_words(n: int, r: int, dp) -> NcPoly:
         return NcPoly.one()
     if n > _MAX_WMAP_VERTICES:
         raise ValueError(f"poset too large for w_map ({n} vertices)")
-    lane = next(t for t in _LANE_TYPES if np.iinfo(t).max >= factorial(n))
-    width = np.iinfo(lane).bits
+    lane, width = _lane(n)
     words = _y_count_words(n, r)
     packed = dp(width, _yshifts(width))
     vec = np.frombuffer(packed.to_bytes(len(words) * width // 8, "little"), lane)

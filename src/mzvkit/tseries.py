@@ -20,7 +20,8 @@ depend on the truncation order, so each is built once per (index, e)
 and a series of order n is read off its coefficients for e <= n.  The
 caches are write-once and safe to share.  Every sum of word series here
 adds through ``WordSeries.add_scaled``, in place, into polys the sum
-itself creates, so no cached value is changed by a sum that reads it.
+itself creates, so no cached value is changed by a sum that reads it;
+a sum of shuffles (w_star_hat, the A part) is one ``words.shuffle_sum``.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .indexes import (
 from .linear import Combo, Series
 from .posets import TwoPoset, ZigZag, disjoint_union, w_map, x_star
 from .reports import ExactCheck
-from .words import NcPoly, shuffle
+from .words import NcPoly, shuffle_sum
 
 
 class WordSeries(Series):
@@ -82,11 +83,6 @@ class WordSeries(Series):
             else:
                 coeffs.pop(e, None)
         return self
-
-
-def poly_shuffle_series(p: NcPoly, s: WordSeries) -> WordSeries:
-    """Shuffle a constant polynomial into every coefficient of a series."""
-    return WordSeries(s.order, {e: shuffle(p, q) for e, q in s.terms.items()})
 
 
 # -- cached building blocks -------------------------------------------
@@ -129,11 +125,10 @@ def _f_coeff(k: Index, e: int) -> NcPoly:
 
 @lru_cache(maxsize=None)
 def _star_hat_coeff(k: Index, e: int) -> NcPoly:
-    """The t^e coefficient of w_star_hat(k, order) for every order >= e;
-    a split whose suffix coefficient is zero adds nothing and runs no
-    shuffle."""
-    splits = ((w_star(k[:i]), _f_coeff(k[i:], e)) for i in range(len(k) + 1))
-    return WordSeries(e).add_scaled((e, 1, shuffle(p, q)) for p, q in splits if q).coefficient(e)
+    """The t^e coefficient of w_star_hat(k, order) for every order >= e:
+    one shuffle sum over the splits, words ascending; a split whose suffix
+    coefficient is zero adds nothing."""
+    return shuffle_sum((w_star(k[:i]), _f_coeff(k[i:], e)) for i in range(len(k) + 1))
 
 
 @dataclass
@@ -279,13 +274,10 @@ def abc_split(alpha: CyclicClass, order: int) -> SpliceParts:
     """Compute A, B, C by their defining sums and check the three lemmas."""
     pivots = last_pivots(alpha.members)
     spliced = [idx for p, body in pivots for idx in splices(p, body)]
-    A = _series_sum(
-        (
-            poly_shuffle_series(w_star(idx[:i]), f_series(idx[i:], order))
-            for idx in spliced
-            for i in range(1, len(idx))  # non-empty prefix and suffix
-        ),
-        order,
+    # one shuffle sum per t-power over the splits with non-empty prefix and suffix
+    splits = [(w_star(idx[:i]), idx[i:]) for idx in spliced for i in range(1, len(idx))]
+    A = WordSeries(
+        order, {e: shuffle_sum((p, _f_coeff(s, e)) for p, s in splits) for e in range(order + 1)}
     )
     B = WordSeries(order).add_scaled((0, 1, w_star(idx)) for idx in spliced)
     C = _series_sum((f_series(idx, order) for idx in spliced), order)

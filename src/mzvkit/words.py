@@ -17,18 +17,18 @@ words that are empty or start with y is called H1 here, and H0 is the
 subspace of words that also end with x; H0 words are exactly the images of
 admissible indices under :func:`word_of_index`.
 
-The shuffle product works block by block, one weight-p part of the left
-factor against one weight-q part of the right, and every block reads back
-in ascending word order.  A weight-0 side is a scalar.  A small block,
-p + q <= 8 with at most 192 interleaving products na * nb * C(p+q, p), is
-summed in Python ints (see :func:`_small_block`): a spread table cached
-per (p, q) holds, for every word of each side, its letters' output bits
-under each interleaving, so a pair's outputs are the ORs of two rows.
-All those tables together hold 18,644 ints below 2^8, about 0.2 MB.  Any
-other block is a riffle scatter (see :func:`_shuffle_block`): every pair
-of nonzero words is sent through the interleavings at once in numpy, and
-the products are added into a dense weight-(p+q) vector, whose fixed cost
-of some tens of microseconds pays off only on larger blocks.
+``shuffle_sum`` adds up a ш b over many pairs, block by block, one
+weight-p part of a against one weight-q part of b, and sums every output
+weight once, words ascending; ``shuffle`` is its one-pair case, each block
+on its own.  A weight-0 side is a scalar.  A small block, p + q <= 8 with
+at most 192 interleaving products na * nb * C(p+q, p), is summed in Python
+ints (:func:`_small_block`) from spread tables cached per (p, q), which
+hold each word's letters' output bits under each interleaving, so a pair's
+outputs are the ORs of two rows (18,644 ints below 2^8 in all, about
+0.2 MB).  The other blocks of a weight are one riffle scatter
+(:func:`_riffle`): their products are gathered in numpy and added into
+one dense weight-(p+q) vector, whose fixed cost of some tens of
+microseconds pays off only on larger blocks.
 
 The harmonic (quasi-shuffle) product works on the z-word factorisation
 of the packed words themselves: it peels the last z-letter off by its
@@ -246,49 +246,6 @@ def _scatter(bits: list[int], n: int, positions: np.ndarray) -> np.ndarray:
     return letters @ (np.int64(1) << positions.astype(np.int64)).T
 
 
-def _shuffle_block(ap: dict, p: int, bp: dict, q: int) -> Iterable[tuple[int, object]]:
-    """The nonzero terms of the shuffle of one weight-p and one weight-q
-    part, words ascending.
-
-    A weight-0 side is a scalar.  Otherwise every pair of nonzero words
-    is riffled through the C(p+q, p) interleavings at once: each side's
-    letters are scattered to their output bits, the two sides are ORed
-    into an (Na, Nb, C) index array, and the coefficient products are
-    added at those indices into a dense weight-(p+q) vector.  The sum is
-    in int64 when every coefficient is an int and no output coefficient
-    can reach 2^62, else in exact Python arithmetic.  Left words are
-    taken in slices, so that no index array holds more than
-    (min(p, q) + 1) * 2^(p+q) elements (at least one word a slice).
-    """
-    if p == 0:
-        (c,) = ap.values()
-        return [(b | (1 << q), cb * c) for b, cb in sorted(bp.items())]
-    if q == 0:
-        (c,) = bp.values()
-        return [(a | (1 << p), ca * c) for a, ca in sorted(ap.items())]
-    exact = all(isinstance(c, int) for c in ap.values()) and all(
-        isinstance(c, int) for c in bp.values()
-    )
-    bound = (
-        sum(abs(c) for c in ap.values())
-        * sum(abs(c) for c in bp.values())
-        * comb(p + q, min(p, q))
-    )
-    dtype = np.int64 if exact and bound < _INT64_SAFE else object
-    left, right = _interleavings(p, q)
-    ia = _scatter(list(ap), p, left)
-    ib = _scatter(list(bp), q, right)
-    ca = np.array(list(ap.values()), dtype=dtype)
-    cb = np.array(list(bp.values()), dtype=dtype)
-    vec = np.zeros(1 << (p + q), dtype=dtype)
-    step = max(1, ((min(p, q) + 1) << (p + q)) // (len(bp) * len(left)))
-    for s in range(0, len(ap), step):
-        idx = ia[s : s + step, None, :] | ib[None, :, :]
-        np.add.at(vec, idx, np.multiply.outer(ca[s : s + step], cb)[:, :, None])
-    nz = np.flatnonzero(vec)
-    return zip((nz | (1 << (p + q))).tolist(), vec[nz].tolist())
-
-
 # The blocks that _small_block sums: past weight 8 the spread tables grow
 # (2^p rows of C(p+q, p) entries a side), and past about 200 products the
 # riffle has already paid back its fixed numpy cost.
@@ -309,14 +266,13 @@ def _spread(p: int, q: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[in
     )
 
 
-def _small_block(ap: dict, p: int, bp: dict, q: int) -> list[tuple[int, object]]:
-    """The nonzero terms of the shuffle of one weight-p and one weight-q
-    part (p, q >= 1), words ascending, in exact Python arithmetic: a pair
-    of words u, v gives the outputs ``map(int.__or__, left[u], right[v])``
-    of the :func:`_spread` tables, each counted with the product of the two
-    coefficients."""
+def _small_block(acc: dict, ap: dict, p: int, bp: dict, q: int) -> None:
+    """Add the shuffle of one weight-p and one weight-q part (p, q >= 1)
+    into acc, keyed by output letter bits, in exact Python arithmetic: a
+    pair of words u, v gives the outputs ``map(int.__or__, left[u],
+    right[v])`` of the :func:`_spread` tables, each counted with the
+    product of the two coefficients."""
     left, right = _spread(p, q)
-    acc: dict = {}
     get = acc.get
     for u, ca in ap.items():
         lu = left[u]
@@ -324,29 +280,96 @@ def _small_block(ap: dict, p: int, bp: dict, q: int) -> list[tuple[int, object]]
             c = ca * cb
             for w in map(int.__or__, lu, right[v]):
                 acc[w] = get(w, 0) + c
-    top = 1 << (p + q)
-    return [(w | top, c) for w, c in sorted(acc.items()) if c]
+
+
+def _riffle(acc: dict, blocks: list, n: int) -> list[tuple[int, object]]:
+    """acc (keyed by output letter bits) plus the shuffles of the blocks
+    (ap, p, bp, q) of output weight n by one riffle scatter: the nonzero
+    terms, words ascending.  Left word i and right word j of a block send
+    ca[i] * cb[j] to the outputs ia[i] | ib[j] of the C(p+q, p)
+    interleavings.  All blocks' products fill, left words in slices, one
+    buffer of the largest (min(p, q) + 1) * 2^n elements (or one left
+    word's products), added into a dense weight-n vector whenever it is
+    full.  The vector is int64 when sum |acc| plus the bounds sum |ca| *
+    sum |cb| * C(n, min(p, q)) of all blocks is an int, as it is when every
+    coefficient is, below 2^62; else it holds exact Python numbers."""
+    bound = sum(map(abs, acc.values())) + sum(
+        sum(map(abs, ap.values())) * sum(map(abs, bp.values())) * comb(n, min(p, q))
+        for ap, p, bp, q in blocks
+    )
+    dtype = np.int64 if isinstance(bound, int) and bound < _INT64_SAFE else object
+    vec = np.zeros(1 << n, dtype=dtype)
+    if acc:
+        vec[list(acc)] = np.array(list(acc.values()), dtype=dtype)
+    size = max(max((min(p, q) + 1) << n, len(bp) * comb(n, p)) for _, p, bp, q in blocks)
+    at, by, fill = np.empty(size, dtype=np.int64), np.empty(size, dtype=dtype), 0
+    for ap, p, bp, q in blocks:
+        left, right = _interleavings(p, q)
+        ia, ib = _scatter(list(ap), p, left), _scatter(list(bp), q, right)
+        ca, cb = (np.array(list(side.values()), dtype=dtype) for side in (ap, bp))
+        s = 0
+        while s < len(ia):
+            if size - fill < ib.size:  # the buffer is full
+                np.add.at(vec, at[:fill], by[:fill])
+                fill = 0
+            k = min(len(ia) - s, (size - fill) // ib.size)
+            end = fill + k * ib.size
+            np.bitwise_or(ia[s : s + k, None], ib, out=at[fill:end].reshape(k, *ib.shape))
+            np.multiply(ca[s : s + k, None, None], cb[:, None], out=by[fill:end].reshape(k, *ib.shape))
+            s, fill = s + k, end
+    np.add.at(vec, at[:fill], by[:fill])
+    nz = np.flatnonzero(vec)
+    return list(zip((nz | (1 << n)).tolist(), vec[nz].tolist()))
+
+
+def _weight_sum(blocks: list[tuple[dict, int, dict, int]], n: int) -> list[tuple[int, object]]:
+    """The nonzero terms of the shuffles of the blocks (ap, p, bp, q) of
+    output weight n, words ascending: scalar blocks, and small ones (n <=
+    ``_SMALL_WEIGHT``, at most ``_SMALL_PRODUCTS`` products na * nb * C(n,
+    p)), into one dict, which :func:`_riffle` takes with all the rest."""
+    acc: dict = {}
+    riffled = []
+    for ap, p, bp, q in blocks:
+        if not p or not q:  # a weight-0 side is a scalar
+            (c,), part = (ap.values(), bp) if not p else (bp.values(), ap)
+            for w, x in part.items():
+                acc[w] = acc.get(w, 0) + x * c
+        elif n <= _SMALL_WEIGHT and len(ap) * len(bp) * comb(n, p) <= _SMALL_PRODUCTS:
+            _small_block(acc, ap, p, bp, q)
+        else:
+            riffled.append((ap, p, bp, q))
+    if riffled:
+        return _riffle(acc, riffled, n)
+    return [(w | (1 << n), c) for w, c in sorted(acc.items()) if c]
+
+
+def shuffle_sum(pairs: Iterable[tuple[NcPoly, NcPoly]]) -> NcPoly:
+    """The sum of the shuffles a ш b over the given pairs (a, b), bilinear
+    over all weight pairs: the blocks of every pair are gathered by output
+    weight, and each weight is summed once (:func:`_weight_sum`), in the
+    order of its first block, words ascending."""
+    groups: dict[int, list] = {}
+    for a, b in pairs:
+        pb = b.homogeneous_parts()
+        for p, ap in a.homogeneous_parts().items():
+            for q, bp in pb.items():
+                groups.setdefault(p + q, []).append((ap, p, bp, q))
+    out = NcPoly()
+    for n, blocks in groups.items():
+        out.add_terms(_weight_sum(blocks, n))
+    return out
 
 
 def shuffle(a: NcPoly, b: NcPoly) -> NcPoly:
-    """Shuffle product, bilinear over all weight pairs.
-
-    A block is dispatched on what it shows: with p, q >= 1, p + q <=
-    ``_SMALL_WEIGHT`` and at most ``_SMALL_PRODUCTS`` interleaving products
-    na * nb * C(p+q, p) it runs :func:`_small_block`, else
-    :func:`_shuffle_block` (the scalar path for a weight-0 side, the riffle
-    scatter otherwise).  Both give the same words, ascending, with the same
-    coefficients of the same types.
-    """
+    """Shuffle product, bilinear over all weight pairs: the one-pair
+    :func:`shuffle_sum`, except that each block (p, q) is summed on its
+    own, so the words come block by block, each block ascending, with the
+    same coefficients, of the same types, on the small and riffle paths."""
     out = NcPoly()
-    pa, pb = a.homogeneous_parts(), b.homogeneous_parts()
-    for p, ap in pa.items():
+    pb = b.homogeneous_parts()
+    for p, ap in a.homogeneous_parts().items():
         for q, bp in pb.items():
-            n = p + q
-            if p and q and n <= _SMALL_WEIGHT and len(ap) * len(bp) * comb(n, p) <= _SMALL_PRODUCTS:
-                out.add_terms(_small_block(ap, p, bp, q))
-            else:
-                out.add_terms(_shuffle_block(ap, p, bp, q))
+            out.add_terms(_weight_sum([(ap, p, bp, q)], p + q))
     return out
 
 

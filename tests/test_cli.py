@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -370,3 +373,15 @@ def test_exact_failure_detail_is_bounded():
     ok, detail = _exact(ExactCheck("check", None, {}, IndexCombo.of((1, 2)), IndexCombo.of((3,))))
     assert detail == "lhs - rhs has 2 terms: 1*(1, 2) + -1*(3,)"
     assert _exact(ExactCheck("check", None, {}, lhs, lhs)) == (True, None)
+
+
+def test_python_dash_m_runs_the_cli_and_prints_json_rows():
+    root = Path(__file__).parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    argv = ["--suite", "index-identities", "--index", "1,2", "--json"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "mzvkit", *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert rows and all(row["pass"] and row["index"] == [1, 2] for row in rows)

@@ -13,7 +13,6 @@ from mzvkit.tseries import (
     class_csf,
     class_csf_hat,
     f_series,
-    poly_shuffle_series,
     verify_class_csf_hat,
     verify_csf_hat,
     w_csf,
@@ -22,7 +21,7 @@ from mzvkit.tseries import (
     w_star_hat,
     x_star_hat,
 )
-from mzvkit.words import NcPoly, weight
+from mzvkit.words import NcPoly, shuffle, weight
 
 
 z = NcPoly.from_index
@@ -162,7 +161,7 @@ def _copy_and_add_f_series(k, order):
 def _copy_and_add_w_star_hat(k, order):
     acc = WordSeries(order)
     for i in range(len(k) + 1):
-        acc.add_terms(poly_shuffle_series(w_star(k[:i]), f_series(k[i:], order)).terms.items())
+        acc.add_terms((e, shuffle(w_star(k[:i]), q)) for e, q in f_series(k[i:], order).terms.items())
     return acc
 
 
@@ -192,13 +191,23 @@ def test_word_series_sums_leave_cached_values_unchanged():
     for f in builders:
         for key, p in held[f].items():
             assert _items(p) == _items(f(*key)), (f.__name__, key)
-    # the words of each sum come in the order that a copy per term gives
-    copies = {tseries._f_coeff: _copy_and_add_f_series, tseries._star_hat_coeff: _copy_and_add_w_star_hat}
-    for f, copy_and_add in copies.items():
-        for k, order in top.items():
-            s = copy_and_add(k, order)
-            for e in range(order + 1):
-                assert _items(held[f][k, e]) == _items(s.coefficient(e)), (f.__name__, k, e)
+    # the words of an F-series sum come in the order that a copy per term
+    # gives; a two-sided star coefficient, one shuffle sum, has its value
+    for k, order in top.items():
+        f, hat = _copy_and_add_f_series(k, order), _copy_and_add_w_star_hat(k, order)
+        for e in range(order + 1):
+            assert _items(held[tseries._f_coeff][k, e]) == _items(f.coefficient(e)), (k, e)
+            assert held[tseries._star_hat_coeff][k, e] == hat.coefficient(e), (k, e)
+
+
+def test_star_hat_coefficients_are_the_sums_of_their_split_shuffles():
+    keys = [(k, e) for k in indices_up_to(7) if k for e in range(3)]
+    assert len(keys) == 381
+    for k, e in keys:
+        want = NcPoly()
+        for i in range(len(k) + 1):
+            want = want + shuffle(w_star(k[:i]), tseries._f_coeff(k[i:], e))
+        assert tseries._star_hat_coeff(k, e) == want, (k, e)
 
 
 def test_series_coefficients_are_shared_across_orders():

@@ -19,9 +19,9 @@ from mzvkit.words import (
     EMPTY_WORD,
     NcPoly,
     _interleavings,
-    _shuffle_block,
     _small_block,
     _spread,
+    _weight_sum,
     harmonic,
     in_h0,
     in_h1,
@@ -30,6 +30,7 @@ from mzvkit.words import (
     random_word,
     s_map,
     shuffle,
+    shuffle_sum,
     sigma,
     weight,
     word,
@@ -327,9 +328,10 @@ SMALL_PAIRS = [(p, q) for p in range(1, 8) for q in range(1, 9 - p)]
 
 
 def _block_paths(monkeypatch) -> list[str]:
-    """Record which path each weight block of a shuffle takes."""
+    """Record which path each weight block of a shuffle takes (a shuffle
+    sums each block on its own, and the riffle is one call a weight)."""
     paths: list[str] = []
-    for name, label in (("_small_block", "small"), ("_shuffle_block", "riffle")):
+    for name, label in (("_small_block", "small"), ("_riffle", "riffle")):
 
         def spy(*args, fn=getattr(words, name), label=label):
             paths.append(label)
@@ -337,6 +339,21 @@ def _block_paths(monkeypatch) -> list[str]:
 
         monkeypatch.setattr(words, name, spy)
     return paths
+
+
+def small_terms(ap, p, bp, q) -> list:
+    """One block summed by _small_block alone, read back words ascending."""
+    acc: dict = {}
+    _small_block(acc, ap, p, bp, q)
+    top = 1 << (p + q)
+    return [(w | top, c) for w, c in sorted(acc.items()) if c]
+
+
+def riffle_terms(ap, p, bp, q) -> list:
+    """One block summed by the riffle scatter, whatever its size."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(words, "_SMALL_PRODUCTS", -1)
+        return _weight_sum([(ap, p, bp, q)], p + q)
 
 
 @pytest.mark.parametrize("p, q", SMALL_PAIRS)
@@ -364,8 +381,8 @@ def test_small_block_matches_the_riffle(p, q):
     for sa, sb in [(1, 1), (1 << 62, 1 << 40), (Fraction(2, 7), Fraction(-3, 5)), (1, Fraction(1, 3))]:
         for _ in range(3):
             ap, bp = part(p, sa), part(q, sb)
-            got = _small_block(ap, p, bp, q)
-            want = list(_shuffle_block(ap, p, bp, q))
+            got = small_terms(ap, p, bp, q)
+            want = riffle_terms(ap, p, bp, q)
             assert got == want, (ap, bp)
             assert [type(c) for _, c in got] == [type(c) for _, c in want]
     # signed coefficients on every word until some output word cancels
@@ -373,31 +390,31 @@ def test_small_block_matches_the_riffle(p, q):
     for _ in range(200):
         ap = {u: rng.choice([1, -1, 2, -2]) for u in range(1 << p)}
         bp = {v: rng.choice([1, -1, 2, -2]) for v in range(1 << q)}
-        reached = _small_block({u: 1 for u in ap}, p, {v: 1 for v in bp}, q)
-        got = _small_block(ap, p, bp, q)
+        reached = small_terms({u: 1 for u in ap}, p, {v: 1 for v in bp}, q)
+        got = small_terms(ap, p, bp, q)
         if len(got) < len(reached):
             break
     else:
         raise AssertionError(f"no cancelling draw at {(p, q)}")
-    assert got == list(_shuffle_block(ap, p, bp, q))
+    assert got == riffle_terms(ap, p, bp, q)
     assert all(c for _, c in got)
 
 
 def test_shuffle_dispatches_blocks_on_weight_and_product_count(monkeypatch):
     paths = _block_paths(monkeypatch)
     # 1 x 1 at 4 + 4 is 70 products; 3 x 3 at 4 + 4 is 630; 5 + 4 is past weight 8;
-    # a weight-0 side is a scalar
+    # a weight-0 side is a scalar, summed neither by the spread tables nor the riffle
     a1, a3 = NcPoly.from_str("yxyx"), NcPoly({word(s): 1 for s in ("yxxx", "yyxx", "xyxy")})
     b1, b3 = NcPoly.from_str("xyyx", 2), NcPoly({word(s): 3 for s in ("xxxy", "yxxy", "yyyx")})
     for a, b, want in [
         (a1, b1, "small"),
         (a3, b3, "riffle"),
         (NcPoly.from_str("yxyxy"), b1, "riffle"),
-        (NcPoly.one(), b3, "riffle"),
+        (NcPoly.one(), b3, None),
     ]:
         paths.clear()
         shuffle(a, b)
-        assert paths == [want], (a, b)
+        assert paths == ([want] if want else []), (a, b)
 
 
 def test_riffle_object_fallback_past_the_small_weight(monkeypatch):
@@ -429,6 +446,116 @@ def test_riffle_slices_past_the_small_weight(monkeypatch):
         got = list(shuffle(a, b).terms.items())
         assert got == list(moveaxis_shuffle(a, b).terms.items()), (a, b)
     assert paths == ["riffle", "riffle"]
+
+
+class _CountingNumpy:
+    """numpy, except that ``add.at`` records the number of products and
+    the dtype of each riffle scatter."""
+
+    def __init__(self, scatters: list):
+        class _Add:
+            @staticmethod
+            def at(vec, idx, values):
+                scatters.append((len(idx), vec.dtype))
+                np.add.at(vec, idx, values)
+
+        self.add = _Add
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+def _scatters(monkeypatch) -> list[tuple[int, np.dtype]]:
+    """Record the products and the dtype of each riffle scatter."""
+    scatters: list = []
+    monkeypatch.setattr(words, "np", _CountingNumpy(scatters))
+    return scatters
+
+
+def _summed(pairs) -> NcPoly:
+    out = NcPoly()
+    for a, b in pairs:
+        out = out + shuffle(a, b)
+    return out
+
+
+@pytest.mark.parametrize("path", ["int64", "object", "fraction", "mixed"])
+def test_shuffle_sum_is_the_sum_of_shuffles(path):
+    rng = random.Random(77)
+    scale = {"int64": 1, "object": 1 << 61, "fraction": Fraction(2, 7), "mixed": 1}[path]
+    for _ in range(40):
+        pairs = []
+        for _ in range(rng.randint(1, 6)):
+            a = scale * random_ncpoly(rng, 7, 6)
+            b = random_ncpoly(rng, 7, 6)
+            if path == "mixed":  # Fractions and ints in one sum
+                b = rng.choice([Fraction(1, 3), 1, 1 << 50]) * b
+            pairs.append((a, b))
+        assert shuffle_sum(pairs) == _summed(pairs), pairs
+
+
+def test_shuffle_sum_of_weight_0_sides_and_empty_sums():
+    one, b = NcPoly.one(), NcPoly({word("yxy"): 2, word("xy"): -1, EMPTY_WORD: 5})
+    a = NcPoly({word("yxxyx"): 3, word("y"): 1, EMPTY_WORD: -2})
+    pairs = [(one, b), (a, 3 * one), (one, one), (a, b), (b, Fraction(1, 2) * one)]
+    assert shuffle_sum(pairs) == _summed(pairs)
+    assert shuffle_sum([(one, one)]) == one
+    assert shuffle_sum([]) == NcPoly() and shuffle_sum(iter(())) == NcPoly()
+    assert shuffle_sum([(a, NcPoly()), (NcPoly(), b)]) == NcPoly()
+
+
+def test_shuffle_sum_drops_what_cancels():
+    rng = random.Random(5)
+    for _ in range(20):
+        a, b, c = (random_ncpoly(rng, 7, 6) for _ in range(3))
+        zero = shuffle_sum([(a, b), (-1 * a, b), (b, a), (a, -1 * b)])
+        assert zero == NcPoly() and not zero.terms
+        # the c ш b words stay, the rest cancels, riffled or not
+        got = shuffle_sum([(a, b), (c, b), (b, -1 * a)])
+        assert got == shuffle(c, b) and all(got.terms.values())
+
+
+def test_shuffle_sum_takes_the_exact_path_when_a_weights_total_passes_int64(monkeypatch):
+    # x^5 ш x^5 = 252 x^10: each block's bound c * 252 is below _INT64_SAFE,
+    # and four of them at weight 10 are past it, three at x^10 past 2^63
+    scatters = _scatters(monkeypatch)
+    x5 = word("xxxxx")
+    c = _INT64_SAFE // comb(10, 5) - 1
+    pairs = [(NcPoly.from_word(x5, c), NcPoly.from_word(x5, 1))] * 3
+    pairs.append((NcPoly.from_word(x5, -c), NcPoly.from_word(word("yxyxy"), 1)))
+    assert c * comb(10, 5) < _INT64_SAFE and 3 * c * comb(10, 5) > 1 << 63
+    got = shuffle_sum(pairs)
+    assert scatters == [(4 * comb(10, 5), object)]
+    assert got == _summed(pairs)
+    assert got.terms[word("x" * 10)] == 3 * c * comb(10, 5)
+    # one block alone stays in int64, next to its bound
+    scatters.clear()
+    got = shuffle_sum(pairs[:1])
+    assert scatters == [(comb(10, 5), np.int64)] and got == shuffle(*pairs[0])
+
+
+def test_shuffle_sum_scatters_each_weight_once_until_the_buffer_fills(monkeypatch):
+    # at 5 + 5 a left word of a 3 x 3 block has 3 * C(10, 5) = 756
+    # products, and eight of them fill the (5 + 1) * 2^10 = 6144-element
+    # gather buffer: the thirty left words of ten blocks take four
+    # scatters, two blocks one, and two more blocks at weight 11 one more
+    scatters = _scatters(monkeypatch)
+    rng = random.Random(19)
+
+    def part(n):
+        return NcPoly({(1 << n) | u: rng.choice([1, -2, 3, 1 << 40]) for u in rng.sample(range(1 << n), 3)})
+
+    pairs = [(part(5), part(5)) for _ in range(10)]
+    mixed = pairs[:2] + [(part(5), part(6)) for _ in range(2)]
+    for got_pairs, want in [
+        (pairs, [6048, 6048, 6048, 4536]),
+        (pairs[:2], [4536]),
+        (mixed, [4536, 2 * 3 * 3 * comb(11, 5)]),
+    ]:
+        scatters.clear()
+        got = shuffle_sum(got_pairs)
+        assert [size for size, _ in scatters] == want
+        assert got == _summed(got_pairs)
 
 
 # -- harmonic ------------------------------------------------------------
