@@ -12,17 +12,16 @@ its star form; each verifier returns a ``reports.ExactCheck``.
 
 Every contraction sum on indices comes from one pruned doubling,
 ``_contractions``: it builds the contractions of an index left to right,
-one tuple operation per term, in the order of their plus masks, and
-given a depth it builds only the contractions of that depth.  Star
-expansion and inversion read all of them; ``s_m`` reads those of one
-depth; the right side of ``lemma112`` sorts the full doubling of each
-rotation by depth, one side per m.  The word side has its own
-doubling, the letter-level ``words.sigma`` (y -> x + y): ``words.s_map``
-is y*sigma(tail), which on a z-word gives the contractions of its index
-in reverse plus-mask order.  Star expansion is linear, so the identities that star-expand
-an alternating s_m sum first collect its indices (or its (index,
-t-power) symbols) with their signed multiplicities, and then expand each
-distinct one that survives once.
+one tuple operation per term, and given a depth it builds only the
+contractions of that depth.  Star expansion and inversion read all of
+them; ``s_m`` reads those of one depth; the right side of ``lemma112``
+sorts the full doubling of each rotation by depth, one side per m.  The
+word side has its own doubling, the letter-level ``words.sigma`` (y ->
+x + y): ``words.s_map`` is y*sigma(tail), which on a z-word gives the
+contractions of its index.  Star expansion is linear, so the identities
+that star-expand an alternating s_m sum first collect its indices (or
+its (index, t-power) symbols) with their signed multiplicities, and then
+expand each distinct one that survives once.
 
 The t-adic expansion and the cyclic-sum combinations are defined here,
 once, as formal sums of t-adic symbols, plain ``Combo`` objects keyed by

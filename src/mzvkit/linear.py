@@ -10,12 +10,12 @@ products on it.
 
 Coefficients are ints, Fractions, ``numeval.NumericValue`` or
 combinations themselves (a series of word polynomials); a falsy
-coefficient is dropped.  Insertion order is kept and is part of the
-result, because floating-point sums over a combination iterate in it: a
-key whose coefficient cancels is removed, and comes back at the end if
-it reappears.  Each sum keeps the existing coefficient as its left
-operand.  Instances are treated as immutable once built; ``add_terms``
-fills a fresh one.
+coefficient is dropped, so a key whose coefficient cancels is removed.
+The order of the terms is no part of a result: the float sums over word
+polynomials and index combinations (``numeval._sum``) are exactly
+rounded, so they do not read it.  Each sum keeps the existing
+coefficient as its left operand.  Instances are treated as immutable
+once built; ``add_terms`` fills a fresh one.
 
 ``Poly`` is a combination over the powers of one variable and ``Series``
 a poly truncated at ``order``; ``Series.add_symbols`` evaluates t-adic
@@ -26,8 +26,7 @@ or two-sided star series or a cyclic-sum combination, fills one
 coefficient per t-power word by word instead of copying a whole
 combination per term.  That is safe because the call mutates only the
 coefficients it creates itself; one already present is copied on first
-use, so no cached value is ever changed.  The words land in the order
-that the copying sum gives them.
+use, so no cached value is ever changed.
 """
 
 from __future__ import annotations

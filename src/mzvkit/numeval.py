@@ -17,8 +17,11 @@ reaches only the verifiers, which read its tolerance, and ``mzv_num`` and
 Every value carries an error: the tail bound plus a rounding allowance
 for the operations in the working dtype.  Errors propagate additively
 through sums, each adding 1e-16 of its size for rounding, and
-first-order through products.  A cyclic-sum check passes when every
-residual is within its tolerance; the error does not widen it.
+first-order through products.  A sum of c * v (``_sum``) is the exactly
+rounded sum of the rounded products (``math.fsum``), so its value and
+error depend only on which terms it holds, not on their order.  A
+cyclic-sum check passes when every residual is within its tolerance; the
+error does not widen it.
 
 The t-adic values are ``NumericSeries``, a ``linear.Series`` of
 NumericValues: ``c * v`` is ``v.scaled(c)`` and a value is zero only
@@ -49,6 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import fsum
 
 import numpy as np
 
@@ -276,14 +280,15 @@ def _holder_num(zw: int, M: int, dtype) -> NumericValue:
 
 
 def _sum(terms) -> NumericValue:
-    """sum c * v over the (c, v) in order: errors add as |c| * err, plus a
+    """sum c * v over the (c, v), exactly rounded (``math.fsum``), so it
+    depends only on the multiset of terms: errors add as |c| * err, plus a
     rounding allowance of 1e-16 * |sum|."""
-    acc_v = 0.0
-    acc_e = 0.0
+    values, errs = [], []
     for c, v in terms:
-        acc_v += c * v.value
-        acc_e += abs(c) * v.err
-    return NumericValue(acc_v, acc_e + 1e-16 * abs(acc_v))
+        values.append(c * v.value)
+        errs.append(abs(c) * v.err)
+    acc_v = fsum(values)
+    return NumericValue(acc_v, fsum(errs) + 1e-16 * abs(acc_v))
 
 
 def z_num(p: NcPoly) -> NumericValue:
@@ -388,8 +393,8 @@ def _star_word_reg(k: Index) -> NumericValue:
 
 @lru_cache(maxsize=None)
 def _star_inverse(k: Index) -> tuple[tuple[Index, float], ...]:
-    """The terms of ``star_invert(k)`` in order, coefficients as floats:
-    built once per index and read by every t-power of its KY_inv series."""
+    """The terms of ``star_invert(k)``, coefficients as floats: built once
+    per index and read by every t-power of its KY_inv series."""
     return tuple((idx, float(c)) for idx, c in star_invert(k).terms.items())
 
 

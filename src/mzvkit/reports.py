@@ -81,20 +81,6 @@ class Report:
             obj["detail"] = self.detail
         return json.dumps(obj)
 
-    @classmethod
-    def from_json(cls, line: str) -> "Report":
-        obj = json.loads(line)
-        return cls(
-            identity=obj["identity"],
-            index=tuple(obj["index"]) if obj.get("index") is not None else None,
-            order=obj.get("order"),
-            residuals=list(obj.get("residuals") or []),
-            tolerance=obj.get("tolerance"),
-            passed=obj["pass"],
-            elapsed_ms=obj.get("elapsed_ms", 0.0),
-            detail=obj.get("detail"),
-        )
-
     def text_row(self) -> str:
         idx = "(" + ",".join(map(str, self.index)) + ")" if self.index is not None else "-"
         # a row without residuals, or an error row, shows none it did not compute

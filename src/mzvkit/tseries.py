@@ -67,8 +67,7 @@ class WordSeries(Series):
         poly per t-power that this call owns: a coefficient already present
         is copied once, on the first term at its power, and no poly passed
         in or held before (such as a cached w_star, f_series or w_star_hat
-        value) is changed.  Words and t-powers land in the order that adding
-        each c * p as a new poly gives; returns self."""
+        value) is changed; returns self."""
         order, coeffs = self.order, self.terms
         owned: dict[int, NcPoly] = {}
         for e, c, p in terms:
@@ -126,8 +125,8 @@ def _f_coeff(k: Index, e: int) -> NcPoly:
 @lru_cache(maxsize=None)
 def _star_hat_coeff(k: Index, e: int) -> NcPoly:
     """The t^e coefficient of w_star_hat(k, order) for every order >= e:
-    one shuffle sum over the splits, words ascending; a split whose suffix
-    coefficient is zero adds nothing."""
+    one shuffle sum over the splits; a split whose suffix coefficient is
+    zero adds nothing."""
     return shuffle_sum((w_star(k[:i]), _f_coeff(k[i:], e)) for i in range(len(k) + 1))
 
 

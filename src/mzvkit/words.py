@@ -19,16 +19,15 @@ admissible indices under :func:`word_of_index`.
 
 ``shuffle_sum`` adds up a ш b over many pairs, block by block, one
 weight-p part of a against one weight-q part of b, and sums every output
-weight once, words ascending; ``shuffle`` is its one-pair case, each block
-on its own.  A weight-0 side is a scalar.  A small block, p + q <= 8 with
-at most 192 interleaving products na * nb * C(p+q, p), is summed in Python
-ints (:func:`_small_block`) from spread tables cached per (p, q), which
-hold each word's letters' output bits under each interleaving, so a pair's
-outputs are the ORs of two rows (18,644 ints below 2^8 in all, about
-0.2 MB).  The other blocks of a weight are one riffle scatter
-(:func:`_riffle`): their products are gathered in numpy and added into
-one dense weight-(p+q) vector, whose fixed cost of some tens of
-microseconds pays off only on larger blocks.
+weight once; ``shuffle`` is its one-pair case.  A weight-0 side is a
+scalar.  A small block, p + q <= 8 with at most 192 interleaving products
+na * nb * C(p+q, p), is summed in Python ints (:func:`_small_block`) from
+spread tables cached per (p, q), which hold each word's letters' output
+bits under each interleaving, so a pair's outputs are the ORs of two rows
+(18,644 ints below 2^8 in all, about 0.2 MB).  The other blocks of a
+weight are one riffle scatter (:func:`_riffle`): their products are
+gathered in numpy and added into one dense weight-(p+q) vector, whose
+fixed cost of some tens of microseconds pays off only on larger blocks.
 
 The harmonic (quasi-shuffle) product works on the z-word factorisation
 of the packed words themselves: it peels the last z-letter off by its
@@ -36,7 +35,8 @@ lowest set bit, memoised per word pair, with no index tuples in between.
 
 ``reg_shuffle`` is the shuffle regularisation in closed form: its T^j term
 is the T^0 map u·x·y^m -> (-1)^m (u ш y^m)·x (``reg_shuffle_constant``,
-one shuffle per trailing count m) of the j-th trailing-y derivative, over j!.
+one shuffle sum over the trailing counts m) of the j-th trailing-y
+derivative, over j!.
 
 ``s_map``, the word form of star expansion, is y*sigma(tail) on each
 word: the letter-level doubling of ``sigma`` (y -> x + y) on everything
@@ -285,14 +285,14 @@ def _small_block(acc: dict, ap: dict, p: int, bp: dict, q: int) -> None:
 def _riffle(acc: dict, blocks: list, n: int) -> list[tuple[int, object]]:
     """acc (keyed by output letter bits) plus the shuffles of the blocks
     (ap, p, bp, q) of output weight n by one riffle scatter: the nonzero
-    terms, words ascending.  Left word i and right word j of a block send
-    ca[i] * cb[j] to the outputs ia[i] | ib[j] of the C(p+q, p)
-    interleavings.  All blocks' products fill, left words in slices, one
-    buffer of the largest (min(p, q) + 1) * 2^n elements (or one left
-    word's products), added into a dense weight-n vector whenever it is
-    full.  The vector is int64 when sum |acc| plus the bounds sum |ca| *
-    sum |cb| * C(n, min(p, q)) of all blocks is an int, as it is when every
-    coefficient is, below 2^62; else it holds exact Python numbers."""
+    terms.  Left word i and right word j of a block send ca[i] * cb[j] to
+    the outputs ia[i] | ib[j] of the C(p+q, p) interleavings.  All blocks'
+    products fill, left words in slices, one buffer of the largest (min(p,
+    q) + 1) * 2^n elements (or one left word's products), added into a
+    dense weight-n vector whenever it is full.  The vector is int64 when
+    sum |acc| plus the bounds sum |ca| * sum |cb| * C(n, min(p, q)) of all
+    blocks is an int, as it is when every coefficient is, below 2^62; else
+    it holds exact Python numbers."""
     bound = sum(map(abs, acc.values())) + sum(
         sum(map(abs, ap.values())) * sum(map(abs, bp.values())) * comb(n, min(p, q))
         for ap, p, bp, q in blocks
@@ -324,9 +324,9 @@ def _riffle(acc: dict, blocks: list, n: int) -> list[tuple[int, object]]:
 
 def _weight_sum(blocks: list[tuple[dict, int, dict, int]], n: int) -> list[tuple[int, object]]:
     """The nonzero terms of the shuffles of the blocks (ap, p, bp, q) of
-    output weight n, words ascending: scalar blocks, and small ones (n <=
-    ``_SMALL_WEIGHT``, at most ``_SMALL_PRODUCTS`` products na * nb * C(n,
-    p)), into one dict, which :func:`_riffle` takes with all the rest."""
+    output weight n: scalar blocks, and small ones (n <= ``_SMALL_WEIGHT``,
+    at most ``_SMALL_PRODUCTS`` products na * nb * C(n, p)), into one dict,
+    which :func:`_riffle` takes with all the rest."""
     acc: dict = {}
     riffled = []
     for ap, p, bp, q in blocks:
@@ -340,14 +340,13 @@ def _weight_sum(blocks: list[tuple[dict, int, dict, int]], n: int) -> list[tuple
             riffled.append((ap, p, bp, q))
     if riffled:
         return _riffle(acc, riffled, n)
-    return [(w | (1 << n), c) for w, c in sorted(acc.items()) if c]
+    return [(w | (1 << n), c) for w, c in acc.items() if c]
 
 
 def shuffle_sum(pairs: Iterable[tuple[NcPoly, NcPoly]]) -> NcPoly:
     """The sum of the shuffles a ш b over the given pairs (a, b), bilinear
     over all weight pairs: the blocks of every pair are gathered by output
-    weight, and each weight is summed once (:func:`_weight_sum`), in the
-    order of its first block, words ascending."""
+    weight, and each weight is summed once (:func:`_weight_sum`)."""
     groups: dict[int, list] = {}
     for a, b in pairs:
         pb = b.homogeneous_parts()
@@ -361,16 +360,8 @@ def shuffle_sum(pairs: Iterable[tuple[NcPoly, NcPoly]]) -> NcPoly:
 
 
 def shuffle(a: NcPoly, b: NcPoly) -> NcPoly:
-    """Shuffle product, bilinear over all weight pairs: the one-pair
-    :func:`shuffle_sum`, except that each block (p, q) is summed on its
-    own, so the words come block by block, each block ascending, with the
-    same coefficients, of the same types, on the small and riffle paths."""
-    out = NcPoly()
-    pb = b.homogeneous_parts()
-    for p, ap in a.homogeneous_parts().items():
-        for q, bp in pb.items():
-            out.add_terms(_weight_sum([(ap, p, bp, q)], p + q))
-    return out
+    """Shuffle product: the one-pair :func:`shuffle_sum`."""
+    return shuffle_sum(((a, b),))
 
 
 def split_trailing(w: int) -> tuple[int, int]:
@@ -384,8 +375,8 @@ def split_trailing(w: int) -> tuple[int, int]:
 def reg_shuffle_constant(p: NcPoly) -> NcPoly:
     """The T^0 term of :func:`reg_shuffle`: a word u·x·y^m goes to
     (-1)^m (u ш y^m)·x, so an H0 word is itself and y^m (m >= 1) goes to
-    0.  The u of the words of each trailing count m are summed first, so
-    there is one shuffle per m, largest m first."""
+    0.  The signed u of the words of each trailing count m are summed
+    first, and all counts take one :func:`shuffle_sum`."""
     out = NcPoly()
     heads: dict[int, NcPoly] = {}
     for w, c in p.terms.items():
@@ -394,12 +385,9 @@ def reg_shuffle_constant(p: NcPoly) -> NcPoly:
         if m == 0:
             out.add_terms([(w, c)])
         elif stripped != EMPTY_WORD:
-            heads.setdefault(m, NcPoly()).add_terms([(stripped >> 1, c)])
-    for m in sorted(heads, reverse=True):
-        sign = -1 if m & 1 else 1
-        y_m = NcPoly.from_word((1 << (m + 1)) - 1)
-        out.add_terms((v << 1, sign * c) for v, c in shuffle(heads[m], y_m).terms.items())
-    return out
+            heads.setdefault(m, NcPoly()).add_terms([(stripped >> 1, -c if m & 1 else c)])
+    pairs = ((u, NcPoly.from_word((1 << (m + 1)) - 1)) for m, u in heads.items())
+    return out.add_terms((v << 1, c) for v, c in shuffle_sum(pairs).terms.items())
 
 
 def reg_shuffle(p: NcPoly) -> list[NcPoly]:

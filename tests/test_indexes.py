@@ -79,20 +79,18 @@ def _plus_masks(r, m):
         yield sum(1 << i for i in ones)
 
 
-def mask_order_contractions(k, plus_sign):
-    """One _contract per plus mask, in mask order."""
+def mask_contractions(k, plus_sign):
+    """One _contract per plus mask, signed by its plus count."""
     masks = range(1 << (len(k) - 1))
     return IndexCombo().add_terms(
         (_contract(k, mask), plus_sign ** mask.bit_count()) for mask in masks
     )
 
 
-def test_star_expand_and_invert_terms_in_mask_order():
-    # numeval's KY_inv sums floats over the terms of star_invert in this order
+def test_star_expand_and_invert_are_the_mask_contractions():
     for k in indices_up_to(8):
         for f, plus_sign in ((star_expand, 1), (star_invert, -1)):
-            want = mask_order_contractions(k, plus_sign)
-            assert list(f(k).terms.items()) == list(want.terms.items()), (k, plus_sign)
+            assert f(k) == mask_contractions(k, plus_sign), (k, plus_sign)
 
 
 def test_star_invert_examples():

@@ -10,15 +10,17 @@ from functools import cache
 import numpy as np
 import pytest
 
-from mzvkit.indexes import indices_up_to, star_expand
+from mzvkit.indexes import indices_up_to, star_expand, star_invert
 from mzvkit.numeval import (
     _WORKSPACE,
     EvalConfig,
     NumericSeries,
     NumericValue,
     HOLDER_TERMS,
+    _hat_coeff,
     _holder_num,
     _outer_terms,
+    _sum,
     _zeta_reg,
     csf_series,
     mzv_num,
@@ -125,6 +127,36 @@ def test_z_num_examples():
     assert z_num(NcPoly.one()).value == 1.0
     with pytest.raises(ValueError):
         z_num(NcPoly.from_str("yy"))
+
+
+def _bits(v: NumericValue) -> tuple[str, str]:
+    return v.value.hex(), v.err.hex()
+
+
+@pytest.mark.parametrize("scale", [1, Fraction(2, 7), 10**6], ids=["int", "fraction", "1e6"])
+def test_z_num_depends_only_on_the_terms(scale):
+    # a sum is exactly rounded, so every order of the same terms gives the
+    # same value and error, bit for bit
+    rng = random.Random(24)
+    for _ in range(50):
+        terms = list(
+            {random_word(rng, 9, h0=True): scale * rng.choice([1, -1, 2, -3, 5]) for _ in range(12)}.items()
+        )
+        want = _bits(z_num(NcPoly(dict(terms))))
+        for _ in range(10):
+            rng.shuffle(terms)
+            assert _bits(z_num(NcPoly(dict(terms)))) == want, terms
+
+
+def test_ky_inv_sum_depends_only_on_the_terms():
+    rng = random.Random(25)
+    for k in indices_up_to(7):
+        for e in range(3):
+            terms = [(float(c), _hat_coeff(idx, "star_KY", e)) for idx, c in star_invert(k).terms.items()]
+            want = _bits(_hat_coeff(k, "KY_inv", e))
+            for _ in range(3):
+                rng.shuffle(terms)
+                assert _bits(_sum(terms)) == want, (k, e)
 
 
 def test_product_compatibility_random():

@@ -147,11 +147,6 @@ def test_add_scaled_changes_no_poly_it_reads():
     assert list(s.coeffs) == [1, 0] and s.coefficient(0) == z((2,))
 
 
-def _items(p):
-    """Every word of a polynomial with its coefficient, in order."""
-    return list(p.terms.items())
-
-
 def _copy_and_add_f_series(k, order):
     return WordSeries(order).add_terms(
         (e, c * w_star(idx)) for (idx, e), c in shift_symbols(k, order).terms.items()
@@ -187,16 +182,16 @@ def test_word_series_sums_leave_cached_values_unchanged():
         f.cache_clear()
     tseries._W_STAR_CACHE.clear()
     for key, p in held_w_star.items():
-        assert _items(p) == _items(w_star(key)), key
+        assert p == w_star(key), key
     for f in builders:
         for key, p in held[f].items():
-            assert _items(p) == _items(f(*key)), (f.__name__, key)
-    # the words of an F-series sum come in the order that a copy per term
-    # gives; a two-sided star coefficient, one shuffle sum, has its value
+            assert p == f(*key), (f.__name__, key)
+    # an F-series and a two-sided star coefficient have the value that a
+    # copy per term gives
     for k, order in top.items():
         f, hat = _copy_and_add_f_series(k, order), _copy_and_add_w_star_hat(k, order)
         for e in range(order + 1):
-            assert _items(held[tseries._f_coeff][k, e]) == _items(f.coefficient(e)), (k, e)
+            assert held[tseries._f_coeff][k, e] == f.coefficient(e), (k, e)
             assert held[tseries._star_hat_coeff][k, e] == hat.coefficient(e), (k, e)
 
 
