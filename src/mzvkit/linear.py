@@ -11,27 +11,27 @@ products on it.
 Coefficients are ints, Fractions, ``numeval.NumericValue`` or
 combinations themselves (a series of word polynomials); a falsy
 coefficient is dropped, so a key whose coefficient cancels is removed.
-The order of the terms is no part of a result: the float sums over word
-polynomials and index combinations (``numeval._sum``) are exactly
-rounded, so they do not read it.  Each sum keeps the existing
-coefficient as its left operand.  Instances are treated as immutable
-once built; ``add_terms`` fills a fresh one.
+A NumericValue coefficient is built, never added: it has no ``+``, and
+every float sum is one exactly rounded ``numeval._sum`` over the terms
+of that coefficient, so the order of the terms is no part of a result.
+Each exact sum keeps the existing coefficient as its left operand.
+Instances are treated as immutable once built; ``add_terms`` fills a
+fresh one.
 
 ``Poly`` is a combination over the powers of one variable and ``Series``
-a poly truncated at ``order``; ``Series.add_symbols`` evaluates t-adic
-symbols through ``Series.add_scaled``, which adds c * v t^e per term.  A
-series whose coefficients are combinations (``tseries.WordSeries``)
-overrides it to add in place: each sum of c * p t^e, such as a star-word
-or two-sided star series or a cyclic-sum combination, fills one
-coefficient per t-power word by word instead of copying a whole
-combination per term.  That is safe because the call mutates only the
-coefficients it creates itself; one already present is copied on first
-use, so no cached value is ever changed.
+a poly truncated at ``order``.  A series whose coefficients are
+combinations (``tseries.WordSeries``) adds c * p t^e in place
+(``add_scaled``): each sum, such as a star-word or two-sided star series
+or a cyclic-sum combination (``add_symbols``, which evaluates t-adic
+symbols), fills one coefficient per t-power word by word instead of
+copying a whole combination per term.  That is safe because the call
+mutates only the coefficients it creates itself; one already present is
+copied on first use, so no cached value is ever changed.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 
 class Combo:
@@ -167,22 +167,6 @@ class Series(Poly):
     def add_terms(self, pairs: Iterable[tuple]) -> "Series":
         order = self.order
         return super().add_terms((e, c) for e, c in pairs if e <= order)
-
-    def add_scaled(self, terms: Iterable[tuple]) -> "Series":
-        """Add c * v t^e in place for each (e, c, v); returns self."""
-        return self.add_terms((e, c * v) for e, c, v in terms)
-
-    def add_symbols(self, symbols: Combo, value: Callable[[object, int], "Series"]) -> "Series":
-        """Add c * value(key, order - e) * t^e in place for every symbol
-        ((key, e), c) with e <= order, in the symbols' order; returns self.
-        value(key, n) is a series exact to t^n, and so each term to order."""
-        order = self.order
-        return self.add_scaled(
-            (e + f, c, v)
-            for (key, e), c in symbols.terms.items()
-            if e <= order
-            for f, v in value(key, order - e).terms.items()
-        )
 
     def _aligned(self, other: "Series") -> "Series":
         return self.truncate(min(self.order, other.order))

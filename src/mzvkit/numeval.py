@@ -19,23 +19,25 @@ for the operations in the working dtype.  Errors propagate additively
 through sums, each adding 1e-16 of its size for rounding, and
 first-order through products.  A sum of c * v (``_sum``) is the exactly
 rounded sum of the rounded products (``math.fsum``), so its value and
-error depend only on which terms it holds, not on their order.  A
-cyclic-sum check passes when every residual is within its tolerance; the
-error does not widen it.
+error depend only on which terms it holds, not on their order.  It is
+the only code that adds NumericValues, which have no ``+``: every word
+polynomial, index combination, cyclic-sum coefficient and ρ-image
+coefficient is one ``_sum``.  A cyclic-sum check passes when every
+residual is within its tolerance; the error does not widen it.
 
 The t-adic values are ``NumericSeries``, a ``linear.Series`` of
-NumericValues: ``c * v`` is ``v.scaled(c)`` and a value is zero only
-when both its value and its error are 0.0.  Like the word series, a
-t-adic value is cached by coefficient: ``_hat_coeff`` holds the t^e
-coefficient per (index, variant, e) for all six variants, and
-``zeta_hat_num`` reads a series of order n off those for e <= n.  Every
-variant but KY_inv is one sum over the splits of k of V(head) times the
-sum of V over the suffix's shift symbols of t-power e, with V one cached
-value per index.  For star_KY, V is the shuffle-regularised star word
-value: reg_sh at T = 0 is a shuffle homomorphism (Ihara, Kaneko and
-Zagier 2006), so these products are the regularised two-sided star word
-series without building it.  A KY_inv coefficient reads its star_KY
-terms from the same cache, over a ``star_invert`` built once per index.
+NumericValues, in which a value is zero only when both its value and its
+error are 0.0.  Like the word series, a t-adic value is cached by
+coefficient: ``_hat_coeff`` holds the t^e coefficient per (index,
+variant, e) for all six variants, and ``zeta_hat_num`` reads a series of
+order n off those for e <= n.  Every variant but KY_inv is one sum over
+the splits of k of V(head) times the sum of V over the suffix's shift
+symbols of t-power e, with V one cached value per index.  For star_KY,
+V is the shuffle-regularised star word value: reg_sh at T = 0 is a
+shuffle homomorphism (Ihara, Kaneko and Zagier 2006), so these products
+are the regularised two-sided star word series without building it.  A
+KY_inv coefficient reads its star_KY terms from the same cache, over a
+``star_invert`` built once per index.
 
 The nested-sum kernel (``_outer_terms``) serves only
 ``raw_partial_sum``, the uncorrected partial sum up to the config's
@@ -81,23 +83,9 @@ class NumericValue:
     value: float
     err: float = 0.0
 
-    def __add__(self, other: "NumericValue") -> "NumericValue":
-        return NumericValue(self.value + other.value, self.err + other.err)
-
-    def __sub__(self, other: "NumericValue") -> "NumericValue":
-        return NumericValue(self.value - other.value, self.err + other.err)
-
-    def __neg__(self) -> "NumericValue":
-        return NumericValue(-self.value, self.err)
-
     def __mul__(self, other: "NumericValue") -> "NumericValue":
         err = abs(self.value) * other.err + abs(other.value) * self.err + self.err * other.err
         return NumericValue(self.value * other.value, err)
-
-    def scaled(self, c: float) -> "NumericValue":
-        return NumericValue(c * self.value, abs(c) * self.err)
-
-    __rmul__ = scaled
 
     def __bool__(self) -> bool:
         return self.value != 0.0 or self.err != 0.0
@@ -328,11 +316,6 @@ class NumericSeries(Series):
 
     __slots__ = ()
     zero_coeff = ZERO
-    scaled = Series.__rmul__
-
-    def residuals(self) -> list[float]:
-        """|coefficient| per t-power 0..order (for a difference series)."""
-        return [abs(self.coefficient(e).value) for e in range(self.order + 1)]
 
 
 VARIANTS = ("ast", "sh", "star_ast", "star_sh", "star_KY", "KY_inv")
@@ -401,26 +384,36 @@ def _star_inverse(k: Index) -> tuple[tuple[Index, float], ...]:
 # -- cyclic sum formula verifiers ---------------------------------------
 
 
-def csf_series(which: str, k: Index, order: int = 2) -> NumericSeries:
-    """The cyclic-sum combination that ``verify_csf(which, k, order)``
-    checks, evaluated without its all-ones trace term: a series up to
-    t^order, or a constant (order 0) for mzsv."""
+def _csf_terms(which: str, k: Index, order: int) -> list[list[tuple]]:
+    """The (c, value) terms of each t-power 0..order of the cyclic-sum
+    combination that ``verify_csf(which, k, order)`` checks, without its
+    all-ones trace: c * zeta_hat_num(idx, variant, order - e) t^e per
+    symbol ((idx, e), c), or for mzsv c * star value, at order 0."""
     if which == "mzsv":
-        symbols, variant, order = csf_star_symbols(k), None, 0
-    elif which == "tsmzsv":
+        # a depth-1 star sum is the plain sum; its plain key shares the cache
+        symbols = csf_star_symbols(k).terms.items()
+        return [[(c, mzv_num(idx, star=len(idx) > 1)) for (idx, _), c in symbols]]
+    if which == "tsmzsv":
         symbols, variant = csf_star_hat_symbols(k, order), "star_KY"
     elif which == "tsmzv_exact":
         symbols, variant = csf_symbols(k, order), "KY_inv"
     else:
         raise ValueError(f"unknown cyclic sum check {which!r}")
+    terms: list[list] = [[] for _ in range(order + 1)]
+    for (idx, e), c in symbols.terms.items():
+        if e <= order:
+            for f, v in zeta_hat_num(idx, variant, order - e).terms.items():
+                terms[e + f].append((c, v))
+    return terms
 
-    def value(idx: Index, n: int) -> NumericSeries:
-        if variant is None:
-            # a depth-1 star sum is the plain sum; its plain key shares the cache
-            return NumericSeries(n, {0: mzv_num(idx, star=len(idx) > 1)})
-        return zeta_hat_num(idx, variant, n)
 
-    return NumericSeries(order).add_symbols(symbols, value)
+def csf_series(which: str, k: Index, order: int = 2) -> NumericSeries:
+    """The cyclic-sum combination that ``verify_csf(which, k, order)``
+    checks, evaluated without its all-ones trace term: a series up to
+    t^order, or a constant (order 0) for mzsv, each coefficient one
+    exactly rounded ``_sum`` of its terms."""
+    terms = _csf_terms(which, k, order)
+    return NumericSeries(len(terms) - 1, {e: _sum(t) for e, t in enumerate(terms)})
 
 
 def verify_csf(
@@ -434,20 +427,21 @@ def verify_csf(
     tsmzv_exact: the t-adic plain version evaluated with the KY_inv
     variant, which turns the congruence statement into an exact real
     identity whose only surviving term is the all-ones trace.
+
+    The residual at t^e is |sum of the terms of t^e|, one ``_sum`` with
+    the trace among the t^0 terms.
     """
     k = check_index(k)
     if not k:
         raise ValueError("needs a non-empty index")
     if order < 0:
         raise ValueError("order must be >= 0")
-    combo = csf_series(which, k, order)
+    terms = _csf_terms(which, k, order)
     if all(p == 1 for p in k):
         # all-ones trace; for mzsv it cancels the weight term of an empty splice sum
         wt = sum(k)
         c = wt if which == "mzsv" else (1.0 + (-1.0) ** (wt + 1)) * wt
-        trace = NumericValue(c * mzv_num((wt + 1,)).value, 0.0)
-        combo = combo + NumericSeries(combo.order, {0: trace})
+        terms[0].append((c, mzv_num((wt + 1,))))
     tol = cfg.tolerance(TOL_PLAIN if which == "mzsv" else TOL_REG)
-    return Report.numeric(
-        f"csf-{which}", k, combo.residuals(), tol, None if which == "mzsv" else order
-    )
+    residuals = [abs(_sum(t).value) for t in terms]
+    return Report.numeric(f"csf-{which}", k, residuals, tol, None if which == "mzsv" else order)

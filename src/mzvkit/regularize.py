@@ -28,7 +28,7 @@ from math import factorial
 
 from .indexes import check_index
 from .linear import Poly
-from .numeval import DEFAULT_CONFIG, ZERO, EvalConfig, NumericValue, mzv_num, z_num
+from .numeval import DEFAULT_CONFIG, ZERO, EvalConfig, NumericValue, _sum, mzv_num, z_num
 from .reports import Report
 from .tseries import w_star
 from .words import NcPoly, harmonic, reg_shuffle, s_map, shuffle, split_trailing
@@ -125,9 +125,8 @@ class NumericPolyT(Poly):
 def residuals(lhs: NumericPolyT, rhs: NumericPolyT) -> list[float]:
     """|lhs - rhs| at each degree present in either side, lowest first;
     [0.0] when both are zero."""
-    diff = lhs - rhs
     degs = sorted(set(lhs.terms) | set(rhs.terms))
-    return [abs(diff.coefficient(i).value) for i in degs] or [0.0]
+    return [abs(lhs.coefficient(i).value - rhs.coefficient(i).value) for i in degs] or [0.0]
 
 
 def numeric_reg_poly(p: NcPoly, product: str) -> NumericPolyT:
@@ -179,14 +178,15 @@ def rho_coeffs(which: str, max_deg: int) -> list[float]:
 
 def rho_apply(p: NumericPolyT, which: str) -> NumericPolyT:
     """Apply rho / rho_inv / rho_star / rho_star_inv coefficientwise:
-    T^n maps to sum_j coeff_j * n!/(n-j)! * T^(n-j)."""
+    T^n maps to sum_j coeff_j * n!/(n-j)! * T^(n-j), each output degree
+    one exactly rounded ``_sum`` of its terms."""
     coef = rho_coeffs(which, p.degree())
-    return NumericPolyT().add_terms(
-        (n - j, (coef[j] * math.perm(n, j)) * v)
-        for n, v in p.terms.items()
-        for j in range(n + 1)
-        if coef[j] != 0.0
-    )
+    terms: dict[int, list] = {}
+    for n, v in p.terms.items():
+        for j in range(n + 1):
+            if coef[j] != 0.0:
+                terms.setdefault(n - j, []).append((coef[j] * math.perm(n, j), v))
+    return NumericPolyT({d: _sum(t) for d, t in terms.items()})
 
 
 def sin_correction(n: int) -> NumericPolyT:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 from .indexes import (
     CyclicClass,
@@ -82,6 +83,20 @@ class WordSeries(Series):
             else:
                 coeffs.pop(e, None)
         return self
+
+    def add_symbols(
+        self, symbols: Combo, value: Callable[[Index, int], "WordSeries"]
+    ) -> "WordSeries":
+        """Add c * value(key, order - e) * t^e in place for every symbol
+        ((key, e), c) with e <= order; returns self.  value(key, n) is a
+        series exact to t^n, and so each term to order."""
+        order = self.order
+        return self.add_scaled(
+            (e + f, c, v)
+            for (key, e), c in symbols.terms.items()
+            if e <= order
+            for f, v in value(key, order - e).terms.items()
+        )
 
 
 # -- cached building blocks -------------------------------------------
@@ -170,7 +185,7 @@ def _series_sum(series, order: int) -> WordSeries:
 # -- cyclic-sum combinations ------------------------------------------
 #
 # The symbol combos of ``indexes`` are read as star words by _star_words
-# and as hatted star series by ``Series.add_symbols`` with w_star_hat.
+# and as hatted star series by ``WordSeries.add_symbols`` with w_star_hat.
 
 
 def _star_words(symbols: Combo, order: int) -> WordSeries:

@@ -16,6 +16,8 @@ import inspect
 import sys
 from pathlib import Path
 
+import pytest
+
 from mzvkit import indexes, numeval, regularize, tseries
 from mzvkit.cli import make_parser
 from mzvkit.indexes import CyclicClass
@@ -75,6 +77,23 @@ def test_only_indexes_expands_binomial_shifts():
         if path.name != "indexes.py" and "binomial_shifts" in path.read_text()
     )
     assert users == []
+
+
+def test_only_numeval_sum_adds_numeric_values():
+    # every float combination is one exactly rounded numeval._sum over its
+    # terms; numeric values and containers have no pairwise + or -, which
+    # would make a result depend on the order of its terms
+    v = numeval.NumericValue(1.0, 1e-16)
+    pairs = [
+        (v, v),
+        (numeval.NumericSeries(2, {0: v, 1: v}), numeval.NumericSeries(2, {0: v})),
+        (regularize.NumericPolyT({0: v, 1: v}), regularize.NumericPolyT({0: v})),
+    ]
+    for a, b in pairs:
+        with pytest.raises(TypeError):
+            a + b
+        with pytest.raises(TypeError):
+            a - b
 
 
 def test_benchmark_keeps_its_flags_cutoff_and_raw_partial_sum():
