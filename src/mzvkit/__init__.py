@@ -6,7 +6,7 @@ The package is organised in layers:
 * :mod:`mzvkit.linear` - finite linear combinations: the one sparse
   "dict of coefficients" base of every container, and truncated series.
 * :mod:`mzvkit.indexes` - the formal vector space on indices, the one
-  contraction map behind star expansion/inversion and ``s_m``, cyclic
+  star map on whole combinations and the sums ``s_m``, cyclic
   classes, the exact index identities and the cyclic-sum combinations
   that the word and numeric checks evaluate.
 * :mod:`mzvkit.words` - words over {x, y}, sparse polynomials, the

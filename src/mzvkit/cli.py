@@ -298,7 +298,7 @@ def _regularization_cases(args, cfg) -> list[Case]:
 
 def _index_identity_cases(args, cfg) -> list[Case]:
     def star_round(k):
-        got = indexes.star_invert(k).map_linear(indexes.star_expand)
+        got = indexes.star_map(indexes.star_invert(k))
         return (True, None) if got == indexes.IndexCombo.of(k) else (False, str(got))
 
     def policy(k):

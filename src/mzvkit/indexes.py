@@ -10,18 +10,15 @@ cyclic contraction sums ``s_m``, and exact verifiers for the index-level
 identities used to reduce the cyclic sum formula of the t-adic values to
 its star form; each verifier returns a ``reports.ExactCheck``.
 
-Every contraction sum on indices comes from one pruned doubling,
-``_contractions``: it builds the contractions of an index left to right,
-one tuple operation per term, and given a depth it builds only the
-contractions of that depth.  Star expansion and inversion read all of
-them; ``s_m`` reads those of one depth; the right side of ``lemma112``
-sorts the full doubling of each rotation by depth, one side per m.  The
-word side has its own doubling, the letter-level ``words.sigma`` (y ->
-x + y): ``words.s_map`` is y*sigma(tail), which on a z-word gives the
-contractions of its index.  Star expansion is linear, so the identities
-that star-expand an alternating s_m sum first collect its indices (or
-its (index, t-power) symbols) with their signed multiplicities, and then
-expand each distinct one that survives once.
+Star expansion and inversion are one linear map, ``star_map``, on
+combinations of indices or of (index, t-power) symbols.  A contraction
+of a weight-w index clears some of the y bits of its z-word below the
+leading y, so a weight slice is one ``words.superset_sums``, the pass
+behind ``words.sigma`` and ``s_map`` too; a single index takes the
+doubling ``_contractions``, which given a depth also builds the sums of
+``s_m``.  The identities expand whole combinations: prop1-3 and
+``csf_reduction`` the collected alternating s_m sum (itself one star
+inversion), ``lemma112`` the sum of the rotations, split by depth.
 
 The t-adic expansion and the cyclic-sum combinations are defined here,
 once, as formal sums of t-adic symbols, plain ``Combo`` objects keyed by
@@ -35,11 +32,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, prod
 from typing import Callable, Iterable, Iterator
 
 from .linear import Combo
 from .reports import ExactCheck
+from .words import superset_sums, transform_pays, word_of_index
 
 Index = tuple[int, ...]
 
@@ -60,12 +59,6 @@ class IndexCombo(Combo):
     def of(cls, k: Index, c=1) -> "IndexCombo":
         return cls({tuple(k): c})
 
-    def map_linear(self, f: Callable[[Index], "IndexCombo"]) -> "IndexCombo":
-        """Linear extension: sum of c * f(k) over the combo's terms."""
-        return IndexCombo().add_terms(
-            (kk, c * d) for k, c in self.terms.items() for kk, d in f(k).terms.items()
-        )
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
@@ -75,15 +68,11 @@ class IndexCombo(Combo):
 
 def _contractions(k: Index, plus_sign: int, depth: int | None = None) -> list[tuple[Index, int]]:
     """(contraction, plus_sign ** pluses) for every comma/plus contraction
-    of a non-empty k; with ``depth`` (1 <= depth <= len(k)), only for the
-    contractions of that depth.
-
+    of k, or with ``depth`` (1 <= depth <= len(k)) for those of that depth.
     Built left to right by doubling: at each further part, every tuple so
-    far first takes it as a new part, then adds it to its last entry.  The
-    terms come in plus-mask order (bit i - 1 puts a plus before k_{i+1}),
-    one tuple operation each.  With ``depth`` the doubling is pruned: a
-    tuple takes a comma only while it is shorter than depth, and a plus
-    only while the parts still to come can bring it up to depth."""
+    far first takes it as a new part, then adds it to its last entry.  With
+    ``depth`` a tuple takes a comma only while it is shorter than depth,
+    and a plus only while the parts to come can bring it up to depth."""
     r = len(k)
     # without depth both filters always hold: len(t) <= i < r and len(t) >= 1
     hi = depth or r
@@ -99,16 +88,45 @@ def _contractions(k: Index, plus_sign: int, depth: int | None = None) -> list[tu
     return terms
 
 
+@lru_cache(maxsize=None)
+def _indices_by_bits(w: int) -> tuple[Index, ...]:
+    """The weight-w indices in the order of the low w - 1 bits of their z-words."""
+    return tuple(sorted(indices_up_to(w, w), key=word_of_index))
+
+
+def star_map(combo: Combo, sign: int = 1) -> Combo:
+    """Star expansion (sign 1) or inversion (sign -1) of a combination of
+    indices (an ``IndexCombo``) or of (index, tag) symbols, extended
+    linearly; a symbol keeps its tag.  A contraction of a weight-w index
+    clears some of the y bits below the leading y of its z-word, so each
+    bucket of one weight and tag is one ``words.superset_sums`` over the
+    low w - 1 bits, read back through the weight-w indices, or when that
+    does not pay (a single index) ``_contractions`` of each index."""
+    plain = isinstance(combo, IndexCombo)
+    buckets: dict[tuple, dict] = {}
+    for key, c in combo.terms.items():
+        k, tag = (key, None) if plain else key
+        buckets.setdefault((sum(k), tag), {})[k] = c
+    out = type(combo)()
+    for (w, tag), part in buckets.items():
+        if transform_pays([len(k) - 1 for k in part], w - 1):
+            table, low = _indices_by_bits(w), (1 << (w - 1)) - 1
+            bits = {word_of_index(k) & low: c for k, c in part.items()}
+            terms = [(table[u], c) for u, c in superset_sums(bits, w - 1, sign)]
+        else:  # the empty index, alone in its bucket, is its own image
+            terms = [(t, c * s) for k, c in part.items() for t, s in _contractions(k, sign)]
+        out.add_terms(terms if plain else (((t, tag), c) for t, c in terms))
+    return out
+
+
 def star_expand(k: Index) -> IndexCombo:
     """Sum of the 2^(r-1) comma/plus contractions of k; () expands to ()."""
-    k = check_index(k)
-    return IndexCombo().add_terms(_contractions(k, 1)) if k else IndexCombo.of(())
+    return IndexCombo().add_terms(_contractions(check_index(k), 1))
 
 
 def star_invert(k: Index) -> IndexCombo:
     """Signed contraction sum whose star expansion collapses back to k."""
-    k = check_index(k)
-    if not k:
+    if not (k := check_index(k)):
         raise ValueError("star inversion needs a non-empty index")
     return IndexCombo().add_terms(_contractions(k, -1))
 
@@ -266,29 +284,19 @@ def s_m(k: Index, m: int, policy: str = "first") -> IndexCombo:
     )
 
 
-def _cyclic_split_lhs(k: Index, j: int) -> IndexCombo:
-    """Sum over i of (j+1+k_i, rot) + (j+1, k_i, rot) used on the plain side."""
-    return IndexCombo().add_terms(
-        (idx, 1)
-        for p, rest in rotation_pivots(k)
-        for idx in ((j + 1 + p,) + rest, (j + 1, p) + rest)
-    )
+def _signed_s_m(k: Index) -> Iterable[tuple[Index, int]]:
+    """(l, (-1)^m * multiplicity) for every m = 0..r-1 and term l of s_m(k).
+    A contraction with p pluses of the j-th base of ``s_m`` lies in
+    s_{j+p}, so this is the alternating sum over j of the star inversions
+    of the bases (k_{j+2}, ..., k_r, k_1 + ... + k_{j+1})."""
+    bases = ((k[j + 1 :] + (sum(k[: j + 1]),), -1 if j & 1 else 1) for j in range(len(k)))
+    return star_map(IndexCombo().add_terms(bases), -1).terms.items()
 
 
-def _signed_s_m(k: Index) -> Iterator[tuple[Index, int]]:
-    """(l, (-1)^m * multiplicity) for every m = 0..r-1 and term l of s_m(k)."""
-    for m in range(len(k)):
-        sign = -1 if m & 1 else 1
-        for l, mult in s_m(k, m).terms.items():
-            yield l, sign * mult
-
-
-def _star_over_sm(k: Index, f: Callable[[Index], Iterable[Index]]) -> IndexCombo:
-    """Alternating sum over m and S_m(k) of the star expansions of f(l):
-    the indices f(l) are collected first, and each distinct one that
-    survives is star-expanded once."""
-    pre = IndexCombo().add_terms((idx, c) for l, c in _signed_s_m(k) for idx in f(l))
-    return pre.map_linear(star_expand)
+def _star_over_sm(k: Index, f: Callable[[Index], Iterable], kind: type = IndexCombo) -> Combo:
+    """The star expansion of the alternating sum over m and S_m(k) of the
+    (key, coefficient) terms f(l), collected first into one ``kind``."""
+    return star_map(kind().add_terms((key, c * d) for l, c in _signed_s_m(k) for key, d in f(l)))
 
 
 def cyclic_symmetrized_s_m(k: Index, m: int, policy: str = "first") -> IndexCombo:
@@ -297,17 +305,6 @@ def cyclic_symmetrized_s_m(k: Index, m: int, policy: str = "first") -> IndexComb
     return IndexCombo().add_terms(
         (rot, mult) for l, mult in s_m(k, m, policy).terms.items() for rot in rotations(l)
     )
-
-
-def _lemma112_rhs(k: Index) -> list[IndexCombo]:
-    """Per m, the depth-(r - m) contractions of every rotation of k, read
-    off one full doubling per rotation."""
-    r = len(k)
-    by_m: list[list[tuple[Index, int]]] = [[] for _ in range(r)]
-    for rot in rotations(k):
-        for t, c in _contractions(rot, 1):
-            by_m[r - len(t)].append((t, c))
-    return [IndexCombo().add_terms(terms) for terms in by_m]
 
 
 def _full_splices(k: Index) -> Iterator[Index]:
@@ -343,18 +340,20 @@ def verify_index_identity(
         ms = [m] if m is not None else list(range(r))
         if any(not 0 <= mm <= r - 1 for mm in ms):
             raise ValueError(f"lemma112 needs 0 <= m <= {r - 1}")
-        rhs_by_m = _lemma112_rhs(k)
         lhs = Combo({mm: cyclic_symmetrized_s_m(k, mm) for mm in ms})
-        rhs = Combo({mm: rhs_by_m[mm] for mm in ms})
+        star = star_map(IndexCombo().add_terms((rot, 1) for rot in rotations(k))).terms.items()
+        rhs = Combo({mm: IndexCombo({t: c for t, c in star if len(t) == r - mm}) for mm in ms})
         return ExactCheck(name, k, {"m": m}, lhs, rhs)
 
     if name == "prop1":
-        lhs = _cyclic_split_lhs(k, j)
-        rhs = _star_over_sm(k, lambda l: ((j + 1,) + rot for rot in rotations(l)))
+        lhs = IndexCombo().add_terms(
+            (idx, 1) for p, rest in rotation_pivots(k) for idx in ((j + 1 + p,) + rest, (j + 1, p) + rest)
+        )
+        rhs = _star_over_sm(k, lambda l: (((j + 1,) + rot, 1) for rot in rotations(l)))
         return ExactCheck(name, k, {"j": j}, lhs, rhs)
 
     if name == "prop2":
-        lhs = _star_over_sm(k, _full_splices)
+        lhs = _star_over_sm(k, lambda l: ((idx, 1) for idx in _full_splices(l)))
         wt = sum(k)
         sign = -1 if r & 1 else 1
         rhs = IndexCombo().add_terms((idx, 1) for idx in _full_splices(k))
@@ -362,7 +361,7 @@ def verify_index_identity(
         return ExactCheck(name, k, {}, lhs, rhs)
 
     if name == "prop3":
-        lhs = _star_over_sm(k, lambda l: (rot + (1,) for rot in rotations(l)))
+        lhs = _star_over_sm(k, lambda l: ((rot + (1,), 1) for rot in rotations(l)))
         rhs = IndexCombo().add_terms(
             (idx, 1) for p, rest in rotation_pivots(k) for idx in (rest + (p, 1), rest + (p + 1,))
         )
@@ -370,16 +369,7 @@ def verify_index_identity(
 
     if name == "csf_reduction":
         lhs = csf_symbols(k, t_order)
-        pre = Combo().add_terms(
-            (sym, c * d)
-            for l, c in _signed_s_m(k)
-            for sym, d in csf_star_hat_symbols(l, t_order).terms.items()
-        )
-        rhs = Combo().add_terms(
-            ((kk, e), c * n)
-            for (idx, e), c in pre.terms.items()
-            for kk, n in star_expand(idx).terms.items()
-        )
+        rhs = _star_over_sm(k, lambda l: csf_star_hat_symbols(l, t_order).terms.items(), Combo)
         return ExactCheck(name, k, {"t_order": t_order}, lhs, rhs)
 
     raise ValueError(f"unknown identity {name!r}")

@@ -407,15 +407,6 @@ def _csf_terms(which: str, k: Index, order: int) -> list[list[tuple]]:
     return terms
 
 
-def csf_series(which: str, k: Index, order: int = 2) -> NumericSeries:
-    """The cyclic-sum combination that ``verify_csf(which, k, order)``
-    checks, evaluated without its all-ones trace term: a series up to
-    t^order, or a constant (order 0) for mzsv, each coefficient one
-    exactly rounded ``_sum`` of its terms."""
-    terms = _csf_terms(which, k, order)
-    return NumericSeries(len(terms) - 1, {e: _sum(t) for e, t in enumerate(terms)})
-
-
 def verify_csf(
     which: str, k: Index, order: int = 2, cfg: EvalConfig = DEFAULT_CONFIG
 ) -> Report:

@@ -38,10 +38,12 @@ is the T^0 map u·x·y^m -> (-1)^m (u ш y^m)·x (``reg_shuffle_constant``,
 one shuffle sum over the trailing counts m) of the j-th trailing-y
 derivative, over j!.
 
-``s_map``, the word form of star expansion, is y*sigma(tail) on each
-word: the letter-level doubling of ``sigma`` (y -> x + y) on everything
-after the leading y, which on a z-word is the sum over the comma/plus
-contractions of its index.
+``sigma`` (y -> x + y) turns any set of a word's y letters into x, and
+``s_map``, the word form of star expansion, is y*sigma(tail); on a
+z-word that is the sum over the comma/plus contractions of its index.
+On a weight slice of several words it is one superset-sum transform
+over the letter bits (``superset_sums``), which ``indexes.star_map``
+also runs on index combinations; a single word takes its sub-masks.
 """
 
 from __future__ import annotations
@@ -89,12 +91,6 @@ def concat(a: int, b: int) -> int:
     return (a << nb) | (b ^ (1 << nb))
 
 
-def letters(w: int) -> Iterator[int]:
-    n = weight(w)
-    for i in range(n - 1, -1, -1):
-        yield (w >> i) & 1
-
-
 def first_letter(w: int) -> int:
     return (w >> (weight(w) - 1)) & 1
 
@@ -123,13 +119,7 @@ def word_of_index(k: tuple[int, ...]) -> int:
 def index_of_word(w: int) -> tuple[int, ...]:
     """The unique index whose z-word is w.  Raises for words outside H1."""
     _check_h1(w)
-    parts: list[int] = []
-    for bit in letters(w):
-        if bit == Y:
-            parts.append(1)
-        else:
-            parts[-1] += 1
-    return tuple(parts)
+    return tuple(len(z) for z in word_str(w).replace("y", " y").split())
 
 
 def _exact_quotient(c, d):
@@ -441,39 +431,66 @@ def harmonic(a: NcPoly, b: NcPoly) -> NcPoly:
     return out
 
 
-def _sigma_word(w: int) -> dict[int, int]:
-    """Expand sigma on a single word: x -> x, y -> x + y."""
-    acc = [EMPTY_WORD]
-    for bit in letters(w):
-        if bit == X:
-            acc = [(v << 1) for v in acc]
-        else:
-            acc = [(v << 1) for v in acc] + [((v << 1) | 1) for v in acc]
-    return {v: 1 for v in acc}  # distinct y-subsets give distinct words
+def transform_pays(free: list[int], n: int) -> bool:
+    """Whether a slice of n-bit keys with these free-bit counts is summed by
+    :func:`superset_sums`: when it holds more than one key and the 2^n
+    entries take no more room than the 2^f terms per key of the doubling."""
+    return len(free) > 1 and sum(1 << f for f in free) << 4 >= 1 << n  # 16 entries a term
+
+
+def superset_sums(part: dict, n: int, sign: int = 1) -> list[tuple[int, object]]:
+    """The nonzero sums over u of sign^popcount(v ^ u) * c over the terms
+    (v, c) of part with v a superset of u: the superset-sum transform of
+    one dense vector of 2^n entries, or for sign -1 its Mobius inverse, in
+    n passes.  Each entry stays a signed sum of distinct coefficients, so
+    the vector is int64 when sum |c| is an int below 2^62, else it holds
+    exact Python numbers."""
+    bound = sum(map(abs, part.values()))
+    dtype = np.int64 if isinstance(bound, int) and bound < _INT64_SAFE else object
+    vec = np.zeros(1 << n, dtype=dtype)
+    vec[list(part)] = np.array(list(part.values()), dtype=dtype)
+    op = np.add if sign > 0 else np.subtract
+    for b in range(n):  # each entry with bit b set into the one without it
+        lanes = vec.reshape(-1, 2, 1 << b)
+        op(lanes[:, 0], lanes[:, 1], out=lanes[:, 0])
+    nz = np.flatnonzero(vec)
+    return list(zip(nz.tolist(), vec[nz].tolist()))
+
+
+def _submasks(v: int) -> Iterator[int]:
+    """v and every int made from it by clearing some of its set bits."""
+    u = v
+    while u:
+        yield u
+        u = (u - 1) & v
+    yield 0
 
 
 def sigma(p: NcPoly) -> NcPoly:
-    """The ring automorphism with sigma(x) = x, sigma(y) = x + y."""
-    return NcPoly().add_terms((v, c) for w, c in p.terms.items() for v in _sigma_word(w))
+    """The ring automorphism with sigma(x) = x, sigma(y) = x + y: the sum
+    over every way to turn some of a word's y letters into x.  Per weight,
+    one :func:`superset_sums` when it pays, else each word's sub-masks."""
+    out = NcPoly()
+    for n, part in p.homogeneous_parts().items():
+        if transform_pays([v.bit_count() for v in part], n):
+            terms = superset_sums(part, n)
+        else:
+            terms = [(u, c) for v, c in part.items() for u in _submasks(v)]
+        out.add_terms((u | 1 << n, c) for u, c in terms)
+    return out
 
 
 def s_map(p: NcPoly) -> NcPoly:
-    """Linear map with 1 -> 1 and y*w -> y*sigma(w); defined on H1.
-
-    On z-words this is the sum over all comma/plus contractions of the
-    index (Hoffman's map S), the word-level expansion behind the star
-    values.  Packed, the tail of a weight-n word w is w ^ (1 << n) and
-    y*v is v | (1 << n).
-    """
-    out = NcPoly()
-    for w, c in p.terms.items():
+    """Linear map with 1 -> 1 and y*w -> y*sigma(w); defined on H1.  On
+    z-words it is the sum over all comma/plus contractions of the index
+    (Hoffman's map S), the word-level expansion behind the star values.
+    Packed, the tail of a weight-n word w is w ^ (1 << n), and y*v is
+    v | (2 << weight(v))."""
+    for w in p.terms:
         _check_h1(w)
-        if w == EMPTY_WORD:
-            out.add_terms([(w, c)])
-        else:
-            top = 1 << weight(w)
-            out.add_terms((v | top, c) for v in _sigma_word(w ^ top))
-    return out
+    tails = NcPoly({w ^ (1 << weight(w)): c for w, c in p.terms.items() if w != EMPTY_WORD})
+    out = NcPoly({v | (2 << weight(v)): c for v, c in sigma(tails).terms.items()})
+    return out.add_terms([(EMPTY_WORD, p.coefficient(EMPTY_WORD))])
 
 
 def random_word(rng, max_weight: int = 8, h1: bool = False, h0: bool = False) -> int:

@@ -14,8 +14,8 @@ from mzvkit.indexes import (
     all_cyclic_classes,
     cyclic_symmetrized_s_m,
     indices_up_to,
-    star_expand,
     star_invert,
+    star_map,
     verify_index_identity,
 )
 from mzvkit.numeval import EvalConfig, mzv_num, verify_csf
@@ -56,7 +56,7 @@ def test_criterion_02_class_expansion_and_abc():
 
 def test_criterion_03_index_identities():
     for k in indices_up_to(8):
-        assert star_invert(k).map_linear(star_expand) == IndexCombo.of(k), k
+        assert star_map(star_invert(k)) == IndexCombo.of(k), k
     for k in indices_up_to(7):
         assert verify_index_identity("lemma112", k).equal, k
         for j in range(5):

@@ -279,6 +279,20 @@ def test_index_past_w_map_limit_still_runs_suites_without_posets(capsys):
     assert "pass" in capsys.readouterr().out
 
 
+def test_index_identities_on_dense_weight_slices_all_pass(capsys, monkeypatch):
+    # at weight 7 the star expansions of whole combinations run through
+    # the superset-sum transform
+    import mzvkit.indexes as indexes_mod
+
+    calls = []
+    transform = indexes_mod.superset_sums
+    monkeypatch.setattr(indexes_mod, "superset_sums", lambda *a: calls.append(a) or transform(*a))
+    assert main(["--suite", "index-identities", "--max-weight", "7", "--json"]) == 0
+    rows = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+    assert len(rows) == 1397 and all(row["pass"] for row in rows)
+    assert calls
+
+
 @pytest.mark.parametrize(
     "suite, extra",
     [("csf-tsmzsv", 3), ("second-main", 3), ("all", 3), ("regularization", 0)],

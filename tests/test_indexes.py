@@ -1,6 +1,7 @@
 """Index space: star expansion/inversion, cyclic classes, s_m, identities."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from mzvkit.indexes import (
     splices,
     star_expand,
     star_invert,
+    star_map,
     verify_index_identity,
 )
 from mzvkit.linear import Combo
@@ -91,6 +93,30 @@ def test_star_expand_and_invert_are_the_mask_contractions():
     for k in indices_up_to(8):
         for f, plus_sign in ((star_expand, 1), (star_invert, -1)):
             assert f(k) == mask_contractions(k, plus_sign), (k, plus_sign)
+    # whole combinations: weights 1-9 mixed with the empty index, plain
+    # or as (index, t-power) symbols, with int, Fraction and huge
+    # coefficients; the empty index is fixed by both maps
+    rng = random.Random(26)
+    pool = indices_up_to(9)
+    for symbols, kind in itertools.product((False, True), ("int", "fraction", "huge")):
+        keys = rng.sample(pool, 150) + [()]
+        coeffs = [rng.choice((-3, -2, -1, 1, 2, 5)) for _ in keys]
+        if kind == "fraction":
+            coeffs = [Fraction(c, rng.randint(1, 6)) for c in coeffs]
+        if kind == "huge":  # the all-ones index contains every other weight-9 one
+            keys += [(1,) * 9, next(k for k in keys if sum(k) == 9 and k != (1,) * 9)]
+            coeffs += [(1 << 62) + 1, 1 << 62]
+        if symbols:
+            keys = [(k, rng.randint(0, 2)) for k in keys]
+        combo = (Combo if symbols else IndexCombo)(dict(zip(keys, coeffs)))
+        for plus_sign in (1, -1):
+            want = type(combo)()
+            for key, c in combo.terms.items():
+                k, e = key if symbols else (key, None)
+                image = mask_contractions(k, plus_sign) if k else IndexCombo.of(())
+                want.add_terms(((kk, e) if symbols else kk, c * d) for kk, d in image.terms.items())
+            assert star_map(combo, plus_sign) == want, (symbols, kind, plus_sign)
+        assert star_map(star_map(combo, -1)) == combo, (symbols, kind)
 
 
 def test_star_invert_examples():
@@ -103,8 +129,8 @@ def test_star_invert_examples():
 
 def test_star_round_trip_weight_8():
     for k in indices_up_to(8):
-        assert star_invert(k).map_linear(star_expand) == IndexCombo.of(k), k
-        assert star_expand(k).map_linear(star_invert) == IndexCombo.of(k), k
+        assert star_map(star_invert(k)) == IndexCombo.of(k), k
+        assert star_map(star_expand(k), -1) == IndexCombo.of(k), k
 
 
 def test_index_combo_text_form():
@@ -114,10 +140,9 @@ def test_index_combo_text_form():
 
 
 def test_combo_linear_convention():
-    # sum over M of f: with M = (2,3) + 2*(5,7), shifting the last entry
+    # sum over M of f: with M = (2,3) + 2*(5,7), star-expanding each term
     m = IndexCombo({(2, 3): 1, (5, 7): 2})
-    got = m.map_linear(lambda k: IndexCombo.of(k[:-1] + (k[-1] + 1,)))
-    assert got == IndexCombo({(2, 4): 1, (5, 8): 2})
+    assert star_map(m) == IndexCombo({(2, 3): 1, (5,): 1, (5, 7): 2, (12,): 2})
 
 
 def test_cyclic_classes_examples():

@@ -684,6 +684,31 @@ def test_s_map_is_contraction_sum():
         want = NcPoly({word_of_index(kk): c for kk, c in star_expand(k).terms.items()})
         assert s_map(NcPoly.from_index(k)) == want, k
 
+    def contraction_sums(p):
+        return NcPoly().add_terms(
+            (word_of_index(kk), c * d)
+            for w, c in p.terms.items()
+            for kk, d in star_expand(index_of_word(w)).terms.items()
+        )
+
+    # on a combination of z-words of several weights, the sum of theirs;
+    # sigma(w) is s_map(y w) without its leading y, on x-first words too
+    rng = random.Random(26)
+    pool = indices_up_to(9)
+    for _ in range(6):
+        p = NcPoly(
+            {word_of_index(k): Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for k in rng.sample(pool, 120)}
+        )
+        assert s_map(p) == contraction_sums(p)
+        q = NcPoly(
+            {(1 << n) | rng.getrandbits(n): Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+             for n in (rng.randint(0, 9) for _ in range(120))}
+        )
+        assert any(not in_h1(w) for w in q.terms)
+        y_first = NcPoly({(3 << weight(w)) | (w ^ (1 << weight(w))): c for w, c in q.terms.items()})
+        want = NcPoly({v ^ (1 << weight(v)): c for v, c in contraction_sums(y_first).terms.items()})
+        assert sigma(q) == want
+
 
 def test_words_outside_h1_are_refused_alike():
     msg = "word 'xy' starts with x, not in H1"
