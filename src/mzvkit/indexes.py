@@ -13,12 +13,12 @@ its star form; each verifier returns a ``reports.ExactCheck``.
 Star expansion and inversion are one linear map, ``star_map``, on
 combinations of indices or of (index, t-power) symbols.  A contraction
 of a weight-w index clears some of the y bits of its z-word below the
-leading y, so a weight slice is one ``words.superset_sums``, the pass
-behind ``words.sigma`` and ``s_map`` too; a single index takes the
-doubling ``_contractions``, which given a depth also builds the sums of
-``s_m``.  The identities expand whole combinations: prop1-3 and
-``csf_reduction`` the collected alternating s_m sum (itself one star
-inversion), ``lemma112`` the sum of the rotations, split by depth.
+leading y, so a dense weight slice is one ``words.superset_sums``; a
+single index, or a sparse slice, takes the doubling ``_contractions``,
+which given a depth also builds the sums of ``s_m``.  The identities
+expand whole combinations: prop1-3 and ``csf_reduction`` the collected
+alternating s_m sum (itself one star inversion), ``lemma112`` the sum of
+the rotations, split by depth.
 
 The t-adic expansion and the cyclic-sum combinations are defined here,
 once, as formal sums of t-adic symbols, plain ``Combo`` objects keyed by
@@ -38,7 +38,7 @@ from typing import Callable, Iterable, Iterator
 
 from .linear import Combo
 from .reports import ExactCheck
-from .words import superset_sums, transform_pays, word_of_index
+from .words import superset_sums, word_of_index
 
 Index = tuple[int, ...]
 
@@ -100,8 +100,10 @@ def star_map(combo: Combo, sign: int = 1) -> Combo:
     linearly; a symbol keeps its tag.  A contraction of a weight-w index
     clears some of the y bits below the leading y of its z-word, so each
     bucket of one weight and tag is one ``words.superset_sums`` over the
-    low w - 1 bits, read back through the weight-w indices, or when that
-    does not pay (a single index) ``_contractions`` of each index."""
+    low w - 1 bits, read back through the weight-w indices.  A bucket
+    takes it when it holds more than one index and its 2^(w-1) entries
+    take no more room than the terms of the doubling (16 entries a term),
+    else it takes ``_contractions`` of each index."""
     plain = isinstance(combo, IndexCombo)
     buckets: dict[tuple, dict] = {}
     for key, c in combo.terms.items():
@@ -109,11 +111,11 @@ def star_map(combo: Combo, sign: int = 1) -> Combo:
         buckets.setdefault((sum(k), tag), {})[k] = c
     out = type(combo)()
     for (w, tag), part in buckets.items():
-        if transform_pays([len(k) - 1 for k in part], w - 1):
+        if len(part) > 1 and sum(1 << len(k) for k in part) << 3 >= 1 << (w - 1):
             table, low = _indices_by_bits(w), (1 << (w - 1)) - 1
             bits = {word_of_index(k) & low: c for k, c in part.items()}
             terms = [(table[u], c) for u, c in superset_sums(bits, w - 1, sign)]
-        else:  # the empty index, alone in its bucket, is its own image
+        else:
             terms = [(t, c * s) for k, c in part.items() for t, s in _contractions(k, sign)]
         out.add_terms(terms if plain else (((t, tag), c) for t, c in terms))
     return out
@@ -126,7 +128,8 @@ def star_expand(k: Index) -> IndexCombo:
 
 def star_invert(k: Index) -> IndexCombo:
     """Signed contraction sum whose star expansion collapses back to k."""
-    if not (k := check_index(k)):
+    k = check_index(k)
+    if not k:
         raise ValueError("star inversion needs a non-empty index")
     return IndexCombo().add_terms(_contractions(k, -1))
 
@@ -284,6 +287,15 @@ def s_m(k: Index, m: int, policy: str = "first") -> IndexCombo:
     )
 
 
+def _cyclic_split_lhs(k: Index, j: int) -> IndexCombo:
+    """Sum over i of (j+1+k_i, rot) + (j+1, k_i, rot) used on the plain side."""
+    return IndexCombo().add_terms(
+        (idx, 1)
+        for p, rest in rotation_pivots(k)
+        for idx in ((j + 1 + p,) + rest, (j + 1, p) + rest)
+    )
+
+
 def _signed_s_m(k: Index) -> Iterable[tuple[Index, int]]:
     """(l, (-1)^m * multiplicity) for every m = 0..r-1 and term l of s_m(k).
     A contraction with p pluses of the j-th base of ``s_m`` lies in
@@ -346,9 +358,7 @@ def verify_index_identity(
         return ExactCheck(name, k, {"m": m}, lhs, rhs)
 
     if name == "prop1":
-        lhs = IndexCombo().add_terms(
-            (idx, 1) for p, rest in rotation_pivots(k) for idx in ((j + 1 + p,) + rest, (j + 1, p) + rest)
-        )
+        lhs = _cyclic_split_lhs(k, j)
         rhs = _star_over_sm(k, lambda l: (((j + 1,) + rot, 1) for rot in rotations(l)))
         return ExactCheck(name, k, {"j": j}, lhs, rhs)
 

@@ -38,12 +38,12 @@ is the T^0 map u·x·y^m -> (-1)^m (u ш y^m)·x (``reg_shuffle_constant``,
 one shuffle sum over the trailing counts m) of the j-th trailing-y
 derivative, over j!.
 
-``sigma`` (y -> x + y) turns any set of a word's y letters into x, and
-``s_map``, the word form of star expansion, is y*sigma(tail); on a
-z-word that is the sum over the comma/plus contractions of its index.
-On a weight slice of several words it is one superset-sum transform
-over the letter bits (``superset_sums``), which ``indexes.star_map``
-also runs on index combinations; a single word takes its sub-masks.
+``sigma`` (y -> x + y) turns any set of a word's y letters into x: the
+sub-masks of its letter bits.  ``s_map``, the word form of star
+expansion, is y*sigma(tail); on a z-word that is the sum over the
+comma/plus contractions of its index.  ``superset_sums`` is the same sum
+over a whole slice of n-bit keys at once, a superset-sum transform of
+one dense vector, which ``indexes.star_map`` runs on index combinations.
 """
 
 from __future__ import annotations
@@ -91,6 +91,12 @@ def concat(a: int, b: int) -> int:
     return (a << nb) | (b ^ (1 << nb))
 
 
+def letters(w: int) -> Iterator[int]:
+    n = weight(w)
+    for i in range(n - 1, -1, -1):
+        yield (w >> i) & 1
+
+
 def first_letter(w: int) -> int:
     return (w >> (weight(w) - 1)) & 1
 
@@ -119,7 +125,13 @@ def word_of_index(k: tuple[int, ...]) -> int:
 def index_of_word(w: int) -> tuple[int, ...]:
     """The unique index whose z-word is w.  Raises for words outside H1."""
     _check_h1(w)
-    return tuple(len(z) for z in word_str(w).replace("y", " y").split())
+    parts: list[int] = []
+    for bit in letters(w):
+        if bit == Y:
+            parts.append(1)
+        else:
+            parts[-1] += 1
+    return tuple(parts)
 
 
 def _exact_quotient(c, d):
@@ -431,13 +443,6 @@ def harmonic(a: NcPoly, b: NcPoly) -> NcPoly:
     return out
 
 
-def transform_pays(free: list[int], n: int) -> bool:
-    """Whether a slice of n-bit keys with these free-bit counts is summed by
-    :func:`superset_sums`: when it holds more than one key and the 2^n
-    entries take no more room than the 2^f terms per key of the doubling."""
-    return len(free) > 1 and sum(1 << f for f in free) << 4 >= 1 << n  # 16 entries a term
-
-
 def superset_sums(part: dict, n: int, sign: int = 1) -> list[tuple[int, object]]:
     """The nonzero sums over u of sign^popcount(v ^ u) * c over the terms
     (v, c) of part with v a superset of u: the superset-sum transform of
@@ -468,15 +473,11 @@ def _submasks(v: int) -> Iterator[int]:
 
 def sigma(p: NcPoly) -> NcPoly:
     """The ring automorphism with sigma(x) = x, sigma(y) = x + y: the sum
-    over every way to turn some of a word's y letters into x.  Per weight,
-    one :func:`superset_sums` when it pays, else each word's sub-masks."""
+    over every way to turn some of a word's y letters into x."""
     out = NcPoly()
-    for n, part in p.homogeneous_parts().items():
-        if transform_pays([v.bit_count() for v in part], n):
-            terms = superset_sums(part, n)
-        else:
-            terms = [(u, c) for v, c in part.items() for u in _submasks(v)]
-        out.add_terms((u | 1 << n, c) for u, c in terms)
+    for w, c in p.terms.items():
+        top = 1 << weight(w)
+        out.add_terms((u | top, c) for u in _submasks(w ^ top))
     return out
 
 
@@ -484,13 +485,17 @@ def s_map(p: NcPoly) -> NcPoly:
     """Linear map with 1 -> 1 and y*w -> y*sigma(w); defined on H1.  On
     z-words it is the sum over all comma/plus contractions of the index
     (Hoffman's map S), the word-level expansion behind the star values.
-    Packed, the tail of a weight-n word w is w ^ (1 << n), and y*v is
-    v | (2 << weight(v))."""
-    for w in p.terms:
+    Packed, the sentinel and leading y of a weight-n word are the bits of
+    high = 3 << (n - 1), above the tail's letter bits."""
+    out = NcPoly()
+    for w, c in p.terms.items():
         _check_h1(w)
-    tails = NcPoly({w ^ (1 << weight(w)): c for w, c in p.terms.items() if w != EMPTY_WORD})
-    out = NcPoly({v | (2 << weight(v)): c for v, c in sigma(tails).terms.items()})
-    return out.add_terms([(EMPTY_WORD, p.coefficient(EMPTY_WORD))])
+        if w == EMPTY_WORD:
+            out.add_terms([(w, c)])
+        else:
+            high = 3 << (weight(w) - 1)
+            out.add_terms((u | high, c) for u in _submasks(w ^ high))
+    return out
 
 
 def random_word(rng, max_weight: int = 8, h1: bool = False, h0: bool = False) -> int:
