@@ -296,13 +296,14 @@ def _cyclic_split_lhs(k: Index, j: int) -> IndexCombo:
     )
 
 
-def _signed_s_m(k: Index) -> Iterable[tuple[Index, int]]:
-    """(l, (-1)^m * multiplicity) for every m = 0..r-1 and term l of s_m(k).
-    A contraction with p pluses of the j-th base of ``s_m`` lies in
-    s_{j+p}, so this is the alternating sum over j of the star inversions
-    of the bases (k_{j+2}, ..., k_r, k_1 + ... + k_{j+1})."""
+@lru_cache(maxsize=None)
+def _signed_s_m(k: Index) -> tuple[tuple[Index, int], ...]:
+    """(l, (-1)^m * multiplicity) for every m = 0..r-1 and term l of s_m(k),
+    built once per index.  A contraction with p pluses of the j-th base of
+    ``s_m`` lies in s_{j+p}, so this is the alternating sum over j of the
+    star inversions of the bases (k_{j+2}, ..., k_r, k_1 + ... + k_{j+1})."""
     bases = ((k[j + 1 :] + (sum(k[: j + 1]),), -1 if j & 1 else 1) for j in range(len(k)))
-    return star_map(IndexCombo().add_terms(bases), -1).terms.items()
+    return tuple(star_map(IndexCombo().add_terms(bases), -1).terms.items())
 
 
 def _star_over_sm(k: Index, f: Callable[[Index], Iterable], kind: type = IndexCombo) -> Combo:

@@ -26,9 +26,9 @@ C(|S|, y(S)) words, ranked lexicographically, packed into one Python int
 with one lane per word: prepending x to a vector keeps every rank,
 prepending y shifts it up by the C(|S| - 1, y(S)) lanes of the x-first
 words, and sums are int additions.  A lane is the narrowest unsigned
-type that holds n!, so 16, 32 or 64 bits.  The result is unpacked once
-through numpy, against a cached ascending table of the words of its
-y-count.
+type that holds n!, so 16, 32 or 64 bits.  The result is read out of
+the packed int once (numpy's frombuffer) and zipped with a cached
+ascending table of the packed words of its grade (weight, y-count).
 
 A zig-zag can also be given to ``w_map`` as ``ZigZag(k)``, its index
 alone; ``w_map`` then reads the words of ``x_star(k)``, term for term,
@@ -46,8 +46,17 @@ write-once dict per lane width; the dicts grow with the indices a
 process meets, up to the states that all indices of weight <= 20 reach
 (87,783 over the three widths, 14.3 MB by ``sys.getsizeof``; every index
 of weight <= 13 fills 17,986, 2.8 MB).  Larger states are memoised per
-call.  Both DPs share the lane choice, the vertex guard and the
-unpacking, ``_extension_words``.
+call.  Both DPs share the lane choice, the vertex guard
+(``_extension_vec``) and the unpacking (``_grade_terms``).
+
+The zig-zag DP's result is cached per index as a dense read-only int64
+vector over the words of its grade (weight, depth), ``_zigzag_vec``;
+``w_map(ZigZag(k))`` unpacks it.  ``zigzag_sum`` adds c * w_map(ZigZag(k))
+over many (k, c) pairs from the same vectors: the indices of one grade
+share one word table, so a grade of several indices with int
+coefficients is one int64 combination of their vectors, unpacked once,
+while sum |c| * weight! stays below 2^62; any other grade adds the words
+of each index in exact arithmetic.
 """
 
 from __future__ import annotations
@@ -64,7 +73,7 @@ import numpy as np
 
 from .indexes import check_index
 from .linear import Combo
-from .words import NcPoly
+from .words import _INT64_SAFE, NcPoly
 
 Index = tuple[int, ...]
 
@@ -169,10 +178,10 @@ _LANE_TYPES = (np.uint16, np.uint32, np.uint64)
 
 
 @lru_cache(maxsize=None)
-def _y_count_words(n: int, r: int) -> np.ndarray:
-    """The C(n, r) letter bit patterns of weight n with r y's, ascending."""
+def _grade_words(n: int, r: int) -> tuple[int, ...]:
+    """The C(n, r) packed words of weight n with r y's, ascending."""
     bits = np.arange(1 << n, dtype=np.int64)
-    return bits[np.bitwise_count(bits) == r]
+    return tuple((bits[np.bitwise_count(bits) == r] | 1 << n).tolist())
 
 
 @lru_cache(maxsize=None)
@@ -191,21 +200,23 @@ def _yshifts(width: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _extension_words(n: int, r: int, dp) -> NcPoly:
-    """The word polynomial of an n-vertex 2-poset with r y's from its
-    packed DP: ``dp(width, yshift)`` returns the word vector of the whole
-    poset in lanes of ``width`` bits."""
-    if n == 0:
-        return NcPoly.one()
+def _extension_vec(n: int, r: int, dp) -> np.ndarray:
+    """The word vector of an n-vertex 2-poset with r y's, over
+    ``_grade_words(n, r)``, from its packed DP: ``dp(width, yshift)``
+    returns the vector of the whole poset in lanes of ``width`` bits."""
     if n > _MAX_WMAP_VERTICES:
         raise ValueError(f"poset too large for w_map ({n} vertices)")
+    if n == 0:
+        return np.ones(1, np.uint16)
     lane, width = _lane(n)
-    words = _y_count_words(n, r)
     packed = dp(width, _yshifts(width))
-    vec = np.frombuffer(packed.to_bytes(len(words) * width // 8, "little"), lane)
-    nz = np.flatnonzero(vec)
-    sentinel = 1 << n
-    return NcPoly({sentinel | b: c for b, c in zip(words[nz].tolist(), vec[nz].tolist())})
+    return np.frombuffer(packed.to_bytes(comb(n, r) * width // 8, "little"), lane)
+
+
+def _grade_terms(n: int, r: int, vec: np.ndarray) -> dict:
+    """The nonzero (packed word, coefficient) terms of a word vector of
+    grade (n, r), in ascending word order."""
+    return {w: c for w, c in zip(_grade_words(n, r), vec.tolist()) if c}
 
 
 @dataclass(frozen=True)
@@ -226,7 +237,7 @@ def w_map(p: TwoPoset | ZigZag) -> NcPoly:
     """Sum over linear extensions of the read-off word; a ``ZigZag``
     gives the same words as ``x_star`` of its index."""
     if isinstance(p, ZigZag):
-        return _zigzag_words(p.index)
+        return NcPoly(_grade_terms(p.n, len(p.index), _zigzag_vec(p.index)))
     below = p.below
     ybit = [1 if l == "y" else 0 for l in p.labels]
     ymask = sum(b << v for v, b in enumerate(ybit))
@@ -254,7 +265,8 @@ def w_map(p: TwoPoset | ZigZag) -> NcPoly:
 
         return rec((1 << p.n) - 1)
 
-    return _extension_words(p.n, ymask.bit_count(), dp)
+    r = ymask.bit_count()
+    return NcPoly(_grade_terms(p.n, r, _extension_vec(p.n, r, dp)))
 
 
 # The zig-zag DP's states of at most this many vertices, per lane width:
@@ -264,14 +276,16 @@ _SHARED_VERTICES = 6
 _SHARED: dict[int, dict[int, int]] = {}
 
 
-def _zigzag_words(k: Index) -> NcPoly:
-    """``w_map(x_star(k))``, term for term, by a DP on the chain-length
-    fields of the module docstring, with no poset built.
+@lru_cache(maxsize=None)
+def _zigzag_vec(k: Index) -> np.ndarray:
+    """The word vector of ``x_star(k)`` over ``_grade_words(wt(k),
+    len(k))``, as read-only int64, by a DP on the chain-length fields of
+    the module docstring, with no poset built.
 
     The lowest remaining vertex of a chain is minimal unless it is the
     chain's top (field 2 or 3) and the next-higher chain is whole, its
     root then lying below that top."""
-    n = sum(k)
+    n = sum(check_index(k))
 
     def dp(width: int, yshift) -> int:
         shared = _SHARED.setdefault(width, {0: 1})
@@ -304,7 +318,31 @@ def _zigzag_words(k: Index) -> NcPoly:
             state = state << 6 | part << 1 | 1
         return rec(state, n, len(k))
 
-    return _extension_words(n, len(k), dp)
+    vec = _extension_vec(n, len(k), dp).astype(np.int64)
+    vec.flags.writeable = False
+    return vec
+
+
+def zigzag_sum(terms: Iterable[tuple[Index, object]]) -> NcPoly:
+    """The sum of c * w_map(ZigZag(k)) over the (k, c) pairs.  The terms
+    are grouped by grade (wt(k), len(k)), which fixes the words of
+    ``_grade_words``; a grade of more than one index with int
+    coefficients and sum |c| * wt(k)! below 2^62 is one int64 sum of the
+    cached vectors, and any other grade adds its indices' words one by one."""
+    grades: dict[tuple[int, int], dict[Index, object]] = {}
+    for k, c in terms:
+        part = grades.setdefault((sum(k), len(k)), {})
+        part[k] = part.get(k, 0) + c
+    out = NcPoly()
+    for (n, r), part in grades.items():
+        bound = factorial(n) * sum(map(abs, part.values()))
+        if len(part) > 1 and isinstance(bound, int) and bound < _INT64_SAFE:
+            cs = np.array(list(part.values()), np.int64)
+            out.terms.update(_grade_terms(n, r, cs @ np.array(list(map(_zigzag_vec, part)))))
+        else:
+            for k, c in part.items():
+                out.add_terms((w, c * x) for w, x in _grade_terms(n, r, _zigzag_vec(k)).items())
+    return out
 
 
 def x_star(k: Index) -> TwoPoset:

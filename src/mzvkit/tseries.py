@@ -14,14 +14,19 @@ Every verifier, and each lemma of the A/B/C split, is a
 
 A star word w_star(k) is ``w_map(ZigZag(k))``, the linear-extension
 words of the zig-zag poset of k read off its chain lengths, with no
-poset built.  A w_star value is cached by index, and a series by its
+poset built.  Star words are cached twice by index: ``posets`` keeps
+the dense word vector of each index, and ``w_star`` the NcPoly that the
+shuffle products read.  A sum of star words (a t^e coefficient of
+f_series, each t-power of the cyclic-sum combinations, the B part) is
+one ``posets.zigzag_sum`` over the vectors.  A series is cached by its
 coefficients: the t^e coefficient of f_series or w_star_hat does not
 depend on the truncation order, so each is built once per (index, e)
 and a series of order n is read off its coefficients for e <= n.  The
-caches are write-once and safe to share.  Every sum of word series here
-adds through ``WordSeries.add_scaled``, in place, into polys the sum
-itself creates, so no cached value is changed by a sum that reads it;
-a sum of shuffles (w_star_hat, the A part) is one ``words.shuffle_sum``.
+caches are write-once and safe to share.  Every other sum of word
+series adds through ``WordSeries.add_scaled``, in place, into polys the
+sum itself creates, so no cached value is changed by a sum that reads
+it; a sum of shuffles (w_star_hat, the A part) is one
+``words.shuffle_sum``.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from .indexes import (
     tail_symbols,
 )
 from .linear import Combo, Series
-from .posets import TwoPoset, ZigZag, disjoint_union, w_map, x_star
+from .posets import TwoPoset, ZigZag, disjoint_union, w_map, x_star, zigzag_sum
 from .reports import ExactCheck
 from .words import NcPoly, shuffle_sum
 
@@ -132,9 +137,7 @@ def w_star_hat(k: Index, order: int) -> WordSeries:
 def _f_coeff(k: Index, e: int) -> NcPoly:
     """The t^e coefficient of f_series(k, order) for every order >= e:
     the star words of the shift symbols of t-power e."""
-    symbols = shift_symbols(k, e).terms.items()
-    terms = ((e, c, w_star(idx)) for (idx, f), c in symbols if f == e)
-    return WordSeries(e).add_scaled(terms).coefficient(e)
+    return zigzag_sum((idx, c) for (idx, f), c in shift_symbols(k, e).terms.items() if f == e)
 
 
 @lru_cache(maxsize=None)
@@ -189,10 +192,11 @@ def _series_sum(series, order: int) -> WordSeries:
 
 
 def _star_words(symbols: Combo, order: int) -> WordSeries:
-    """Each symbol (k, e) as w_star(k) t^e."""
-    return WordSeries(order).add_scaled(
-        (e, c, w_star(idx)) for (idx, e), c in symbols.terms.items()
-    )
+    """Each symbol (k, e) as w_star(k) t^e: one ``zigzag_sum`` per t-power."""
+    powers: dict[int, list] = {}
+    for (idx, e), c in symbols.terms.items():
+        powers.setdefault(e, []).append((idx, c))
+    return WordSeries(order, {e: zigzag_sum(terms) for e, terms in powers.items() if e <= order})
 
 
 def _member_splices(m: Index) -> Combo:
@@ -293,7 +297,7 @@ def abc_split(alpha: CyclicClass, order: int) -> SpliceParts:
     A = WordSeries(
         order, {e: shuffle_sum((p, _f_coeff(s, e)) for p, s in splits) for e in range(order + 1)}
     )
-    B = WordSeries(order).add_scaled((0, 1, w_star(idx)) for idx in spliced)
+    B = WordSeries.from_poly(zigzag_sum((idx, 1) for idx in spliced), order)
     C = _series_sum((f_series(idx, order) for idx in spliced), order)
     direct = _series_sum((w_star_hat(idx, order) for idx in spliced), order)
 

@@ -10,6 +10,7 @@ module keeps a rename or deletion here from passing the gate while
 breaking the benchmark.  It reads ``perfbench/`` and edits nothing there.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from mzvkit import indexes, numeval, regularize, tseries
+from mzvkit import indexes, numeval, posets, regularize, tseries
 from mzvkit.cli import make_parser
 from mzvkit.indexes import CyclicClass
 from mzvkit.numeval import EvalConfig, raw_partial_sum
@@ -77,6 +78,35 @@ def test_only_indexes_expands_binomial_shifts():
         if path.name != "indexes.py" and "binomial_shifts" in path.read_text()
     )
     assert users == []
+
+
+def _reads_zigzag_states(source: str) -> bool:
+    """True if the source holds the zig-zag DP: its shared states or its
+    step over the 6-bit chain fields."""
+    return "_SHARED" in source or "& 63" in source
+
+
+def test_only_posets_runs_the_zigzag_dp():
+    # the zig-zag recursion is written once, in posets._zigzag_vec, and
+    # both w_map(ZigZag(k)) and the batched zigzag_sum read its cached
+    # per-index vectors
+    users = sorted(
+        path.name
+        for path in SOURCES.glob("*.py")
+        if path.name != "posets.py" and _reads_zigzag_states(path.read_text())
+    )
+    assert users == []
+    source = (SOURCES / "posets.py").read_text()
+    functions = [node for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)]
+    runners = [f.name for f in functions if _reads_zigzag_states(ast.get_source_segment(source, f))]
+    assert runners == ["_zigzag_vec"]
+    posets._zigzag_vec.cache_clear()
+    grade = [(2, 1, 3), (3, 1, 2), (1, 2, 3)]
+    posets.zigzag_sum((k, 1) for k in grade)
+    assert posets._zigzag_vec.cache_info().misses == len(grade)
+    for k in grade:
+        posets.w_map(posets.ZigZag(k))
+    assert posets._zigzag_vec.cache_info().misses == len(grade)
 
 
 def test_only_numeval_sum_adds_numeric_values():

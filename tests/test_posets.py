@@ -3,6 +3,7 @@
 import itertools
 import random
 import re
+from fractions import Fraction
 from math import comb, factorial
 
 import numpy as np
@@ -18,6 +19,7 @@ from mzvkit.posets import (
     ZigZag,
     w_map,
     x_star,
+    zigzag_sum,
 )
 from mzvkit.tseries import PosetSeries, x_star_hat
 from mzvkit.words import NcPoly, shuffle, word
@@ -274,8 +276,10 @@ def test_zigzag_matches_w_map_at_lane_width_switches(k):
 def test_zigzag_does_not_depend_on_the_shared_states(monkeypatch):
     ks = list(indices_up_to(9)) + [(3, 1, 2, 1, 3), (1, 1, 2, 1, 1, 2, 1, 1)]
     monkeypatch.setattr(posets, "_SHARED", {})
+    posets._zigzag_vec.cache_clear()
     forward = {k: list(w_map(ZigZag(k)).terms.items()) for k in ks}
     monkeypatch.setattr(posets, "_SHARED", {})
+    posets._zigzag_vec.cache_clear()
     for k in reversed(ks):
         assert list(w_map(ZigZag(k)).terms.items()) == forward[k], k
         assert forward[k] == list(w_map(x_star(k)).terms.items()), k
@@ -291,6 +295,7 @@ def _state_vertices(state: int) -> int:
 
 
 def test_zigzag_shares_only_small_states():
+    posets._zigzag_vec.cache_clear()
     for k in [(2, 1, 3, 2, 1), (1,) * 10, (4, 1, 1, 2, 3), (2, 2, 2, 2, 2, 2, 1)]:
         w_map(ZigZag(k))
     assert posets._SHARED
@@ -308,6 +313,55 @@ def test_zigzag_vertex_guard():
     for k in [(0,), (2, 0), (1, -1, 2)]:
         with pytest.raises(ValueError, match="not an index"):
             ZigZag(k)
+
+
+def _subset_dp_sum(terms) -> NcPoly:
+    """The sum of c * w_map(x_star(k)), through the subset DP of built posets."""
+    out = NcPoly()
+    for k, c in terms:
+        out = out + c * w_map(x_star(k))
+    return out
+
+
+def test_zigzag_sum_matches_the_subset_dp():
+    rng = random.Random(59)
+    ks = [(), *indices_up_to(7)]
+    for _ in range(60):
+        terms = [(rng.choice(ks), rng.choice([-3, -2, -1, 1, 2, 5])) for _ in range(rng.randint(1, 12))]
+        if rng.random() < 0.2:
+            terms.append((rng.choice(ks), Fraction(rng.randint(-4, 4), 3)))
+        got = zigzag_sum(terms)
+        assert got == _subset_dp_sum(terms), terms
+        assert all(got.terms.values())
+
+
+def test_zigzag_sum_drops_what_cancels():
+    grade = [(2, 1, 3), (3, 1, 2), (1, 4, 1), (2, 2, 2)]
+    terms = [(k, c) for k in grade for c in (3, -3)] + [((), 2), ((6,), -1), ((), -2), ((6,), 1)]
+    assert zigzag_sum(terms).terms == {}
+    # one index left over: its words alone, each scaled
+    got = zigzag_sum(terms + [((1, 4, 1), -7)])
+    assert list(got.terms.items()) == [(w, -7 * c) for w, c in w_map(ZigZag((1, 4, 1))).terms.items()]
+
+
+def test_zigzag_sum_past_int64_is_exact():
+    # sum |c| * 8! >= 2^62 sends the grade to the word by word add, and
+    # its largest coefficient is past what an int64 holds
+    terms = [((2, 1, 3, 2), 3 << 60), ((3, 1, 2, 2), -(5 << 59)), ((1, 3, 1, 3), 7)]
+    assert sum(abs(c) for _, c in terms) * factorial(8) >= 1 << 62
+    got = zigzag_sum(terms)
+    assert got == _subset_dp_sum(terms)
+    assert max(map(abs, got.terms.values())) >= 1 << 63
+
+
+def test_zigzag_vectors_are_read_only():
+    vec = posets._zigzag_vec((2, 1, 3))
+    assert vec.dtype == np.int64 and not vec.flags.writeable
+    with pytest.raises(ValueError):
+        vec[0] = 1
+    with pytest.raises(ValueError):
+        vec += 1
+    assert posets._zigzag_vec((2, 1, 3)) is vec
 
 
 def test_w_star_builds_no_poset(monkeypatch):

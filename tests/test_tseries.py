@@ -2,9 +2,10 @@
 
 from functools import partial
 
+import numpy as np
 import pytest
 
-from mzvkit import tseries
+from mzvkit import posets, tseries
 from mzvkit.indexes import CyclicClass, all_cyclic_classes, indices_up_to, shift_symbols
 from mzvkit.numeval import VARIANTS, zeta_hat_num
 from mzvkit.tseries import (
@@ -193,6 +194,29 @@ def test_word_series_sums_leave_cached_values_unchanged():
         for e in range(order + 1):
             assert held[tseries._f_coeff][k, e] == f.coefficient(e), (k, e)
             assert held[tseries._star_hat_coeff][k, e] == hat.coefficient(e), (k, e)
+
+
+def test_star_word_sums_leave_cached_vectors_unchanged():
+    # every index the sums below read: spliced weight-6 indices shifted up to t^2
+    ks = [(), *indices_up_to(8)]
+    vecs = {k: posets._zigzag_vec(k) for k in ks}
+    held = {k: v.copy() for k, v in vecs.items()}
+    stars = {k: dict(w_star(k).terms) for k in ks}
+    tseries._f_coeff.cache_clear()
+    tseries._star_hat_coeff.cache_clear()
+    for al in (al for al in all_cyclic_classes(5) if al.weight == 5):
+        k = al.representative
+        for e in range(3):
+            tseries._f_coeff(k, e)
+        assert tseries._star_words(shift_symbols(k, 2) + shift_symbols(k[::-1], 1), 2)
+        assert verify_csf_hat(k, 2).equal
+        assert abc_split(al, 2).all_ok
+    for k in ks:
+        assert posets._zigzag_vec(k) is vecs[k], k
+        assert np.array_equal(vecs[k], held[k]) and not vecs[k].flags.writeable, k
+        assert w_star(k).terms == stars[k], k
+        with pytest.raises(ValueError):
+            vecs[k][:] = 0
 
 
 def test_star_hat_coefficients_are_the_sums_of_their_split_shuffles():
