@@ -9,9 +9,11 @@ The package is organised in layers:
   star map on whole combinations and the sums ``s_m``, cyclic
   classes, the exact index identities and the cyclic-sum combinations
   that the word and numeric checks evaluate.
-* :mod:`mzvkit.words` - words over {x, y}, sparse polynomials, the
-  shuffle and harmonic products, sigma and ``s_map`` (y*sigma(tail),
-  the word form of star expansion).
+* :mod:`mzvkit.polys` - packed words over {x, y} and the polynomials
+  over them, sparse (``NcPoly``) and dense per grade (``GradedPoly``).
+* :mod:`mzvkit.words` - the shuffle and harmonic products, the shuffle
+  regularisation, sigma and ``s_map`` (y*sigma(tail), the word form of
+  star expansion).
 * :mod:`mzvkit.posets` - labeled 2-posets, admissibility and the
   linear-extension word map.
 * :mod:`mzvkit.tseries` - truncated t-series of word polynomials, the
@@ -51,6 +53,7 @@ from .numeval import (
     z_reg_num,
     zeta_hat_num,
 )
+from .polys import NcPoly, index_of_word, word, word_of_index
 from .posets import TwoPoset, disjoint_union, is_admissible, w_map, x_star
 from .regularize import (
     NumericPolyT,
@@ -75,7 +78,7 @@ from .tseries import (
     w_star_hat,
     x_star_hat,
 )
-from .words import NcPoly, harmonic, index_of_word, s_map, shuffle, sigma, word, word_of_index
+from .words import harmonic, s_map, shuffle, sigma
 
 __all__ = [
     "CyclicClass",

@@ -37,8 +37,9 @@ from math import comb, prod
 from typing import Callable, Iterable, Iterator
 
 from .linear import Combo
+from .polys import word_of_index
 from .reports import ExactCheck
-from .words import superset_sums, word_of_index
+from .words import superset_sums
 
 Index = tuple[int, ...]
 
@@ -184,14 +185,34 @@ class CyclicClass:
         return f"[({','.join(map(str, self.representative))})]"
 
 
-def weak_compositions_upto(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of `parts` non-negative ints with sum <= total."""
-    if parts == 0:
-        yield ()
+def weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """All tuples of `parts` non-negative ints with sum == total, in
+    lexicographic order."""
+    if parts < 1:
+        if not total:
+            yield ()
         return
-    for first in range(total + 1):
-        for rest in weak_compositions_upto(total - first, parts - 1):
-            yield (first,) + rest
+    end = total + parts - 1  # stars and bars: parts - 1 bars among end slots
+    for bars in itertools.combinations(range(end), parts - 1):
+        out, prev = [], -1
+        for b in bars:
+            out.append(b - prev - 1)
+            prev = b
+        out.append(end - prev - 1)
+        yield tuple(out)
+
+
+def weak_compositions_upto(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """All tuples of `parts` non-negative ints with sum <= total, in
+    lexicographic order: the exact sums with one more, slack, part."""
+    return (c[:-1] for c in weak_compositions(total, parts + 1))
+
+
+def _shift(k: Index, ls: tuple[int, ...]) -> tuple[int, Index]:
+    """The coefficient prod_j C(k_j + l_j - 1, l_j) and the reversed
+    shifted index (k_r + l_r, ..., k_1 + l_1) of one shift l of k."""
+    c = prod(comb(kj + lj - 1, lj) for kj, lj in zip(k, ls))
+    return c, tuple(kj + lj for kj, lj in zip(k, ls))[::-1]
 
 
 def binomial_shifts(k: Index, order: int) -> Iterator[tuple[int, int, Index]]:
@@ -200,16 +221,26 @@ def binomial_shifts(k: Index, order: int) -> Iterator[tuple[int, int, Index]]:
     coefficient prod_j C(k_j + l_j - 1, l_j) and index
     (k_r + l_r, ..., k_1 + l_1)."""
     for ls in weak_compositions_upto(order, len(k)):
-        c = prod(comb(kj + lj - 1, lj) for kj, lj in zip(k, ls))
-        yield sum(ls), c, tuple(kj + lj for kj, lj in zip(k, ls))[::-1]
+        yield (sum(ls), *_shift(k, ls))
+
+
+def _weight_sign(k: Index) -> int:
+    return -1 if sum(k) & 1 else 1
 
 
 def shift_symbols(k: Index, order: int) -> Combo:
     """The signed shift expansion of k as (index, t-power) symbols:
     (-1)^wt(k) * sum over l >= 0 with |l| <= order of
     prod_j C(k_j + l_j - 1, l_j) * (k_r + l_r, ..., k_1 + l_1) t^|l|."""
-    sign = -1 if sum(k) & 1 else 1
+    sign = _weight_sign(k)
     return Combo().add_terms(((s, e), sign * c) for e, c, s in binomial_shifts(k, order))
+
+
+def shift_terms(k: Index, e: int) -> list[tuple[Index, int]]:
+    """The t^e terms of ``shift_symbols(k, order)`` for any order >= e, as
+    (index, coefficient) pairs: only the shifts with |l| = e are built."""
+    sign = _weight_sign(k)
+    return [(s, sign * c) for c, s in (_shift(k, ls) for ls in weak_compositions(e, len(k)))]
 
 
 def hat_symbols(k: Index, order: int) -> Combo:

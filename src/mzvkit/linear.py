@@ -20,13 +20,9 @@ fresh one.
 
 ``Poly`` is a combination over the powers of one variable and ``Series``
 a poly truncated at ``order``.  A series whose coefficients are
-combinations (``tseries.WordSeries``) adds c * p t^e in place
-(``add_scaled``): each sum, such as a two-sided star series or a
-hatted cyclic-sum combination (``add_symbols``, which evaluates t-adic
-symbols), fills one coefficient per t-power word by word instead of
-copying a whole combination per term.  That is safe because the call
-mutates only the coefficients it creates itself; one already present is
-copied on first use, so no cached value is ever changed.
+combinations (``tseries.WordSeries``) adds and compares them with their
+own ``+`` and ``==``, so word series of graded polys sum and compare
+grade vectors.
 """
 
 from __future__ import annotations

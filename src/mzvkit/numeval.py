@@ -64,13 +64,14 @@ from .indexes import (
     csf_star_hat_symbols,
     csf_star_symbols,
     csf_symbols,
-    shift_symbols,
+    shift_terms,
     star_invert,
 )
 from .linear import Series
+from .polys import EMPTY_WORD, NcPoly, weight, word_of_index
 from .reports import Report
 from .tseries import w_star
-from .words import EMPTY_WORD, NcPoly, reg_shuffle_constant, s_map, weight, word_of_index
+from .words import reg_shuffle_constant, s_map
 
 TOL_PLAIN = 1e-6  # identities between convergent sums
 TOL_REG = 1e-5  # identities mixing regularized values
@@ -354,9 +355,8 @@ def _hat_coeff(k: Index, variant: str, e: int) -> NumericValue:
 
 @lru_cache(maxsize=None)
 def _tail(s: Index, variant: str, e: int) -> NumericValue:
-    """sum c * V(idx) over the symbols (idx, e) of ``shift_symbols(s, e)``."""
-    symbols = shift_symbols(s, e).terms.items()
-    return _sum((c, _index_value(idx, variant)) for (idx, f), c in symbols if f == e)
+    """sum c * V(idx) over the t^e terms (idx, c) of ``shift_symbols(s, e)``."""
+    return _sum((c, _index_value(idx, variant)) for idx, c in shift_terms(s, e))
 
 
 def _index_value(k: Index, variant: str) -> NumericValue:

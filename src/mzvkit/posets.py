@@ -46,17 +46,17 @@ write-once dict per lane width; the dicts grow with the indices a
 process meets, up to the states that all indices of weight <= 20 reach
 (87,783 over the three widths, 14.3 MB by ``sys.getsizeof``; every index
 of weight <= 13 fills 17,986, 2.8 MB).  Larger states are memoised per
-call.  Both DPs share the lane choice, the vertex guard
-(``_extension_vec``) and the unpacking (``_grade_terms``).
+call.  Both DPs share the lane choice and the vertex guard
+(``_extension_vec``).
 
 The zig-zag DP's result is cached per index as a dense read-only int64
 vector over the words of its grade (weight, depth), ``_zigzag_vec``;
-``w_map(ZigZag(k))`` unpacks it.  ``zigzag_sum`` adds c * w_map(ZigZag(k))
-over many (k, c) pairs from the same vectors: the indices of one grade
-share one word table, so a grade of several indices with int
-coefficients is one int64 combination of their vectors, unpacked once,
-while sum |c| * weight! stays below 2^62; any other grade adds the words
-of each index in exact arithmetic.
+``w_map(ZigZag(k))`` is that vector as a ``polys.GradedPoly``, whose
+terms are unpacked only if read, while the subset DP's words are
+unpacked at once.  ``zigzag_sum`` adds c * w_map(ZigZag(k)) over many
+(k, c) pairs with one ``polys.grade_sum`` of the same vectors: one
+product per grade, int64 while sum |c| * weight! stays below 2^62, else
+in exact arithmetic.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ import numpy as np
 
 from .indexes import check_index
 from .linear import Combo
-from .words import _INT64_SAFE, NcPoly
+from .polys import GradedPoly, NcPoly, _grade_terms, grade_sum
 
 Index = tuple[int, ...]
 
@@ -178,13 +178,6 @@ _LANE_TYPES = (np.uint16, np.uint32, np.uint64)
 
 
 @lru_cache(maxsize=None)
-def _grade_words(n: int, r: int) -> tuple[int, ...]:
-    """The C(n, r) packed words of weight n with r y's, ascending."""
-    bits = np.arange(1 << n, dtype=np.int64)
-    return tuple((bits[np.bitwise_count(bits) == r] | 1 << n).tolist())
-
-
-@lru_cache(maxsize=None)
 def _lane(n: int) -> tuple[type, int]:
     """The lane type of an n-vertex DP and its width in bits."""
     lane = next(t for t in _LANE_TYPES if np.iinfo(t).max >= factorial(n))
@@ -213,12 +206,6 @@ def _extension_vec(n: int, r: int, dp) -> np.ndarray:
     return np.frombuffer(packed.to_bytes(comb(n, r) * width // 8, "little"), lane)
 
 
-def _grade_terms(n: int, r: int, vec: np.ndarray) -> dict:
-    """The nonzero (packed word, coefficient) terms of a word vector of
-    grade (n, r), in ascending word order."""
-    return {w: c for w, c in zip(_grade_words(n, r), vec.tolist()) if c}
-
-
 @dataclass(frozen=True)
 class ZigZag:
     """The zig-zag 2-poset ``x_star(index)``, held as its index only."""
@@ -237,7 +224,7 @@ def w_map(p: TwoPoset | ZigZag) -> NcPoly:
     """Sum over linear extensions of the read-off word; a ``ZigZag``
     gives the same words as ``x_star`` of its index."""
     if isinstance(p, ZigZag):
-        return NcPoly(_grade_terms(p.n, len(p.index), _zigzag_vec(p.index)))
+        return _zigzag_poly(p.index)
     below = p.below
     ybit = [1 if l == "y" else 0 for l in p.labels]
     ymask = sum(b << v for v, b in enumerate(ybit))
@@ -323,26 +310,23 @@ def _zigzag_vec(k: Index) -> np.ndarray:
     return vec
 
 
-def zigzag_sum(terms: Iterable[tuple[Index, object]]) -> NcPoly:
-    """The sum of c * w_map(ZigZag(k)) over the (k, c) pairs.  The terms
-    are grouped by grade (wt(k), len(k)), which fixes the words of
-    ``_grade_words``; a grade of more than one index with int
-    coefficients and sum |c| * wt(k)! below 2^62 is one int64 sum of the
-    cached vectors, and any other grade adds its indices' words one by one."""
-    grades: dict[tuple[int, int], dict[Index, object]] = {}
+def _zigzag_poly(k: Index) -> GradedPoly:
+    """``w_map(ZigZag(k))``: the cached vector of k as a graded poly.  Its
+    coefficients count linear extensions, so wt(k)! bounds their sum."""
+    grade = (sum(k), len(k))
+    return GradedPoly({grade: _zigzag_vec(k)}, {grade: factorial(grade[0])})
+
+
+def zigzag_sum(terms: Iterable[tuple[Index, object]]) -> GradedPoly:
+    """The sum of c * w_map(ZigZag(k)) over the (k, c) pairs: one
+    ``grade_sum`` of the cached vectors, one product per grade (wt(k),
+    len(k)), with wt(k)! bounding each vector's coefficients."""
+    groups: dict[tuple[int, int], list] = {}
     for k, c in terms:
-        part = grades.setdefault((sum(k), len(k)), {})
-        part[k] = part.get(k, 0) + c
-    out = NcPoly()
-    for (n, r), part in grades.items():
-        bound = factorial(n) * sum(map(abs, part.values()))
-        if len(part) > 1 and isinstance(bound, int) and bound < _INT64_SAFE:
-            cs = np.array(list(part.values()), np.int64)
-            out.terms.update(_grade_terms(n, r, cs @ np.array(list(map(_zigzag_vec, part)))))
-        else:
-            for k, c in part.items():
-                out.add_terms((w, c * x) for w, x in _grade_terms(n, r, _zigzag_vec(k)).items())
-    return out
+        if c:
+            n = sum(k)
+            groups.setdefault((n, len(k)), []).append((c, _zigzag_vec(k), factorial(n)))
+    return grade_sum(groups)
 
 
 def x_star(k: Index) -> TwoPoset:

@@ -29,9 +29,10 @@ from math import factorial
 from .indexes import check_index
 from .linear import Poly
 from .numeval import DEFAULT_CONFIG, ZERO, EvalConfig, NumericValue, _sum, mzv_num, z_num
+from .polys import NcPoly
 from .reports import Report
 from .tseries import w_star
-from .words import NcPoly, harmonic, reg_shuffle, s_map, shuffle, split_trailing
+from .words import harmonic, reg_shuffle, s_map, shuffle, split_trailing
 
 PRODUCTS = {"sh": shuffle, "ast": harmonic}
 

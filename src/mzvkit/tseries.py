@@ -14,26 +14,29 @@ Every verifier, and each lemma of the A/B/C split, is a
 
 A star word w_star(k) is ``w_map(ZigZag(k))``, the linear-extension
 words of the zig-zag poset of k read off its chain lengths, with no
-poset built.  Star words are cached twice by index: ``posets`` keeps
-the dense word vector of each index, and ``w_star`` the NcPoly that the
-shuffle products read.  A sum of star words (a t^e coefficient of
-f_series, each t-power of the cyclic-sum combinations, the B part) is
-one ``posets.zigzag_sum`` over the vectors.  A series is cached by its
-coefficients: the t^e coefficient of f_series or w_star_hat does not
-depend on the truncation order, so each is built once per (index, e)
-and a series of order n is read off its coefficients for e <= n.  The
-caches are write-once and safe to share.  Every other sum of word
-series adds through ``WordSeries.add_scaled``, in place, into polys the
-sum itself creates, so no cached value is changed by a sum that reads
-it; a sum of shuffles (w_star_hat, the A part) is one
-``words.shuffle_sum``.
+poset built.  Every value these series are made of has a single grade
+(weight, y-count): a star word, an F coefficient (the star words of the
+shifts of one t-power) and a w_star_hat coefficient (the shuffles of a
+prefix star word with an F coefficient of the suffix).  So each is a
+``polys.GradedPoly``, read-only int64 vectors over the words of its
+grade, from the zig-zag DP to the check: an F coefficient is one
+``posets.zigzag_sum`` of the cached per-index vectors, a w_star_hat
+coefficient one ``words.shuffle_sum`` of graded pairs, and every sum of
+symbols (the hatted cyclic-sum combinations, the A/B/C parts and their
+closed forms) one ``polys.graded_sum`` per t-power (:func:`_symbol_sum`).
+Their terms are unpacked only where read, as in the public series or in
+the difference of a failing check; the checks compare vectors per
+(t-power, grade).  A series is cached by its coefficients: the t^e
+coefficient of f_series or w_star_hat does not depend on the truncation
+order, so each is built once per (index, e) and a series of order n is
+read off its coefficients for e <= n.  The caches are write-once and
+safe to share, as graded polys are read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 from .indexes import (
     CyclicClass,
@@ -44,14 +47,16 @@ from .indexes import (
     hat_symbols,
     last_pivots,
     shift_symbols,
+    shift_terms,
     splice_symbols,
     splices,
     tail_symbols,
 )
 from .linear import Combo, Series
+from .polys import NcPoly, graded_sum
 from .posets import TwoPoset, ZigZag, disjoint_union, w_map, x_star, zigzag_sum
 from .reports import ExactCheck
-from .words import NcPoly, shuffle_sum
+from .words import shuffle_sum
 
 
 class WordSeries(Series):
@@ -67,41 +72,6 @@ class WordSeries(Series):
     @classmethod
     def from_poly(cls, p: NcPoly, order: int) -> "WordSeries":
         return cls(order, {0: p})
-
-    def add_scaled(self, terms) -> "WordSeries":
-        """Add c * p t^e in place for each (e, c, p), word by word, into one
-        poly per t-power that this call owns: a coefficient already present
-        is copied once, on the first term at its power, and no poly passed
-        in or held before (such as a cached w_star, f_series or w_star_hat
-        value) is changed; returns self."""
-        order, coeffs = self.order, self.terms
-        owned: dict[int, NcPoly] = {}
-        for e, c, p in terms:
-            if e > order:
-                continue
-            acc = owned.get(e)
-            if acc is None:
-                acc = owned[e] = NcPoly(self.coefficient(e).terms)
-            acc.add_terms(p.terms.items() if c == 1 else ((w, c * x) for w, x in p.terms.items()))
-            if acc:
-                coeffs[e] = acc
-            else:
-                coeffs.pop(e, None)
-        return self
-
-    def add_symbols(
-        self, symbols: Combo, value: Callable[[Index, int], "WordSeries"]
-    ) -> "WordSeries":
-        """Add c * value(key, order - e) * t^e in place for every symbol
-        ((key, e), c) with e <= order; returns self.  value(key, n) is a
-        series exact to t^n, and so each term to order."""
-        order = self.order
-        return self.add_scaled(
-            (e + f, c, v)
-            for (key, e), c in symbols.terms.items()
-            if e <= order
-            for f, v in value(key, order - e).terms.items()
-        )
 
 
 # -- cached building blocks -------------------------------------------
@@ -136,8 +106,8 @@ def w_star_hat(k: Index, order: int) -> WordSeries:
 @lru_cache(maxsize=None)
 def _f_coeff(k: Index, e: int) -> NcPoly:
     """The t^e coefficient of f_series(k, order) for every order >= e:
-    the star words of the shift symbols of t-power e."""
-    return zigzag_sum((idx, c) for (idx, f), c in shift_symbols(k, e).terms.items() if f == e)
+    the star words of the shifts with |l| = e."""
+    return zigzag_sum(shift_terms(k, e))
 
 
 @lru_cache(maxsize=None)
@@ -161,8 +131,9 @@ class PosetSeries:
 
     def w_image(self) -> WordSeries:
         """Coefficientwise w_map."""
-        return WordSeries(self.order).add_scaled(
-            (e, c, w_map(poset)) for e, combos in self.coeffs.items() for c, poset in combos
+        return WordSeries(
+            self.order,
+            {e: graded_sum((w_map(poset), c) for c, poset in combos) for e, combos in self.coeffs.items()},
         )
 
 
@@ -180,15 +151,24 @@ def x_star_hat(k: Index, t_order: int) -> PosetSeries:
     return PosetSeries(t_order, coeffs)
 
 
-def _series_sum(series, order: int) -> WordSeries:
-    """The sum of the given word series, truncated at order."""
-    return WordSeries(order).add_scaled((e, 1, p) for s in series for e, p in s.terms.items())
-
-
 # -- cyclic-sum combinations ------------------------------------------
 #
 # The symbol combos of ``indexes`` are read as star words by _star_words
-# and as hatted star series by ``WordSeries.add_symbols`` with w_star_hat.
+# and as hatted star series (or F-series) by _symbol_sum.
+
+
+def _symbol_sum(parts, order: int) -> WordSeries:
+    """The sum of c * value(key, order - e) * t^e over every (symbols,
+    value) part and every symbol ((key, e), c) with e <= order, where
+    value(key, n) is a series exact to t^n: per t-power, one
+    ``graded_sum`` of the coefficient vectors."""
+    powers: dict[int, list] = {}
+    for symbols, value in parts:
+        for (key, e), c in symbols.terms.items():
+            if e <= order:
+                for f, p in value(key, order - e).terms.items():
+                    powers.setdefault(e + f, []).append((p, c))
+    return WordSeries(order, {e: graded_sum(terms) for e, terms in powers.items()})
 
 
 def _star_words(symbols: Combo, order: int) -> WordSeries:
@@ -227,7 +207,7 @@ def w_csf_hat(k: Index, order: int) -> WordSeries:
     k = check_index(k)
     if not k:
         raise ValueError("needs a non-empty index")
-    return WordSeries(order).add_symbols(csf_star_hat_symbols(k, order), w_star_hat)
+    return _symbol_sum([(csf_star_hat_symbols(k, order), w_star_hat)], order)
 
 
 def verify_csf_hat(k: Index, order: int) -> ExactCheck:
@@ -253,11 +233,14 @@ def class_csf_hat(alpha: CyclicClass, order: int) -> WordSeries:
     """Hatted class splice sum minus the t-shifted member tail sums."""
     pivots = last_pivots(alpha.members)
     symbols = splice_symbols(pivots) + tail_symbols(pivots, order)
-    return WordSeries(order).add_symbols(symbols, w_star_hat)
+    return _symbol_sum([(symbols, w_star_hat)], order)
 
 
+@lru_cache(maxsize=None)
 def _class_u_sum(alpha: CyclicClass, order: int) -> Combo:
-    """The signed class u-sums t^|l| over every shift l with |l| <= order."""
+    """The signed class u-sums t^|l| over every shift l with |l| <= order,
+    built once per class and order for the class check and the A/B/C
+    split; read-only."""
     shifts = sum((shift_symbols(m, order) for m in alpha.members), Combo())
     return _shifted_sum(_member_splices, -shifts)
 
@@ -298,18 +281,17 @@ def abc_split(alpha: CyclicClass, order: int) -> SpliceParts:
         order, {e: shuffle_sum((p, _f_coeff(s, e)) for p, s in splits) for e in range(order + 1)}
     )
     B = WordSeries.from_poly(zigzag_sum((idx, 1) for idx in spliced), order)
-    C = _series_sum((f_series(idx, order) for idx in spliced), order)
-    direct = _series_sum((w_star_hat(idx, order) for idx in spliced), order)
+    ones = Combo().add_terms(((idx, 0), 1) for idx in spliced)
+    C = _symbol_sum([(ones, f_series)], order)
+    direct = _symbol_sum([(ones, w_star_hat)], order)
 
     # the closed forms sum over the symbols (1 + l, m) t^l and (m, 1) per member m
     heads = -tail_symbols(pivots, order)
     ends = Combo().add_terms(((m + (1,), 0), 1) for m in alpha.members)
     # telescoped closed form of A
-    a_closed = WordSeries(order).add_symbols(heads, w_star_hat)
-    a_closed.add_symbols(-heads, f_series).add_symbols(ends, f_series)
+    a_closed = _symbol_sum([(heads, w_star_hat), (ends - heads, f_series)], order)
     # Chu-Vandermonde closed form of C
-    c_closed = _star_words(_class_u_sum(alpha, order), order)
-    c_closed.add_symbols(heads, f_series).add_symbols(-ends, f_series)
+    c_closed = _star_words(_class_u_sum(alpha, order), order) + _symbol_sum([(heads - ends, f_series)], order)
 
     sides = {
         "total": (A + B + C, direct),

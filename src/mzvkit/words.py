@@ -1,21 +1,9 @@
-"""Words over the two-letter alphabet {x, y} and the two products on them.
+"""The shuffle and harmonic products on word polynomials, the shuffle
+regularisation and the star-expansion maps.
 
-A word is packed into a single int: letters are read most-significant-bit
-first with x = 0 and y = 1, behind a sentinel 1 bit that fixes the length.
-So the empty word is ``1``, "x" is ``0b10``, "y" is ``0b11`` and "yxx" is
-``0b1100``.  Two properties make this encoding convenient:
-
-* ints are cheap dict keys, which is what a sparse polynomial needs;
-* sorting keys numerically sorts words by weight and then
-  lexicographically with x < y, the display order used everywhere.
-
-``NcPoly`` is a finite rational-linear combination of words, a
-``linear.Combo`` keyed by packed words; its sums, differences and scalar
-multiples are the base's, and the shuffle and harmonic products below
-accumulate into it with ``Combo.add_terms``, one call per batch.  The span of
-words that are empty or start with y is called H1 here, and H0 is the
-subspace of words that also end with x; H0 words are exactly the images of
-admissible indices under :func:`word_of_index`.
+The packed words and the polynomials over them, sparse (``NcPoly``) and
+dense per grade (``GradedPoly``), are defined in ``polys``; the names
+the products use can be read from ``words`` too.
 
 ``shuffle_sum`` adds up a ш b over many pairs, block by block, one
 weight-p part of a against one weight-q part of b, and sums every output
@@ -28,6 +16,12 @@ bits under each interleaving, so a pair's outputs are the ORs of two rows
 weight are one riffle scatter (:func:`_riffle`): their products are
 gathered in numpy and added into one dense weight-(p+q) vector, whose
 fixed cost of some tens of microseconds pays off only on larger blocks.
+A graded side's rows come from tables cached per (grade, partner
+weight), uint16, read at the ranks of its nonzero words; a plain side's
+rows are scattered from its words.  The sum of plain polys is plain; if
+a factor is graded, so is the sum, its grades read from the riffle's
+vector and added, with the scalar blocks' multiples of graded sides, by
+one ``grade_sum``.
 
 The harmonic (quasi-shuffle) product works on the z-word factorisation
 of the packed words themselves: it peels the last z-letter off by its
@@ -48,7 +42,6 @@ one dense vector, which ``indexes.star_map`` runs on index combinations.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations
 from math import comb, factorial
@@ -57,172 +50,13 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .linear import Combo
-
-X = 0
-Y = 1
-EMPTY_WORD = 1
-
-
-def word(s: str) -> int:
-    """Parse a string over {x, y} into a packed word."""
-    w = 1
-    for ch in s:
-        if ch == "x":
-            w = w << 1
-        elif ch == "y":
-            w = (w << 1) | 1
-        else:
-            raise ValueError(f"invalid letter {ch!r} in word {s!r}")
-    return w
+from .polys import (  # also read from here: the words and polynomials the products act on
+    _INT64_SAFE, EMPTY_WORD, GradedPoly, NcPoly, _check_h1, _exact_dtype, _grade_bits, _grade_vecs,
+    concat, grade_sum, in_h0, in_h1, index_of_word, weight, word, word_of_index, word_str,
+)
 
 
-def word_str(w: int) -> str:
-    """Inverse of :func:`word`; the empty word prints as ''."""
-    n = weight(w)
-    return "".join("y" if (w >> (n - 1 - i)) & 1 else "x" for i in range(n))
-
-
-def weight(w: int) -> int:
-    return w.bit_length() - 1
-
-
-def concat(a: int, b: int) -> int:
-    nb = weight(b)
-    return (a << nb) | (b ^ (1 << nb))
-
-
-def letters(w: int) -> Iterator[int]:
-    n = weight(w)
-    for i in range(n - 1, -1, -1):
-        yield (w >> i) & 1
-
-
-def first_letter(w: int) -> int:
-    return (w >> (weight(w) - 1)) & 1
-
-
-def in_h1(w: int) -> bool:
-    return w == EMPTY_WORD or first_letter(w) == Y
-
-
-def in_h0(w: int) -> bool:
-    return w == EMPTY_WORD or (first_letter(w) == Y and (w & 1) == X)
-
-
-def _check_h1(w: int) -> None:
-    if not in_h1(w):
-        raise ValueError(f"word {word_str(w)!r} starts with x, not in H1")
-
-
-def word_of_index(k: tuple[int, ...]) -> int:
-    """z_{k_1} ... z_{k_r}; the empty index gives the empty word."""
-    w = EMPTY_WORD
-    for part in k:
-        w = (w << part) | (1 << (part - 1))  # append z_part; a part < 1 is a negative shift
-    return w
-
-
-def index_of_word(w: int) -> tuple[int, ...]:
-    """The unique index whose z-word is w.  Raises for words outside H1."""
-    _check_h1(w)
-    parts: list[int] = []
-    for bit in letters(w):
-        if bit == Y:
-            parts.append(1)
-        else:
-            parts[-1] += 1
-    return tuple(parts)
-
-
-def _exact_quotient(c, d):
-    """c / d in exact arithmetic: an int when it is a whole number, else a
-    Fraction."""
-    q = Fraction(c, d)
-    return q.numerator if q.denominator == 1 else q
-
-
-class NcPoly(Combo):
-    """Sparse noncommutative polynomial: a combination of packed words.
-
-    Coefficients are ints or Fractions.  ``p * q`` is the concatenation
-    product of the free algebra, ``c * p`` rescales.
-    """
-
-    __slots__ = ()
-
-    # -- constructors ------------------------------------------------
-
-    @classmethod
-    def one(cls) -> "NcPoly":
-        return cls({EMPTY_WORD: 1})
-
-    @classmethod
-    def from_word(cls, w: int, c=1) -> "NcPoly":
-        return cls({w: c})
-
-    @classmethod
-    def from_str(cls, s: str, c=1) -> "NcPoly":
-        return cls({word(s): c})
-
-    @classmethod
-    def from_index(cls, k: tuple[int, ...], c=1) -> "NcPoly":
-        return cls({word_of_index(k): c})
-
-    # -- concatenation -----------------------------------------------
-
-    def __mul__(self, other) -> "NcPoly":
-        if not isinstance(other, NcPoly):
-            return self.__rmul__(other)
-        return NcPoly().add_terms(
-            (concat(wa, wb), ca * cb)
-            for wa, ca in self.terms.items()
-            for wb, cb in other.terms.items()
-        )
-
-    def __truediv__(self, scalar) -> "NcPoly":
-        """Exact division; a whole-number quotient stays an int."""
-        return self._like({w: _exact_quotient(c, scalar) for w, c in self.terms.items()})
-
-    # -- inspection --------------------------------------------------
-
-    def is_h1(self) -> bool:
-        return all(in_h1(w) for w in self.terms)
-
-    def is_h0(self) -> bool:
-        return all(in_h0(w) for w in self.terms)
-
-    def homogeneous_parts(self) -> dict[int, dict]:
-        """Split into weight -> {bits-without-sentinel: coeff}."""
-        parts: dict[int, dict] = {}
-        for w, c in self.terms.items():
-            n = weight(w)
-            parts.setdefault(n, {})[w ^ (1 << n)] = c
-        return parts
-
-    def _label(self, w: int) -> str:
-        return word_str(w) or "1"
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for w in sorted(self.terms):
-            c = self.terms[w]
-            s = self._label(w)
-            if c == 1:
-                term = s
-            elif c == -1:
-                term = f"-{s}"
-            else:
-                term = f"{c}*{s}"
-            bits.append(term)
-        out = bits[0]
-        for term in bits[1:]:
-            out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
-        return out
-
-
-_INT64_SAFE = 1 << 62
+# -- the shuffle product -----------------------------------------------------
 
 
 @lru_cache(maxsize=None)
@@ -240,12 +74,24 @@ def _interleavings(p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     return n - 1 - pos, n - 1 - other
 
 
-def _scatter(bits: list[int], n: int, positions: np.ndarray) -> np.ndarray:
+def _scatter(bits, n: int, positions: np.ndarray) -> np.ndarray:
     """(N, C) output bits of each weight-n word's letters under each
     interleaving: the word's letter-bit matrix times 1 << positions."""
     shifts = np.arange(n - 1, -1, -1)
-    letters = (np.array(bits, dtype=np.int64)[:, None] >> shifts) & 1
+    letters = (np.asarray(bits, dtype=np.int64)[:, None] >> shifts) & 1
     return letters @ (np.int64(1) << positions.astype(np.int64)).T
+
+
+@lru_cache(maxsize=None)
+def _rows(p: int, q: int, r: int) -> np.ndarray:
+    """The output letter bits of the weight-p words with r y's, in grade
+    order, as the left side of the C(p + q, p) interleavings of weights p
+    and q: uint16, or uint32 past weight 16.  The right side of the same
+    interleavings is ``_rows(q, p, r)`` with its columns reversed, as the
+    complement of the i-th p-subset of output positions, in lexicographic
+    order, is the i-th last q-subset."""
+    rows = _scatter(_grade_bits(p, r), p, _interleavings(p, q)[0])
+    return rows.astype(np.uint16 if p + q <= 16 else np.uint32)
 
 
 # The blocks that _small_block sums: past weight 8 the spread tables grow
@@ -263,8 +109,8 @@ def _spread(p: int, q: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[in
     and the right table likewise.  Every entry is below 2^(p+q)."""
     left, right = _interleavings(p, q)
     return (
-        tuple(map(tuple, _scatter(list(range(1 << p)), p, left).tolist())),
-        tuple(map(tuple, _scatter(list(range(1 << q)), q, right).tolist())),
+        tuple(map(tuple, _scatter(range(1 << p), p, left).tolist())),
+        tuple(map(tuple, _scatter(range(1 << q), q, right).tolist())),
     )
 
 
@@ -284,80 +130,173 @@ def _small_block(acc: dict, ap: dict, p: int, bp: dict, q: int) -> None:
                 acc[w] = get(w, 0) + c
 
 
-def _riffle(acc: dict, blocks: list, n: int) -> list[tuple[int, object]]:
-    """acc (keyed by output letter bits) plus the shuffles of the blocks
-    (ap, p, bp, q) of output weight n by one riffle scatter: the nonzero
-    terms.  Left word i and right word j of a block send ca[i] * cb[j] to
-    the outputs ia[i] | ib[j] of the C(p+q, p) interleavings.  All blocks'
-    products fill, left words in slices, one buffer of the largest (min(p,
-    q) + 1) * 2^n elements (or one left word's products), added into a
-    dense weight-n vector whenever it is full.  The vector is int64 when
-    sum |acc| plus the bounds sum |ca| * sum |cb| * C(n, min(p, q)) of all
-    blocks is an int, as it is when every coefficient is, below 2^62; else
-    it holds exact Python numbers."""
+# A block side is the weight-p part of one factor: keyed by letter bits
+# (a plain NcPoly's ``homogeneous_parts``), or the (y-count, vector, poly)
+# of each of its grades (a GradedPoly's).  The small path reads a side by
+# letter bits; the riffle reads the nonzero words of each grade of a
+# graded side, and all words of a side keyed by letter bits, as one entry
+# (y-count or None, ranks or letter bits, coefficients, norm).
+
+
+def _weight_parts(p: NcPoly) -> dict:
+    if not isinstance(p, GradedPoly):
+        return p.homogeneous_parts()
+    parts: dict[int, list] = {}
+    for (n, r), vec in p.grades.items():
+        parts.setdefault(n, []).append((r, vec, p))
+    return parts
+
+
+def _bits_part(side, p: int) -> dict:
+    """A block side keyed by letter bits."""
+    if type(side) is dict:
+        return side
+    parts = [poly._part((p, r)) for r, _, poly in side]
+    if len(parts) == 1:
+        return parts[0]
+    return {u: c for part in parts for u, c in part.items()}
+
+
+def _entries(side, p: int) -> list[tuple]:
+    """A block side as the riffle reads it."""
+    if type(side) is dict:
+        norm = sum(map(abs, side.values()))
+        return [(None, np.array(list(side)), np.array(list(side.values()), _exact_dtype(norm)), norm)]
+    out = []
+    for r, vec, poly in side:
+        (nz,) = vec.nonzero()
+        out.append((r, nz, vec[nz], poly._norm((p, r))))
+    return out
+
+
+def _entry_rows(r, words, p: int, q: int, right: bool) -> np.ndarray:
+    """The output letter bits of an entry's words, of weight p (q on the
+    right), under the interleavings of weights p and q: the cached rows of
+    a grade, or the scatter of an entry's letter bits."""
+    if r is None:
+        return _scatter(words, q if right else p, _interleavings(p, q)[right])
+    return _rows(q, p, r)[words, ::-1] if right else _rows(p, q, r)[words]
+
+
+def _riffle(acc: dict, blocks: list, n: int) -> tuple[np.ndarray, object]:
+    """The dense weight-n vector, indexed by letter bits, of acc (keyed by
+    output letter bits) plus the shuffles of the blocks (a, p, b, q) of
+    output weight n (p, q >= 1), by one riffle scatter, and a bound on the
+    sum of the absolute values of its entries.  Each pair of entries of a
+    block reads the rows of its words (:func:`_entry_rows`): left word i
+    and right word j send ca[i] * cb[j] to the outputs ia[i] | ib[j] of
+    the C(n, p) interleavings.  All products fill, left words in slices,
+    one buffer of the largest (min(p, q) + 1) * 2^n elements (or one left
+    word's products), added into the vector whenever it is full.  The
+    vector is int64 when the bound, sum |acc| plus |a| * |b| * C(n, min(p,
+    q)) over all entry pairs, is an int below 2^62, else it holds exact
+    Python numbers."""
+    sides = [(_entries(a, p), p, _entries(b, q), q) for a, p, b, q in blocks]
     bound = sum(map(abs, acc.values())) + sum(
-        sum(map(abs, ap.values())) * sum(map(abs, bp.values())) * comb(n, min(p, q))
-        for ap, p, bp, q in blocks
+        na * nb * comb(n, min(p, q)) for sa, p, sb, q in sides for *_, na in sa for *_, nb in sb
     )
-    dtype = np.int64 if isinstance(bound, int) and bound < _INT64_SAFE else object
+    dtype = _exact_dtype(bound)
     vec = np.zeros(1 << n, dtype=dtype)
     if acc:
         vec[list(acc)] = np.array(list(acc.values()), dtype=dtype)
-    size = max(max((min(p, q) + 1) << n, len(bp) * comb(n, p)) for _, p, bp, q in blocks)
-    at, by, fill = np.empty(size, dtype=np.int64), np.empty(size, dtype=dtype), 0
-    for ap, p, bp, q in blocks:
-        left, right = _interleavings(p, q)
-        ia, ib = _scatter(list(ap), p, left), _scatter(list(bp), q, right)
-        ca, cb = (np.array(list(side.values()), dtype=dtype) for side in (ap, bp))
-        s = 0
-        while s < len(ia):
-            if size - fill < ib.size:  # the buffer is full
-                np.add.at(vec, at[:fill], by[:fill])
-                fill = 0
-            k = min(len(ia) - s, (size - fill) // ib.size)
-            end = fill + k * ib.size
-            np.bitwise_or(ia[s : s + k, None], ib, out=at[fill:end].reshape(k, *ib.shape))
-            np.multiply(ca[s : s + k, None, None], cb[:, None], out=by[fill:end].reshape(k, *ib.shape))
-            s, fill = s + k, end
-    np.add.at(vec, at[:fill], by[:fill])
-    nz = np.flatnonzero(vec)
-    return list(zip((nz | (1 << n)).tolist(), vec[nz].tolist()))
+    size = max(
+        max((min(p, q) + 1) << n, sum(len(w) for _, w, _, _ in sb) * comb(n, p)) for _, p, sb, q in sides
+    )
+    at, by, fill = np.empty(size, dtype=np.intp), np.empty(size, dtype=dtype), 0
+    for sa, p, sb, q in sides:
+        for ra, wa, ca, _ in sa:
+            ia, ca = _entry_rows(ra, wa, p, q, False), ca.astype(dtype, copy=False)
+            for rb, wb, cb, _ in sb:
+                ib, cb = _entry_rows(rb, wb, p, q, True), cb.astype(dtype, copy=False)
+                s = 0
+                while s < len(ia):
+                    if size - fill < ib.size:  # the buffer is full
+                        np.add.at(vec, at[:fill], by[:fill])
+                        fill = 0
+                    k = min(len(ia) - s, (size - fill) // ib.size)
+                    end = fill + k * ib.size
+                    np.bitwise_or(ia[s : s + k, None], ib, out=at[fill:end].reshape(k, *ib.shape))
+                    np.multiply(ca[s : s + k, None, None], cb[:, None], out=by[fill:end].reshape(k, *ib.shape))
+                    s, fill = s + k, end
+    if fill:
+        np.add.at(vec, at[:fill], by[:fill])
+    return vec, bound
 
 
-def _weight_sum(blocks: list[tuple[dict, int, dict, int]], n: int) -> list[tuple[int, object]]:
-    """The nonzero terms of the shuffles of the blocks (ap, p, bp, q) of
-    output weight n: scalar blocks, and small ones (n <= ``_SMALL_WEIGHT``,
-    at most ``_SMALL_PRODUCTS`` products na * nb * C(n, p)), into one dict,
-    which :func:`_riffle` takes with all the rest."""
+def _weight_sum(blocks: list, n: int, graded: bool = False):
+    """The shuffles of the blocks (a, p, b, q) of output weight n: the
+    terms of a plain sum, or a GradedPoly when graded.  Small blocks (n <=
+    ``_SMALL_WEIGHT``, at most ``_SMALL_PRODUCTS`` products na * nb *
+    C(n, p)) go in Python ints into one dict, which :func:`_riffle` takes
+    with all the rest.  A weight-0 side is a scalar c: c times the other
+    side goes into the dict too if that side is keyed by letter bits, or
+    if the weight is small and has no riffle; else c times its grade
+    vectors is added to the grades by :func:`grade_sum`."""
     acc: dict = {}
-    riffled = []
-    for ap, p, bp, q in blocks:
-        if not p or not q:  # a weight-0 side is a scalar
-            (c,), part = (ap.values(), bp) if not p else (bp.values(), ap)
-            for w, x in part.items():
-                acc[w] = acc.get(w, 0) + x * c
-        elif n <= _SMALL_WEIGHT and len(ap) * len(bp) * comb(n, p) <= _SMALL_PRODUCTS:
-            _small_block(acc, ap, p, bp, q)
+    riffled, scalars = [], []
+    for a, p, b, q in blocks:
+        if not (p and q):  # a weight-0 side is a scalar
+            scalars.append((a, b) if not p else (b, a))
+            continue
+        if n <= _SMALL_WEIGHT:
+            ap = a if type(a) is dict else _bits_part(a, p)
+            bp = b if type(b) is dict else _bits_part(b, q)
+            if len(ap) * len(bp) * comb(n, p) <= _SMALL_PRODUCTS:
+                _small_block(acc, ap, p, bp, q)
+                continue
+        riffled.append((a, p, b, q))
+    groups: dict[tuple[int, int], list] = {}
+    for one, other in scalars:
+        (c,) = _bits_part(one, 0).values()
+        if type(other) is dict or not riffled and n <= _SMALL_WEIGHT:
+            for u, x in _bits_part(other, n).items():
+                acc[u] = acc.get(u, 0) + x * c
         else:
-            riffled.append((ap, p, bp, q))
+            for r, vec, poly in other:
+                groups.setdefault((n, r), []).append((c, vec, poly._norm((n, r))))
     if riffled:
-        return _riffle(acc, riffled, n)
-    return [(w | (1 << n), c) for w, c in acc.items() if c]
+        vec, bound = _riffle(acc, riffled, n)
+        (nz,) = vec.nonzero()
+        if not graded:
+            return dict(zip((nz | 1 << n).tolist(), vec[nz].tolist()))
+        for r in np.flatnonzero(np.bincount(np.bitwise_count(nz))).tolist():  # the grades reached
+            groups.setdefault((n, r), []).append((1, vec[_grade_bits(n, r)], bound))
+    elif not graded:
+        return {u | (1 << n): c for u, c in acc.items() if c}
+    elif acc:
+        vecs, norms = {}, {}
+        _grade_vecs(acc, n, vecs, norms)
+        if not groups:
+            return GradedPoly(vecs, norms)
+        for g, vec in vecs.items():
+            groups.setdefault(g, []).append((1, vec, norms[g]))
+    return grade_sum(groups)
 
 
 def shuffle_sum(pairs: Iterable[tuple[NcPoly, NcPoly]]) -> NcPoly:
     """The sum of the shuffles a ш b over the given pairs (a, b), bilinear
     over all weight pairs: the blocks of every pair are gathered by output
-    weight, and each weight is summed once (:func:`_weight_sum`)."""
+    weight, and each weight is summed once (:func:`_weight_sum`).  The sum
+    is a GradedPoly if any factor is one, else a plain NcPoly."""
     groups: dict[int, list] = {}
+    graded = False
     for a, b in pairs:
-        pb = b.homogeneous_parts()
-        for p, ap in a.homogeneous_parts().items():
+        graded = graded or isinstance(a, GradedPoly) or isinstance(b, GradedPoly)
+        pb = _weight_parts(b)
+        for p, ap in _weight_parts(a).items():
             for q, bp in pb.items():
                 groups.setdefault(p + q, []).append((ap, p, bp, q))
+    parts = [_weight_sum(blocks, n, graded) for n, blocks in groups.items()]
+    if graded:
+        if len(parts) == 1:
+            return parts[0]
+        return GradedPoly(
+            {g: vec for part in parts for g, vec in part.grades.items()},
+            {g: norm for part in parts for g, norm in part._norms.items()},
+        )
     out = NcPoly()
-    for n, blocks in groups.items():
-        out.add_terms(_weight_sum(blocks, n))
+    for part in parts:  # the weights are disjoint
+        out.terms.update(part)
     return out
 
 
@@ -450,8 +389,7 @@ def superset_sums(part: dict, n: int, sign: int = 1) -> list[tuple[int, object]]
     n passes.  Each entry stays a signed sum of distinct coefficients, so
     the vector is int64 when sum |c| is an int below 2^62, else it holds
     exact Python numbers."""
-    bound = sum(map(abs, part.values()))
-    dtype = np.int64 if isinstance(bound, int) and bound < _INT64_SAFE else object
+    dtype = _exact_dtype(sum(map(abs, part.values())))
     vec = np.zeros(1 << n, dtype=dtype)
     vec[list(part)] = np.array(list(part.values()), dtype=dtype)
     op = np.add if sign > 0 else np.subtract

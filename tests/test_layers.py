@@ -23,6 +23,7 @@ from mzvkit import indexes, numeval, posets, regularize, tseries
 from mzvkit.cli import make_parser
 from mzvkit.indexes import CyclicClass
 from mzvkit.numeval import EvalConfig, raw_partial_sum
+from mzvkit.polys import GradedPoly
 from mzvkit.words import NcPoly
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -107,6 +108,34 @@ def test_only_posets_runs_the_zigzag_dp():
     for k in grade:
         posets.w_map(posets.ZigZag(k))
     assert posets._zigzag_vec.cache_info().misses == len(grade)
+
+
+def test_only_words_riffles_and_no_hatted_sum_goes_word_by_word():
+    # the interleaving scatters are built in words alone, where one
+    # function, the riffle, adds them up; the hatted star series are
+    # summed as grade vectors, with no word-by-word series sum left
+    scatter_words = ("_interleavings", "_scatter", "np.add.at")
+    users = sorted(
+        path.name
+        for path in SOURCES.glob("*.py")
+        if path.name != "words.py" and any(name in path.read_text() for name in scatter_words)
+    )
+    assert users == []
+    source = (SOURCES / "words.py").read_text()
+    functions = [node for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)]
+    adders = [f.name for f in functions if "np.add.at" in ast.get_source_segment(source, f)]
+    assert adders == ["_riffle"]
+    sums = sorted(
+        path.name
+        for path in SOURCES.glob("*.py")
+        if any(name in path.read_text() for name in ("add_symbols", "add_scaled"))
+    )
+    assert sums == []
+    assert not hasattr(tseries.WordSeries, "add_scaled") and not hasattr(tseries.WordSeries, "add_symbols")
+    # a hatted sum reads graded coefficients and gives graded ones
+    hat = tseries.w_star_hat((1, 2), 2)
+    assert all(type(p) is GradedPoly for p in hat.terms.values())
+    assert all(type(p) is GradedPoly for p in tseries.w_csf_hat((1, 2), 2).terms.values())
 
 
 def test_only_numeval_sum_adds_numeric_values():

@@ -78,24 +78,3 @@ def test_series_truncates_on_the_way_in():
     s = WordSeries(1).add_terms([(0, z((2,))), (2, z((3,)))])
     assert list(s.terms) == [0]
     assert (s.shift(1) + WordSeries(3, {2: z((3,))})).order == 2
-
-
-def test_add_symbols_evaluates_each_symbol_shifted_and_truncated():
-    calls = []
-
-    def value(key, n):
-        # one series per key, exact to t^n but given to t^(n + 1), so the
-        # extra power must be truncated away
-        calls.append((key, n))
-        return WordSeries(n + 1, {f: key * z((f + 2,)) for f in range(n + 2)})
-
-    symbols = Combo({(1, 0): 3, (2, 1): -1, (5, 3): 7})
-    s = WordSeries(2, {0: z((4,))})
-    assert s.add_symbols(symbols, value) is s
-    assert calls == [(1, 2), (2, 1)]  # order - e per symbol; t^3 > order is skipped
-    want = {
-        0: z((4,)) + 3 * z((2,)),
-        1: 3 * z((3,)) - 2 * z((2,)),
-        2: 3 * z((4,)) - 2 * z((3,)),
-    }
-    assert s == WordSeries(2, want)

@@ -7,7 +7,9 @@ import pytest
 
 from mzvkit import posets, tseries
 from mzvkit.indexes import CyclicClass, all_cyclic_classes, indices_up_to, shift_symbols
+from mzvkit.linear import Combo
 from mzvkit.numeval import VARIANTS, zeta_hat_num
+from mzvkit.polys import GradedPoly, _grade_words
 from mzvkit.tseries import (
     WordSeries,
     abc_split,
@@ -22,7 +24,7 @@ from mzvkit.tseries import (
     w_star_hat,
     x_star_hat,
 )
-from mzvkit.words import NcPoly, shuffle, weight
+from mzvkit.words import NcPoly, shuffle, weight, word_str
 
 
 z = NcPoly.from_index
@@ -137,15 +139,40 @@ def test_abc_b_equals_class_csf():
         assert parts.checks["B-vs-class-csf"].equal, str(al)
 
 
-def test_add_scaled_changes_no_poly_it_reads():
+def test_symbol_sums_change_no_value_they_read():
     p, q = z((2,)), z((3,))
-    s = WordSeries.from_poly(p, 2)
-    s.add_scaled([(0, 2, q), (1, 1, q), (3, 1, q)])
-    assert s == WordSeries(2, {0: z((2,)) + 2 * z((3,)), 1: z((3,))})
+    values = {1: WordSeries.from_poly(p, 2), 2: WordSeries(2, {0: q, 1: q}), 3: WordSeries.from_poly(p, 2)}
+
+    def value(k, n):
+        return values[k].truncate(n)
+
+    s = tseries._symbol_sum([(Combo({(1, 0): 1, (2, 0): 2, (2, 3): 1}), value)], 2)
+    assert s == WordSeries(2, {0: z((2,)) + 2 * z((3,)), 1: 2 * z((3,))})
     assert p == z((2,)) and q == z((3,))
-    # a power whose sum cancels is dropped and comes back last
-    s.add_scaled([(0, -1, p), (0, -2, q), (0, 1, p)])
-    assert list(s.coeffs) == [1, 0] and s.coefficient(0) == z((2,))
+    assert values[1] == WordSeries.from_poly(z((2,)), 2) and values[2] == WordSeries(2, {0: q, 1: q})
+    # a power whose sum cancels is dropped
+    s = tseries._symbol_sum([(Combo({(1, 0): 1, (2, 1): 1}), value), (Combo({(3, 0): -1}), value)], 2)
+    assert s == WordSeries(2, {1: z((3,)), 2: z((3,))}) and list(s.coeffs) == [1, 2]
+
+
+def test_symbol_sum_evaluates_each_symbol_shifted_and_truncated():
+    calls = []
+
+    def value(key, n):
+        # one series per key, exact to t^n but given to t^(n + 1), so the
+        # extra power must be truncated away
+        calls.append((key, n))
+        return WordSeries(n + 1, {f: key * z((f + 2,)) for f in range(n + 2)})
+
+    symbols = Combo({(1, 0): 3, (2, 1): -1, (5, 3): 7})
+    s = tseries._symbol_sum([(symbols, value), (Combo({(1, 2): 1}), value)], 2)
+    assert calls == [(1, 2), (2, 1), (1, 0)]  # order - e per symbol; t^3 > order is skipped
+    want = {
+        0: 3 * z((2,)),
+        1: 3 * z((3,)) - 2 * z((2,)),
+        2: 3 * z((4,)) - 2 * z((3,)) + z((2,)),
+    }
+    assert s == WordSeries(2, want)
 
 
 def _copy_and_add_f_series(k, order):
@@ -237,3 +264,63 @@ def test_series_coefficients_are_shared_across_orders():
             low, high = build(k, order=1), build(k, order=2)
             for e in (0, 1):
                 assert low.coefficient(e) is high.coefficient(e), (build, k, e)
+
+
+def _plain(p: NcPoly) -> NcPoly:
+    """p as a plain NcPoly, so that products of it take the dict path."""
+    return NcPoly(p.terms)
+
+
+def test_star_hat_vectors_match_the_dict_route_up_to_weight_6():
+    # every index of weight <= 6 at t-order 2: each graded coefficient is
+    # the sum of its split shuffles taken on plain polys, the series is
+    # the poset route's, and every check of the index and its class holds
+    for k in indices_up_to(6):
+        hat = w_star_hat(k, 2)
+        for e in range(3):
+            want = NcPoly()
+            for i in range(len(k) + 1):
+                want = want + shuffle(_plain(w_star(k[:i])), _plain(tseries._f_coeff(k[i:], e)))
+            got = hat.coefficient(e)
+            assert got == want and got.terms == want.terms, (k, e)
+        assert hat == x_star_hat(k, 2).w_image(), k
+        assert verify_csf_hat(k, 2).equal, k
+    for al in all_cyclic_classes(6):
+        assert verify_class_csf_hat(al, 2).equal, str(al)
+        assert abc_split(al, 2).all_ok, str(al)
+
+
+def test_cached_star_vectors_are_read_only():
+    k = (2, 1, 3)
+    cached = [w_star(k), tseries._f_coeff(k, 2), tseries._star_hat_coeff(k, 1)]
+    for p in cached:
+        assert p.grades
+        for vec in p.grades.values():
+            assert not vec.flags.writeable
+            with pytest.raises(ValueError):
+                vec[0] += 1
+        with pytest.raises(TypeError):
+            p.add_terms([(1, 1)])
+    assert tseries._star_hat_coeff(k, 1) is cached[2]
+
+
+def test_a_changed_hat_coefficient_fails_the_check_and_names_its_word(monkeypatch):
+    # one more of one word in one cached hat coefficient that the hatted
+    # sum of (1, 2, 2) reads, with the symbol coefficient c: the check
+    # fails and its difference is c times that word at that t-power
+    k, order = (1, 2, 2), 2
+    symbols = tseries.csf_star_hat_symbols(k, order).terms
+    (key, e0), c = next(((key, e0), c) for (key, e0), c in symbols.items() if e0 == 0)
+    cached = tseries._star_hat_coeff
+    ((grade, vec),) = cached(key, 1).grades.items()
+    changed = vec.copy()
+    changed[3] += 1
+    assert verify_csf_hat(k, order).equal
+
+    def hat(k2, f):
+        return GradedPoly({grade: changed}) if (k2, f) == (key, 1) else cached(k2, f)
+
+    monkeypatch.setattr(tseries, "_star_hat_coeff", hat)
+    rep = verify_csf_hat(k, order)
+    assert not rep.equal
+    assert list(rep.diff_terms()) == [(f"t^1:{word_str(_grade_words(*grade)[3])}", c)]

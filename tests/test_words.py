@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from mzvkit.indexes import compositions, indices_up_to, star_expand
 from mzvkit import words
 from mzvkit.linear import Combo
+from mzvkit.polys import GradedPoly, as_graded, graded_sum
 from mzvkit.words import (
     _INT64_SAFE,
     EMPTY_WORD,
@@ -347,10 +348,11 @@ def small_terms(ap, p, bp, q) -> list:
 
 
 def riffle_terms(ap, p, bp, q) -> list:
-    """One block summed by the riffle scatter, whatever its size."""
+    """One block summed by the riffle scatter, whatever its size, read
+    back words ascending."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(words, "_SMALL_PRODUCTS", -1)
-        return _weight_sum([(ap, p, bp, q)], p + q)
+        return sorted(_weight_sum([(ap, p, bp, q)], p + q).items())
 
 
 @pytest.mark.parametrize("p, q", SMALL_PAIRS)
@@ -753,3 +755,38 @@ def test_str_display_deterministic():
     assert str(p) == "2*yxyx + 4*yyxx"
     assert str(NcPoly.zero()) == "0"
     assert str(NcPoly.one()) == "1"
+
+
+def test_graded_sums_past_int64_are_exact():
+    # graded factors whose norms put the riffle, the scalar blocks and the
+    # grade sums past 2^62 take exact Python numbers, and agree term for
+    # term with the reference shuffle and the plain sums
+    rng = random.Random(62)
+    big = 1 << 61
+
+    def part(scale):  # words of weight 4 to 6, so that pairs riffle
+        words = [(1 << n) | rng.getrandbits(n) for n in (rng.randint(4, 6) for _ in range(6))]
+        return NcPoly({w: scale * rng.randint(-3, 3) for w in words})
+
+    plain = [part(big if i % 2 else 3) for i in range(6)] + [NcPoly.one()]
+    graded = [as_graded(p) for p in plain]
+    assert all(type(g) is GradedPoly for g in graded)
+    pairs = [(0, 1), (2, 3), (1, 4), (5, 5), (6, 3), (1, 6)]
+    got = shuffle_sum((graded[i], graded[j]) for i, j in pairs)
+    want = NcPoly()
+    for i, j in pairs:
+        want = want + moveaxis_shuffle(plain[i], plain[j])
+    assert type(got) is GradedPoly
+    assert got == want and got.terms == want.terms
+    assert max(map(abs, got.terms.values())) >= 1 << 63
+    assert all(type(c) is int for c in got.terms.values())
+    cs = [1, 3, -2, 5, 1, -1, 7]
+    total = graded_sum(zip(graded, cs))
+    want = NcPoly()
+    for c, p in zip(cs, plain):
+        want = want + c * p
+    assert total.terms == want.terms
+    assert any(vec.dtype == object for vec in total.grades.values())
+    # one exact Fraction coefficient turns every grade it reaches to object
+    third = graded_sum([(graded[0], Fraction(1, 3))])
+    assert third == Fraction(1, 3) * plain[0] and all(v.dtype == object for v in third.grades.values())
