@@ -34,6 +34,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, prod
+from operator import add
 from typing import Callable, Iterable, Iterator
 
 from .linear import Combo
@@ -236,11 +237,21 @@ def shift_symbols(k: Index, order: int) -> Combo:
     return Combo().add_terms(((s, e), sign * c) for e, c, s in binomial_shifts(k, order))
 
 
+@lru_cache(maxsize=None)
+def _compositions(e: int, r: int) -> tuple[tuple[Index, tuple[tuple[int, int], ...]], ...]:
+    """Each weak composition l of e into r parts, in order, as l reversed
+    and its (j, l_j) with l_j > 0."""
+    return tuple((ls[::-1], tuple((j, l) for j, l in enumerate(ls) if l)) for ls in weak_compositions(e, r))
+
+
 def shift_terms(k: Index, e: int) -> list[tuple[Index, int]]:
     """The t^e terms of ``shift_symbols(k, order)`` for any order >= e, as
     (index, coefficient) pairs: only the shifts with |l| = e are built."""
-    sign = _weight_sign(k)
-    return [(s, sign * c) for c, s in (_shift(k, ls) for ls in weak_compositions(e, len(k)))]
+    sign, rk = _weight_sign(k), k[::-1]
+    return [
+        (tuple(map(add, rk, rl)), sign * prod(comb(k[j] + l - 1, l) for j, l in nz))
+        for rl, nz in _compositions(e, len(k))
+    ]
 
 
 def hat_symbols(k: Index, order: int) -> Combo:

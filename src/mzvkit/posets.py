@@ -41,13 +41,13 @@ a chain whose root has been read are ``u << 1``, and an emptied chain is
 equal ints are equal sub-posets whatever index they came from.  The step
 is the same as the subset DP's on the same lanes: reading a root
 subtracts 3 and prepends y, reading an x subtracts 2.  States of at most
-``_SHARED_VERTICES`` = 6 vertices are memoised across calls, one
+``_SHARED_VERTICES`` = 7 vertices are memoised across calls, one
 write-once dict per lane width; the dicts grow with the indices a
 process meets, up to the states that all indices of weight <= 20 reach
-(87,783 over the three widths, 14.3 MB by ``sys.getsizeof``; every index
-of weight <= 13 fills 17,986, 2.8 MB).  Larger states are memoised per
-call.  Both DPs share the lane choice and the vertex guard
-(``_extension_vec``).
+(317,047 over the three widths, 71.2 MB by ``sys.getsizeof``; every
+index of weight <= 13 fills 40,939, 9.1 MB, and a benchmark exact-series
+pass 8,603, 1.4 MB).  Larger states are memoised per call.  Both DPs
+share the lane choice and the vertex guard (``_extension_vec``).
 
 The zig-zag DP's result is cached per index as a dense read-only int64
 vector over the words of its grade (weight, depth), ``_zigzag_vec``;
@@ -258,8 +258,9 @@ def w_map(p: TwoPoset | ZigZag) -> NcPoly:
 
 # The zig-zag DP's states of at most this many vertices, per lane width:
 # filled as indices reach them and never changed, and finite, as the
-# vertex guard bounds the indices.  Larger states are memoised per call.
-_SHARED_VERTICES = 6
+# vertex guard bounds the indices (at most 317,047 states).  Larger
+# states are memoised per call.
+_SHARED_VERTICES = 7
 _SHARED: dict[int, dict[int, int]] = {}
 
 

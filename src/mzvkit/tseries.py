@@ -154,19 +154,22 @@ def x_star_hat(k: Index, t_order: int) -> PosetSeries:
 # -- cyclic-sum combinations ------------------------------------------
 #
 # The symbol combos of ``indexes`` are read as star words by _star_words
-# and as hatted star series (or F-series) by _symbol_sum.
+# and by _symbol_sum as the cached t-power coefficients of hatted star
+# series (or F-series).
 
 
 def _symbol_sum(parts, order: int) -> WordSeries:
-    """The sum of c * value(key, order - e) * t^e over every (symbols,
-    value) part and every symbol ((key, e), c) with e <= order, where
-    value(key, n) is a series exact to t^n: per t-power, one
-    ``graded_sum`` of the coefficient vectors."""
+    """The sum of c * coeff(key, f) * t^(e + f) over every (symbols, coeff)
+    part, every symbol ((key, e), c) and every f <= order - e, where
+    coeff(key, f) is the t^f coefficient of a series of key (``_f_coeff``
+    or ``_star_hat_coeff``): per t-power, one ``graded_sum`` of the
+    coefficient vectors."""
     powers: dict[int, list] = {}
-    for symbols, value in parts:
+    for symbols, coeff in parts:
         for (key, e), c in symbols.terms.items():
-            if e <= order:
-                for f, p in value(key, order - e).terms.items():
+            for f in range(order - e + 1):
+                p = coeff(key, f)
+                if p:
                     powers.setdefault(e + f, []).append((p, c))
     return WordSeries(order, {e: graded_sum(terms) for e, terms in powers.items()})
 
@@ -207,7 +210,7 @@ def w_csf_hat(k: Index, order: int) -> WordSeries:
     k = check_index(k)
     if not k:
         raise ValueError("needs a non-empty index")
-    return _symbol_sum([(csf_star_hat_symbols(k, order), w_star_hat)], order)
+    return _symbol_sum([(csf_star_hat_symbols(k, order), _star_hat_coeff)], order)
 
 
 def verify_csf_hat(k: Index, order: int) -> ExactCheck:
@@ -233,7 +236,7 @@ def class_csf_hat(alpha: CyclicClass, order: int) -> WordSeries:
     """Hatted class splice sum minus the t-shifted member tail sums."""
     pivots = last_pivots(alpha.members)
     symbols = splice_symbols(pivots) + tail_symbols(pivots, order)
-    return _symbol_sum([(symbols, w_star_hat)], order)
+    return _symbol_sum([(symbols, _star_hat_coeff)], order)
 
 
 @lru_cache(maxsize=None)
@@ -282,16 +285,16 @@ def abc_split(alpha: CyclicClass, order: int) -> SpliceParts:
     )
     B = WordSeries.from_poly(zigzag_sum((idx, 1) for idx in spliced), order)
     ones = Combo().add_terms(((idx, 0), 1) for idx in spliced)
-    C = _symbol_sum([(ones, f_series)], order)
-    direct = _symbol_sum([(ones, w_star_hat)], order)
+    C = _symbol_sum([(ones, _f_coeff)], order)
+    direct = _symbol_sum([(ones, _star_hat_coeff)], order)
 
     # the closed forms sum over the symbols (1 + l, m) t^l and (m, 1) per member m
     heads = -tail_symbols(pivots, order)
     ends = Combo().add_terms(((m + (1,), 0), 1) for m in alpha.members)
     # telescoped closed form of A
-    a_closed = _symbol_sum([(heads, w_star_hat), (ends - heads, f_series)], order)
+    a_closed = _symbol_sum([(heads, _star_hat_coeff), (ends - heads, _f_coeff)], order)
     # Chu-Vandermonde closed form of C
-    c_closed = _star_words(_class_u_sum(alpha, order), order) + _symbol_sum([(heads - ends, f_series)], order)
+    c_closed = _star_words(_class_u_sum(alpha, order), order) + _symbol_sum([(heads - ends, _f_coeff)], order)
 
     sides = {
         "total": (A + B + C, direct),

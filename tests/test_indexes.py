@@ -21,6 +21,7 @@ from mzvkit.indexes import (
     rotations,
     s_m,
     shift_symbols,
+    shift_terms,
     splices,
     star_expand,
     star_invert,
@@ -366,6 +367,15 @@ def test_shift_symbols_vandermonde():
                 sums[e] = sums.get(e, 0) + c
             want = {e: sign * _binom(wt + e - 1, e) for e in range(order + 1)}
             assert sums == want, (k, order)
+
+
+def test_shift_terms_are_the_top_power_of_shift_symbols():
+    # term for term and in the same order: the t^e terms of the expansion
+    # to order e, for every index of weight <= 7 and e <= 3
+    for k in [(), *indices_up_to(7)]:
+        for e in range(4):
+            want = [(s, c) for (s, f), c in shift_symbols(k, e).terms.items() if f == e]
+            assert shift_terms(k, e) == want, (k, e)
 
 
 def test_rotation_pivots_are_the_rotations_in_order():

@@ -302,6 +302,8 @@ def test_zigzag_shares_only_small_states():
     for width, states in posets._SHARED.items():
         assert width in (16, 32, 64) and states[0] == 1
         assert max(map(_state_vertices, states)) <= posets._SHARED_VERTICES
+    # the bound is reached, not only respected
+    assert any(_state_vertices(s) == posets._SHARED_VERTICES for d in posets._SHARED.values() for s in d)
 
 
 def test_zigzag_vertex_guard():

@@ -143,8 +143,8 @@ def test_symbol_sums_change_no_value_they_read():
     p, q = z((2,)), z((3,))
     values = {1: WordSeries.from_poly(p, 2), 2: WordSeries(2, {0: q, 1: q}), 3: WordSeries.from_poly(p, 2)}
 
-    def value(k, n):
-        return values[k].truncate(n)
+    def value(k, f):
+        return values[k].coefficient(f)
 
     s = tseries._symbol_sum([(Combo({(1, 0): 1, (2, 0): 2, (2, 3): 1}), value)], 2)
     assert s == WordSeries(2, {0: z((2,)) + 2 * z((3,)), 1: 2 * z((3,))})
@@ -158,15 +158,16 @@ def test_symbol_sums_change_no_value_they_read():
 def test_symbol_sum_evaluates_each_symbol_shifted_and_truncated():
     calls = []
 
-    def value(key, n):
-        # one series per key, exact to t^n but given to t^(n + 1), so the
-        # extra power must be truncated away
-        calls.append((key, n))
-        return WordSeries(n + 1, {f: key * z((f + 2,)) for f in range(n + 2)})
+    def value(key, f):
+        # the t^f coefficient of one series per key, given at every f, so
+        # the powers past order - e must not be read
+        calls.append((key, f))
+        return key * z((f + 2,))
 
     symbols = Combo({(1, 0): 3, (2, 1): -1, (5, 3): 7})
     s = tseries._symbol_sum([(symbols, value), (Combo({(1, 2): 1}), value)], 2)
-    assert calls == [(1, 2), (2, 1), (1, 0)]  # order - e per symbol; t^3 > order is skipped
+    # f <= order - e per symbol; t^3 > order is skipped
+    assert calls == [(1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (1, 0)]
     want = {
         0: 3 * z((2,)),
         1: 3 * z((3,)) - 2 * z((2,)),
@@ -244,6 +245,28 @@ def test_star_word_sums_leave_cached_vectors_unchanged():
         assert w_star(k).terms == stars[k], k
         with pytest.raises(ValueError):
             vecs[k][:] = 0
+
+
+def test_star_words_match_the_cross_relation_recursion():
+    # inclusion-exclusion over the cross relations y_(i-1) < t_i of the
+    # zig-zag of k = (k_1..k_r): breaking one puts chain i entirely below
+    # chain i - 1, so S(k) = sum_i (-1)^(r-1-i) S(k_1..k_i) sh z_(k_r)..z_(k_(i+1)),
+    # S(()) = 1, built from shuffles of plain index words alone
+    S = {(): NcPoly.one()}
+
+    def star(k):
+        if k not in S:
+            r = len(k)
+            S[k] = sum(
+                ((-1) ** (r - 1 - i) * shuffle(star(k[:i]), z(k[i:][::-1])) for i in range(r)),
+                NcPoly(),
+            )
+        return S[k]
+
+    ks = indices_up_to(8)
+    assert len(ks) == 255
+    for k in ks:
+        assert star(k) == w_star(k), k
 
 
 def test_star_hat_coefficients_are_the_sums_of_their_split_shuffles():
