@@ -7,7 +7,7 @@ This demo walks through both on small examples.
 """
 
 from mzvkit import NcPoly, harmonic, s_map, shuffle, sigma, word_of_index
-from mzvkit.words import index_of_word, word_str
+from mzvkit.polys import index_of_word, word_str
 
 z = NcPoly.from_index
 

@@ -18,7 +18,7 @@ from functools import partial
 from math import comb, pi
 from typing import Callable
 
-from . import indexes, numeval, posets, regularize, tseries, words
+from . import indexes, numeval, polys, posets, regularize, tseries, words
 from .numeval import EvalConfig
 from .reports import ExactCheck, Report
 
@@ -141,7 +141,7 @@ def _algebra_cases(args, cfg) -> list[Case]:
                 return f"{name} distributivity"
 
     def closure(rng):
-        a, b = (words.NcPoly.from_word(words.random_word(rng, w, h0=True)) for _ in range(2))
+        a, b = (polys.NcPoly.from_word(words.random_word(rng, w, h0=True)) for _ in range(2))
         c, d = h1(rng), h1(rng)
         if not words.shuffle(a, b).is_h0():
             return "shuffle H0 closure"
@@ -214,10 +214,10 @@ def _poset_cases(args, cfg) -> list[Case]:
 
     def chains():
         for kk in range(1, 9):
-            if posets.w_map(posets.x_star((kk,))) != words.NcPoly.from_index((kk,)):
+            if posets.w_map(posets.x_star((kk,))) != polys.NcPoly.from_index((kk,)):
                 return False, f"k={kk}"
         got = posets.w_map(posets.x_star((2, 2)))
-        if got != words.NcPoly({words.word("yxyx"): 1, words.word("yyxx"): 4}):
+        if got != polys.NcPoly({polys.word("yxyx"): 1, polys.word("yyxx"): 4}):
             return False, "(2,2) zig-zag"
         return True, "chains k<=8 and the (2,2) zig-zag"
 

@@ -22,8 +22,9 @@ the rotations, split by depth.
 
 The t-adic expansion and the cyclic-sum combinations are defined here,
 once, as formal sums of t-adic symbols, plain ``Combo`` objects keyed by
-(index, t-power): ``shift_symbols`` and ``hat_symbols`` sum over
-``binomial_shifts`` (the binomially shifted, reversed expansion), and the
+(index, t-power): ``shift_terms`` builds the binomially shifted, reversed
+expansion one t-power at a time from the cached weak compositions,
+``shift_symbols`` and ``hat_symbols`` sum it up to an order, and the
 combinations splice around ``rotation_pivots``.  ``tseries``, ``posets``
 and ``numeval`` evaluate them as word series, poset series and numbers.
 """
@@ -188,9 +189,9 @@ class CyclicClass:
 
 def weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     """All tuples of `parts` non-negative ints with sum == total, in
-    lexicographic order."""
-    if parts < 1:
-        if not total:
+    lexicographic order; none for a negative total."""
+    if total < 0 or parts < 1:
+        if not total:  # no parts, sum 0
             yield ()
         return
     end = total + parts - 1  # stars and bars: parts - 1 bars among end slots
@@ -203,38 +204,8 @@ def weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
         yield tuple(out)
 
 
-def weak_compositions_upto(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of `parts` non-negative ints with sum <= total, in
-    lexicographic order: the exact sums with one more, slack, part."""
-    return (c[:-1] for c in weak_compositions(total, parts + 1))
-
-
-def _shift(k: Index, ls: tuple[int, ...]) -> tuple[int, Index]:
-    """The coefficient prod_j C(k_j + l_j - 1, l_j) and the reversed
-    shifted index (k_r + l_r, ..., k_1 + l_1) of one shift l of k."""
-    c = prod(comb(kj + lj - 1, lj) for kj, lj in zip(k, ls))
-    return c, tuple(kj + lj for kj, lj in zip(k, ls))[::-1]
-
-
-def binomial_shifts(k: Index, order: int) -> Iterator[tuple[int, int, Index]]:
-    """(|l|, coefficient, reversed shifted index) for every shift l >= 0 of k
-    with |l| <= order: the terms of the binomially shifted expansion, with
-    coefficient prod_j C(k_j + l_j - 1, l_j) and index
-    (k_r + l_r, ..., k_1 + l_1)."""
-    for ls in weak_compositions_upto(order, len(k)):
-        yield (sum(ls), *_shift(k, ls))
-
-
 def _weight_sign(k: Index) -> int:
     return -1 if sum(k) & 1 else 1
-
-
-def shift_symbols(k: Index, order: int) -> Combo:
-    """The signed shift expansion of k as (index, t-power) symbols:
-    (-1)^wt(k) * sum over l >= 0 with |l| <= order of
-    prod_j C(k_j + l_j - 1, l_j) * (k_r + l_r, ..., k_1 + l_1) t^|l|."""
-    sign = _weight_sign(k)
-    return Combo().add_terms(((s, e), sign * c) for e, c, s in binomial_shifts(k, order))
 
 
 @lru_cache(maxsize=None)
@@ -245,13 +216,20 @@ def _compositions(e: int, r: int) -> tuple[tuple[Index, tuple[tuple[int, int], .
 
 
 def shift_terms(k: Index, e: int) -> list[tuple[Index, int]]:
-    """The t^e terms of ``shift_symbols(k, order)`` for any order >= e, as
-    (index, coefficient) pairs: only the shifts with |l| = e are built."""
+    """The t^e terms of the signed shift expansion of k, as (index,
+    coefficient) pairs: (-1)^wt(k) prod_j C(k_j + l_j - 1, l_j) and
+    (k_r + l_r, ..., k_1 + l_1) for every shift l >= 0 with |l| = e."""
     sign, rk = _weight_sign(k), k[::-1]
     return [
         (tuple(map(add, rk, rl)), sign * prod(comb(k[j] + l - 1, l) for j, l in nz))
         for rl, nz in _compositions(e, len(k))
     ]
+
+
+def shift_symbols(k: Index, order: int) -> Combo:
+    """The signed shift expansion of k as (index, t-power) symbols: the
+    ``shift_terms`` of k at each t^e, e <= order."""
+    return Combo().add_terms(((s, e), c) for e in range(order + 1) for s, c in shift_terms(k, e))
 
 
 def hat_symbols(k: Index, order: int) -> Combo:
@@ -266,18 +244,10 @@ def hat_symbols(k: Index, order: int) -> Combo:
 
 
 def compositions(k: int, r: int) -> Iterator[Index]:
-    """All compositions of k into exactly r positive parts."""
-    if r == 0:
-        if k == 0:
-            yield ()
-        return
-    for cut in itertools.combinations(range(1, k), r - 1):
-        parts = []
-        prev = 0
-        for c in cut + (k,):
-            parts.append(c - prev)
-            prev = c
-        yield tuple(parts)
+    """All compositions of k into exactly r positive parts, in
+    lexicographic order: the weak compositions of k - r, each part + 1."""
+    ones = (1,) * r
+    return (tuple(map(add, c, ones)) for c in weak_compositions(k - r, r))
 
 
 def cyclic_classes(k: int, r: int) -> list[CyclicClass]:

@@ -171,10 +171,3 @@ class Series(Poly):
         out = self._like({e: c for e, c in self.terms.items() if e <= order})
         out.order = order
         return out
-
-    def shift(self, j: int) -> "Series":
-        """Multiply by t^j; a series exact mod t^(m+1) stays exact mod
-        t^(m+j+1), so the order grows with the shift."""
-        out = self._like({e + j: c for e, c in self.terms.items()})
-        out.order += j
-        return out

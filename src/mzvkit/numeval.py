@@ -125,7 +125,13 @@ DEFAULT_CONFIG = EvalConfig()
 # -- nested-sum kernel of raw_partial_sum -------------------------------
 
 
-# (N, dtype) -> (n, P, pw); holds at most one entry, the last one used
+# (N, dtype) -> (n, P, pw); holds at most one entry, the last one used.
+# The arrays stay allocated between calls.  Freeing them raises glibc's
+# dynamic mmap threshold, so later arrays of a few hundred KB, such as the
+# 320 KB longdouble arrays of perfbench's reference loop, come from the
+# heap and run faster, and the latencies perfbench scales by that loop read
+# higher: 33% more csf-sweep wall time in an allocate-and-free prototype,
+# and no difference with MALLOC_MMAP_THRESHOLD_=131072 pinned.
 _WORKSPACE: dict = {}
 
 

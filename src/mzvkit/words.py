@@ -2,8 +2,7 @@
 regularisation and the star-expansion maps.
 
 The packed words and the polynomials over them, sparse (``NcPoly``) and
-dense per grade (``GradedPoly``), are defined in ``polys``; the names
-the products use can be read from ``words`` too.
+dense per grade (``GradedPoly``), are defined in ``polys``.
 
 ``shuffle_sum`` adds up a ш b over many pairs, block by block, one
 weight-p part of a against one weight-q part of b, and sums every output
@@ -50,9 +49,8 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .linear import Combo
-from .polys import (  # also read from here: the words and polynomials the products act on
-    _INT64_SAFE, EMPTY_WORD, GradedPoly, NcPoly, _check_h1, _exact_dtype, _grade_bits, _grade_vecs,
-    concat, grade_sum, in_h0, in_h1, index_of_word, weight, word, word_of_index, word_str,
+from .polys import (
+    EMPTY_WORD, GradedPoly, NcPoly, _check_h1, _exact_dtype, _grade_bits, _grade_vecs, grade_sum, weight,
 )
 
 

@@ -19,6 +19,7 @@ from mzvkit.indexes import (
     verify_index_identity,
 )
 from mzvkit.numeval import EvalConfig, mzv_num, verify_csf
+from mzvkit.polys import NcPoly, word
 from mzvkit.posets import disjoint_union, random_2poset, w_map, x_star
 from mzvkit.regularize import (
     NumericPolyT,
@@ -29,7 +30,7 @@ from mzvkit.regularize import (
     verify_reg_relation,
 )
 from mzvkit.tseries import abc_split, verify_class_csf_hat, verify_csf_hat
-from mzvkit.words import NcPoly, harmonic, random_ncpoly, shuffle, word
+from mzvkit.words import harmonic, random_ncpoly, shuffle
 
 FULL = EvalConfig(cutoff=10**6)
 

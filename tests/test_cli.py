@@ -13,9 +13,9 @@ from mzvkit import posets
 from mzvkit.cli import _exact, build_cases, main, make_parser, parse_index, run_suite
 from mzvkit.indexes import IndexCombo
 from mzvkit.linear import Combo
+from mzvkit.polys import NcPoly, word_of_index
 from mzvkit.reports import ExactCheck, Report
 from mzvkit.tseries import WordSeries
-from mzvkit.words import NcPoly, word_of_index
 
 
 def test_parse_index_examples():

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from mzvkit.indexes import (
     IndexCombo,
     all_cyclic_classes,
-    binomial_shifts,
     compositions,
     csf_star_hat_symbols,
     cyclic_classes,
@@ -27,6 +26,7 @@ from mzvkit.indexes import (
     star_invert,
     star_map,
     verify_index_identity,
+    weak_compositions,
 )
 from mzvkit.linear import Combo
 
@@ -338,20 +338,33 @@ def test_all_cyclic_classes_count():
     assert reps == [(4,), (1, 3), (2, 2), (1, 1, 2), (1, 1, 1, 1)]
 
 
-def test_binomial_shifts_against_generating_function():
-    # C(order + r, r) shifts l with |l| <= order; at each |l| = e the weights
-    # sum to C(wt + e - 1, e), the coefficient of x^e in (1 - x)^-wt
+def test_shift_terms_against_generating_function():
+    # C(e + r - 1, r - 1) shifts l with |l| = e, each of weight wt + e, and
+    # the unsigned coefficients sum to C(wt + e - 1, e), the coefficient of
+    # x^e in (1 - x)^-wt
     for k in indices_up_to(6):
         r, wt = len(k), sum(k)
-        for order in range(4):
-            terms = list(binomial_shifts(k, order))
-            assert len(terms) == _binom(order + r, r), (k, order)
-            sums = {}
-            for e, c, shifted in terms:
+        sign = (-1) ** wt
+        for e in range(4):
+            terms = shift_terms(k, e)
+            assert len(terms) == _binom(e + r - 1, r - 1), (k, e)
+            for shifted, c in terms:
+                assert sign * c > 0, (k, shifted, c)
                 assert len(shifted) == r and sum(shifted) == wt + e, (k, shifted)
                 assert all(a >= b for a, b in zip(shifted, k[::-1])), (k, shifted)
-                sums[e] = sums.get(e, 0) + c
-            assert sums == {e: _binom(wt + e - 1, e) for e in range(order + 1)}, (k, order)
+            assert sum(sign * c for _, c in terms) == _binom(wt + e - 1, e), (k, e)
+
+
+def test_negative_totals_have_no_compositions():
+    assert list(weak_compositions(-1, 1)) == []
+    assert list(compositions(0, 1)) == []
+
+
+def test_compositions_are_the_positive_tuples_in_lex_order():
+    for k in range(7):
+        for r in range(k + 2):
+            want = [c for c in itertools.product(range(1, k + 1), repeat=r) if sum(c) == k]
+            assert list(compositions(k, r)) == want, (k, r)
 
 
 def test_shift_symbols_vandermonde():
@@ -367,15 +380,6 @@ def test_shift_symbols_vandermonde():
                 sums[e] = sums.get(e, 0) + c
             want = {e: sign * _binom(wt + e - 1, e) for e in range(order + 1)}
             assert sums == want, (k, order)
-
-
-def test_shift_terms_are_the_top_power_of_shift_symbols():
-    # term for term and in the same order: the t^e terms of the expansion
-    # to order e, for every index of weight <= 7 and e <= 3
-    for k in [(), *indices_up_to(7)]:
-        for e in range(4):
-            want = [(s, c) for (s, f), c in shift_symbols(k, e).terms.items() if f == e]
-            assert shift_terms(k, e) == want, (k, e)
 
 
 def test_rotation_pivots_are_the_rotations_in_order():

@@ -23,8 +23,7 @@ from mzvkit import indexes, numeval, posets, regularize, tseries
 from mzvkit.cli import make_parser
 from mzvkit.indexes import CyclicClass
 from mzvkit.numeval import EvalConfig, raw_partial_sum
-from mzvkit.polys import GradedPoly
-from mzvkit.words import NcPoly
+from mzvkit.polys import GradedPoly, NcPoly
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SOURCES = Path(indexes.__file__).resolve().parent
@@ -70,15 +69,64 @@ def test_exact_checks_expose_what_the_workloads_read():
     assert tseries.abc_split(al, 1).all_ok is True
 
 
+def _callers(source: str, names: tuple[str, ...]) -> dict[str, list[str]]:
+    """name -> the top-level functions of the source that call it by name."""
+    out: dict[str, list[str]] = {}
+    for f in ast.parse(source).body:
+        if isinstance(f, ast.FunctionDef):
+            called = {n.func.id for n in ast.walk(f) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+            for name in names:
+                if name in called:
+                    out.setdefault(name, []).append(f.name)
+    return out
+
+
 def test_only_indexes_expands_binomial_shifts():
-    # the t-adic expansion is written once, as indexes.shift_symbols and
-    # hat_symbols; every other layer evaluates those symbols
+    # the t-adic expansion is written once: indexes.shift_terms reads the
+    # cached weak compositions, shift_symbols and hat_symbols sum its
+    # terms, and every other layer evaluates those terms and symbols
+    names = ("weak_compositions", "_compositions")
     users = sorted(
         path.name
         for path in SOURCES.glob("*.py")
-        if path.name != "indexes.py" and "binomial_shifts" in path.read_text()
+        if path.name != "indexes.py" and any(name in path.read_text() for name in names)
     )
     assert users == []
+    assert _callers((SOURCES / "indexes.py").read_text(), names + ("shift_terms",)) == {
+        "weak_compositions": ["_compositions", "compositions"],
+        "_compositions": ["shift_terms"],
+        "shift_terms": ["shift_symbols"],
+    }
+
+
+def _words_names(node: ast.AST) -> list[str]:
+    """The names a node reads from words: ``from .words import a`` or ``words.a``."""
+    if isinstance(node, ast.ImportFrom) and node.module in ("words", "mzvkit.words"):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "words":
+        return [node.attr]
+    return []
+
+
+def test_no_module_reads_a_polys_name_through_words():
+    # words imports some packed-word and polynomial names from polys for
+    # its own use; every other module imports them from polys
+    defined = set()
+    for node in ast.parse((SOURCES / "polys.py").read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update(t.id for t in targets if isinstance(t, ast.Name))
+    assert {"NcPoly", "weight", "word", "_INT64_SAFE"} <= defined
+    reads = sorted(
+        (path.name, name)
+        for path in SOURCES.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        for name in _words_names(node)
+        if name in defined
+    )
+    assert reads == []
 
 
 def _reads_zigzag_states(source: str) -> bool:

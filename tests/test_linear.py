@@ -9,7 +9,7 @@ from mzvkit.linear import Combo
 from mzvkit.numeval import NumericValue
 from mzvkit.regularize import NumericPolyT
 from mzvkit.tseries import WordSeries
-from mzvkit.words import NcPoly, word
+from mzvkit.polys import NcPoly, word
 
 z = NcPoly.from_index
 V = NumericValue
@@ -77,4 +77,6 @@ def test_labelled_terms_expand_nested_combinations():
 def test_series_truncates_on_the_way_in():
     s = WordSeries(1).add_terms([(0, z((2,))), (2, z((3,)))])
     assert list(s.terms) == [0]
-    assert (s.shift(1) + WordSeries(3, {2: z((3,))})).order == 2
+    # a sum is exact to the lower of the two orders
+    t = WordSeries(2, {1: z((2,))}) + WordSeries(3, {2: z((3,)), 3: z((4,))})
+    assert t.order == 2 and list(t.terms) == [1, 2]

@@ -32,9 +32,10 @@ from mzvkit.numeval import (
     zeta_hat_num,
     zeta_reg,
 )
+from mzvkit.polys import NcPoly, word_of_index
 from mzvkit.regularize import RHO_KINDS, NumericPolyT, numeric_reg_poly, rho_apply
 from mzvkit.tseries import w_csf_hat, w_star, w_star_hat
-from mzvkit.words import NcPoly, harmonic, random_word, shuffle, word_of_index
+from mzvkit.words import harmonic, random_word, shuffle
 
 FAST = EvalConfig(cutoff=20000)
 Z3 = 1.2020569031595943  # literature value, used only as a sanity anchor

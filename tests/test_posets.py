@@ -11,6 +11,7 @@ import pytest
 
 from mzvkit import posets, tseries
 from mzvkit.indexes import indices_up_to
+from mzvkit.polys import NcPoly, word
 from mzvkit.posets import (
     TwoPoset,
     disjoint_union,
@@ -22,7 +23,7 @@ from mzvkit.posets import (
     zigzag_sum,
 )
 from mzvkit.tseries import PosetSeries, x_star_hat
-from mzvkit.words import NcPoly, shuffle, word
+from mzvkit.words import shuffle
 
 
 def w_map_oracle(p: TwoPoset) -> NcPoly:

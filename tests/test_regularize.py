@@ -7,9 +7,10 @@ from fractions import Fraction
 import pytest
 
 from mzvkit.indexes import hat_symbols, indices_up_to
-from mzvkit import numeval, regularize, words
+from mzvkit import numeval, polys, regularize, words
 from mzvkit.cli import build_cases, make_parser
 from mzvkit.numeval import EvalConfig
+from mzvkit.polys import NcPoly, in_h1, index_of_word, word_of_index
 from mzvkit.regularize import (
     NumericPolyT,
     a_coeffs,
@@ -24,18 +25,7 @@ from mzvkit.regularize import (
     y_product_power,
 )
 from mzvkit.tseries import w_star, w_star_hat
-from mzvkit.words import (
-    NcPoly,
-    harmonic,
-    in_h1,
-    index_of_word,
-    random_ncpoly,
-    random_word,
-    reg_shuffle_constant,
-    s_map,
-    shuffle,
-    word_of_index,
-)
+from mzvkit.words import harmonic, random_ncpoly, random_word, reg_shuffle_constant, s_map, shuffle
 
 z = NcPoly.from_index
 
@@ -199,9 +189,9 @@ def test_shuffle_reg_closed_form_matches_peel():
             if kind == 0:
                 w = random_word(rng, 8, h0=True)
             elif kind == 1:
-                w = words.word("y" * rng.randint(1, 5))
+                w = polys.word("y" * rng.randint(1, 5))
             else:
-                w = words.concat(random_word(rng, 6, h0=True), words.word("y" * rng.randint(1, 4)))
+                w = polys.concat(random_word(rng, 6, h0=True), polys.word("y" * rng.randint(1, 4)))
             p.add_terms([(w, Fraction(rng.randint(-9, 9), rng.randint(1, 6)))])
         _check_closed_form(p)
     with pytest.raises(ValueError):
@@ -226,9 +216,9 @@ def _trailing_y_derivative(p: NcPoly) -> NcPoly:
     """Delete one trailing y of each word; words ending in x go to 0."""
     out = NcPoly()
     for w, c in p.terms.items():
-        s = words.word_str(w)
+        s = polys.word_str(w)
         if s.endswith("y"):
-            out.add_terms([(words.word(s[:-1]), c)])
+            out.add_terms([(polys.word(s[:-1]), c)])
     return out
 
 

@@ -14,29 +14,33 @@ from hypothesis import strategies as st
 from mzvkit.indexes import compositions, indices_up_to, star_expand
 from mzvkit import words
 from mzvkit.linear import Combo
-from mzvkit.polys import GradedPoly, as_graded, graded_sum
-from mzvkit.words import (
+from mzvkit.polys import (
     _INT64_SAFE,
     EMPTY_WORD,
+    GradedPoly,
     NcPoly,
+    as_graded,
+    graded_sum,
+    in_h0,
+    in_h1,
+    index_of_word,
+    weight,
+    word,
+    word_of_index,
+    word_str,
+)
+from mzvkit.words import (
     _interleavings,
     _small_block,
     _spread,
     _weight_sum,
     harmonic,
-    in_h0,
-    in_h1,
-    index_of_word,
     random_ncpoly,
     random_word,
     s_map,
     shuffle,
     shuffle_sum,
     sigma,
-    weight,
-    word,
-    word_of_index,
-    word_str,
 )
 
 
