@@ -10,9 +10,8 @@ comparison needs only the sine kernel pi-powers on top of that.
 
 import math
 
-from mzvkit import NcPoly, mzv_num, reg_T, rho_apply, z_reg_num
+from mzvkit import NcPoly, mzv_num, reg_T, rho_apply, w_star, z_reg_num
 from mzvkit.regularize import NumericPolyT, sin_correction
-from mzvkit.tseries import w_star
 
 z = NcPoly.from_index
 

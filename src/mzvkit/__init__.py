@@ -14,8 +14,9 @@ The package is organised in layers:
 * :mod:`mzvkit.words` - the shuffle and harmonic products, the shuffle
   regularisation, sigma and ``s_map`` (y*sigma(tail), the word form of
   star expansion).
-* :mod:`mzvkit.posets` - labeled 2-posets, admissibility and the
-  linear-extension word map.
+* :mod:`mzvkit.posets` - labeled 2-posets, admissibility, the
+  linear-extension word map and the star words ``w_star``, cached
+  there.
 * :mod:`mzvkit.tseries` - truncated t-series of word polynomials, the
   two-sided star series and its poset oracle, and the exact cyclic-sum
   expansions.
@@ -23,8 +24,8 @@ The package is organised in layers:
   H0[y] decompositions (shuffle in closed form, harmonic peeled against
   one y-power), symbolic and numeric T-polynomials and the rho maps.
 * :mod:`mzvkit.numeval` - admissible values by Hölder convolution, the
-  t-adic series variants and numeric verification of the cyclic sum
-  formulas.
+  regularised per-index values V(k) in one cache, the t-adic series
+  variants and numeric verification of the cyclic sum formulas.
 * :mod:`mzvkit.reports` - ``Report`` rows and the ``ExactCheck`` outcome
   of every exact identity check.
 * :mod:`mzvkit.cli` - the verification command line (`mzvkit --suite ...`).
@@ -54,7 +55,7 @@ from .numeval import (
     zeta_hat_num,
 )
 from .polys import NcPoly, index_of_word, word, word_of_index
-from .posets import TwoPoset, disjoint_union, is_admissible, w_map, x_star
+from .posets import TwoPoset, disjoint_union, is_admissible, w_map, w_star, x_star
 from .regularize import (
     NumericPolyT,
     RegPolynomial,
@@ -74,7 +75,6 @@ from .tseries import (
     verify_csf_hat,
     w_csf,
     w_csf_hat,
-    w_star,
     w_star_hat,
     x_star_hat,
 )

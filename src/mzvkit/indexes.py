@@ -14,11 +14,14 @@ Star expansion and inversion are one linear map, ``star_map``, on
 combinations of indices or of (index, t-power) symbols.  A contraction
 of a weight-w index clears some of the y bits of its z-word below the
 leading y, so a dense weight slice is one ``words.superset_sums``; a
-single index, or a sparse slice, takes the doubling ``_contractions``,
-which given a depth also builds the sums of ``s_m``.  The identities
-expand whole combinations: prop1-3 and ``csf_reduction`` the collected
-alternating s_m sum (itself one star inversion), ``lemma112`` the sum of
-the rotations, split by depth.
+single index, or a sparse slice, takes the doubling ``_contractions``.
+``star_expand`` and ``star_invert`` are ``star_map`` of one index.
+Every ``s_m`` of an index is one depth of a single star expansion, that
+of its r cut bases (``_cut_expansion``, cached for the last few
+indices).  The identities expand whole combinations: prop1-3 and
+``csf_reduction`` the collected alternating s_m sum (the first-policy
+cut expansion, signed by depth), ``lemma112`` the sum of the rotations,
+split by depth.
 
 The t-adic expansion and the cyclic-sum combinations are defined here,
 once, as formal sums of t-adic symbols, plain ``Combo`` objects keyed by
@@ -69,25 +72,14 @@ class IndexCombo(Combo):
         return "+".join(f"{self.terms[k]}*({','.join(map(str, k))})" for k in keys)
 
 
-def _contractions(k: Index, plus_sign: int, depth: int | None = None) -> list[tuple[Index, int]]:
+def _contractions(k: Index, plus_sign: int) -> list[tuple[Index, int]]:
     """(contraction, plus_sign ** pluses) for every comma/plus contraction
-    of k, or with ``depth`` (1 <= depth <= len(k)) for those of that depth.
-    Built left to right by doubling: at each further part, every tuple so
-    far first takes it as a new part, then adds it to its last entry.  With
-    ``depth`` a tuple takes a comma only while it is shorter than depth,
-    and a plus only while the parts to come can bring it up to depth."""
-    r = len(k)
-    # without depth both filters always hold: len(t) <= i < r and len(t) >= 1
-    hi = depth or r
-    lo = depth or 1
+    of k.  Built left to right by doubling: at each further part, every
+    tuple so far first takes it as a new part, then adds it to its last
+    entry."""
     terms = [(k[:1], 1)]
-    for i in range(1, r):
-        p = k[i]
-        # after a plus, the r - 1 - i parts to come add at most r - 1 - i entries
-        short = lo - (r - 1 - i)
-        terms = [(t + (p,), c) for t, c in terms if len(t) < hi] + [
-            (t[:-1] + (t[-1] + p,), plus_sign * c) for t, c in terms if len(t) >= short
-        ]
+    for p in k[1:]:
+        terms = [(t + (p,), c) for t, c in terms] + [(t[:-1] + (t[-1] + p,), plus_sign * c) for t, c in terms]
     return terms
 
 
@@ -126,7 +118,7 @@ def star_map(combo: Combo, sign: int = 1) -> Combo:
 
 def star_expand(k: Index) -> IndexCombo:
     """Sum of the 2^(r-1) comma/plus contractions of k; () expands to ()."""
-    return IndexCombo().add_terms(_contractions(check_index(k), 1))
+    return star_map(IndexCombo.of(check_index(k)))
 
 
 def star_invert(k: Index) -> IndexCombo:
@@ -134,7 +126,7 @@ def star_invert(k: Index) -> IndexCombo:
     k = check_index(k)
     if not k:
         raise ValueError("star inversion needs a non-empty index")
-    return IndexCombo().add_terms(_contractions(k, -1))
+    return star_map(IndexCombo.of(k), -1)
 
 
 def rotations(k: Index) -> Iterator[Index]:
@@ -172,6 +164,8 @@ class CyclicClass:
     @classmethod
     def of(cls, k: Index) -> "CyclicClass":
         k = check_index(k)
+        if not k:
+            raise ValueError("a cyclic class needs a non-empty index")
         rots = sorted(set(rotations(k)))
         return cls(representative=rots[0], members=tuple(rots))
 
@@ -273,14 +267,9 @@ def s_m(k: Index, m: int, policy: str = "first") -> IndexCombo:
     Box i sits after k_i (box r wraps to k_1).  The cut position j is the
     first comma box under the default policy, the last under
     ``policy="last"``; sums that are later cyclically symmetrised do not
-    depend on this choice.  Every resulting index has depth r - m.
-
-    Every box on one side of the cut is a plus, so those entries merge
-    into one and the rest is a contraction of depth r - m.  Cutting after
-    k_{j+1} (0-based box j), the first policy reads the contractions of
-    (k_{j+2}, ..., k_r, k_1 + ... + k_{j+1}) for j = 0..m, the last policy
-    those of (k_{j+2} + ... + k_r + k_1, k_2, ..., k_{j+1}) for
-    j = r-1-m..r-1.
+    depend on this choice.  Every box on one side of the cut is a plus,
+    so those entries merge into one and the rest is a contraction of
+    depth r - m of a cut base: the depth r - m part of ``_cut_expansion``.
     """
     k = check_index(k)
     r = len(k)
@@ -288,15 +277,28 @@ def s_m(k: Index, m: int, policy: str = "first") -> IndexCombo:
         raise ValueError("s_m needs a non-empty index")
     if not 0 <= m <= r - 1:
         raise ValueError(f"need 0 <= m <= depth-1, got m={m}")
+    return IndexCombo(dict(_cut_expansion(k, policy)[r - m]))
+
+
+@lru_cache(maxsize=4)
+def _cut_expansion(k: Index, policy: str) -> tuple[tuple[tuple[Index, int], ...], ...]:
+    """The star expansion of the r cut bases of k, entry d its terms of
+    depth d.  Cutting after k_{j+1} (0-based box j), the first policy reads
+    (k_{j+2}, ..., k_r, k_1 + ... + k_{j+1}), the last (k_{j+2} + ... + k_r
+    + k_1, k_2, ..., k_{j+1}).  A base of depth d reaches only the s_m with
+    r - m <= d, so depth r - m is s_m.  Callers read the identities of one
+    index back to back, so a few entries hold the reuse."""
+    r = len(k)
     if policy == "first":
-        bases = [k[j + 1 :] + (sum(k[: j + 1]),) for j in range(m + 1)]
+        bases = [k[j + 1 :] + (sum(k[: j + 1]),) for j in range(r)]
     elif policy == "last":
-        bases = [(sum(k[j + 1 :]) + k[0],) + k[1 : j + 1] for j in range(r - 1 - m, r)]
+        bases = [(sum(k[j + 1 :]) + k[0],) + k[1 : j + 1] for j in range(r)]
     else:
         raise ValueError(f"unknown cut policy {policy!r}")
-    return IndexCombo().add_terms(
-        term for base in bases for term in _contractions(base, 1, r - m)
-    )
+    by_depth: list[list] = [[] for _ in range(r + 1)]
+    for l, c in star_map(IndexCombo({base: 1 for base in bases})).terms.items():
+        by_depth[len(l)].append((l, c))
+    return tuple(map(tuple, by_depth))
 
 
 def _cyclic_split_lhs(k: Index, j: int) -> IndexCombo:
@@ -308,14 +310,11 @@ def _cyclic_split_lhs(k: Index, j: int) -> IndexCombo:
     )
 
 
-@lru_cache(maxsize=None)
-def _signed_s_m(k: Index) -> tuple[tuple[Index, int], ...]:
-    """(l, (-1)^m * multiplicity) for every m = 0..r-1 and term l of s_m(k),
-    built once per index.  A contraction with p pluses of the j-th base of
-    ``s_m`` lies in s_{j+p}, so this is the alternating sum over j of the
-    star inversions of the bases (k_{j+2}, ..., k_r, k_1 + ... + k_{j+1})."""
-    bases = ((k[j + 1 :] + (sum(k[: j + 1]),), -1 if j & 1 else 1) for j in range(len(k)))
-    return tuple(star_map(IndexCombo().add_terms(bases), -1).terms.items())
+def _signed_s_m(k: Index) -> list[tuple[Index, int]]:
+    """(l, (-1)^m * multiplicity) for every m = 0..r-1 and term l of s_m(k):
+    the first-policy ``_cut_expansion`` with sign (-1)^(r - d) at depth d."""
+    r = len(k)
+    return [(l, -c if (r - d) & 1 else c) for d, terms in enumerate(_cut_expansion(k, "first")) for l, c in terms]
 
 
 def _star_over_sm(k: Index, f: Callable[[Index], Iterable], kind: type = IndexCombo) -> Combo:

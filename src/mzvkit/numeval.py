@@ -32,8 +32,9 @@ coefficient: ``_hat_coeff`` holds the t^e coefficient per (index,
 variant, e) for all six variants, and ``zeta_hat_num`` reads a series of
 order n off those for e <= n.  Every variant but KY_inv is one sum over
 the splits of k of V(head) times the sum of V over the suffix's shift
-symbols of t-power e, with V one cached value per index.  For star_KY,
-V is the shuffle-regularised star word value: reg_sh at T = 0 is a
+symbols of t-power e, with V one cached value per (index, variant),
+``_index_value``.  For star_KY, V is the shuffle-regularised value of
+the star word ``posets.w_star(k)``: reg_sh at T = 0 is a
 shuffle homomorphism (Ihara, Kaneko and Zagier 2006), so these products
 are the regularised two-sided star word series without building it.  A
 KY_inv coefficient reads its star_KY terms from the same cache, over a
@@ -69,8 +70,8 @@ from .indexes import (
 )
 from .linear import Series
 from .polys import EMPTY_WORD, NcPoly, weight, word_of_index
+from .posets import w_star
 from .reports import Report
-from .tseries import w_star
 from .words import reg_shuffle_constant, s_map
 
 TOL_PLAIN = 1e-6  # identities between convergent sums
@@ -303,18 +304,6 @@ def z_reg_num(p: NcPoly, product: str) -> NumericValue:
     return z_num(decompose(p, product)[0])
 
 
-def zeta_reg(k: Index, product: str, *, star: bool = False) -> NumericValue:
-    """Regularised zeta value of an arbitrary index (constant term at T=0);
-    with star, of its contraction-sum word."""
-    return _zeta_reg(check_index(k), product, star)
-
-
-@lru_cache(maxsize=None)
-def _zeta_reg(k: Index, product: str, star: bool) -> NumericValue:
-    p = NcPoly.from_index(k)
-    return z_reg_num(s_map(p) if star else p, product)
-
-
 # -- t-adic series ------------------------------------------------------
 
 
@@ -365,19 +354,20 @@ def _tail(s: Index, variant: str, e: int) -> NumericValue:
     return _sum((c, _index_value(idx, variant)) for idx, c in shift_terms(s, e))
 
 
-def _index_value(k: Index, variant: str) -> NumericValue:
-    """V(k): the regularised plain or contraction-sum star value under the
-    variant's product, or for star_KY the regularised star word value."""
-    if variant == "star_KY":
-        return _star_word_reg(k)
-    return zeta_reg(k, "ast" if variant.endswith("ast") else "sh", star=variant.startswith("star"))
-
-
 @lru_cache(maxsize=None)
-def _star_word_reg(k: Index) -> NumericValue:
-    """The shuffle-regularised value of the star word ``w_star(k)``; ONE
-    for the empty index."""
-    return z_reg_num(w_star(k), "sh") if k else ONE
+def _index_value(k: Index, variant: str) -> NumericValue:
+    """V(k), one cached value per (index, variant): the regularised value
+    of the plain word of k, or for star_sh and star_ast of its
+    contraction-sum word, under the variant's product; for star_KY the
+    shuffle-regularised value of the star word ``w_star(k)``.  ONE for the
+    empty index."""
+    if not k:
+        return ONE
+    if variant == "star_KY":
+        return z_reg_num(w_star(k), "sh")
+    p = NcPoly.from_index(k)
+    product = "ast" if variant.endswith("ast") else "sh"
+    return z_reg_num(s_map(p) if variant.startswith("star") else p, product)
 
 
 @lru_cache(maxsize=None)

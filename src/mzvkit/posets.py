@@ -57,6 +57,9 @@ unpacked at once.  ``zigzag_sum`` adds c * w_map(ZigZag(k)) over many
 (k, c) pairs with one ``polys.grade_sum`` of the same vectors: one
 product per grade, int64 while sum |c| * weight! stays below 2^62, else
 in exact arithmetic.
+
+The star words ``w_star(k)``, ``w_map(ZigZag(k))``, are cached per index
+here, next to the DP, for ``tseries``, ``numeval`` and ``regularize``.
 """
 
 from __future__ import annotations
@@ -316,6 +319,17 @@ def _zigzag_poly(k: Index) -> GradedPoly:
     coefficients count linear extensions, so wt(k)! bounds their sum."""
     grade = (sum(k), len(k))
     return GradedPoly({grade: _zigzag_vec(k)}, {grade: factorial(grade[0])})
+
+
+def w_star(k: Iterable[int]) -> NcPoly:
+    """The star word of k, ``w_map(ZigZag(k))``: the words of ``x_star(k)``
+    term for term, read through ``w_map`` once per index (``_star_word``)."""
+    return _star_word(tuple(k))
+
+
+@lru_cache(maxsize=None)
+def _star_word(k: Index) -> NcPoly:
+    return w_map(ZigZag(k))
 
 
 def zigzag_sum(terms: Iterable[tuple[Index, object]]) -> GradedPoly:

@@ -30,8 +30,8 @@ from .indexes import check_index
 from .linear import Poly
 from .numeval import DEFAULT_CONFIG, ZERO, EvalConfig, NumericValue, _sum, mzv_num, z_num
 from .polys import NcPoly
+from .posets import w_star
 from .reports import Report
-from .tseries import w_star
 from .words import harmonic, reg_shuffle, s_map, shuffle, split_trailing
 
 PRODUCTS = {"sh": shuffle, "ast": harmonic}

@@ -12,12 +12,13 @@ index and per cyclic class.
 Every verifier, and each lemma of the A/B/C split, is a
 ``reports.ExactCheck`` between two word series.
 
-A star word w_star(k) is ``w_map(ZigZag(k))``, the linear-extension
-words of the zig-zag poset of k read off its chain lengths, with no
-poset built.  Every value these series are made of has a single grade
-(weight, y-count): a star word, an F coefficient (the star words of the
-shifts of one t-power) and a w_star_hat coefficient (the shuffles of a
-prefix star word with an F coefficient of the suffix).  So each is a
+A star word ``posets.w_star(k)``, cached there, is ``w_map(ZigZag(k))``,
+the linear-extension words of the zig-zag poset of k read off its chain
+lengths, with no poset built.  Every value these series are made of has
+a single grade (weight, y-count): a star word, an F coefficient (the
+star words of the shifts of one t-power) and a w_star_hat coefficient
+(the shuffles of a prefix star word with an F coefficient of the
+suffix).  So each is a
 ``polys.GradedPoly``, read-only int64 vectors over the words of its
 grade, from the zig-zag DP to the check: an F coefficient is one
 ``posets.zigzag_sum`` of the cached per-index vectors, a w_star_hat
@@ -54,7 +55,7 @@ from .indexes import (
 )
 from .linear import Combo, Series
 from .polys import NcPoly, graded_sum
-from .posets import TwoPoset, ZigZag, disjoint_union, w_map, x_star, zigzag_sum
+from .posets import TwoPoset, disjoint_union, w_map, w_star, x_star, zigzag_sum
 from .reports import ExactCheck
 from .words import shuffle_sum
 
@@ -75,18 +76,6 @@ class WordSeries(Series):
 
 
 # -- cached building blocks -------------------------------------------
-
-_W_STAR_CACHE: dict[Index, NcPoly] = {}
-
-
-def w_star(k: Index) -> NcPoly:
-    """Linear-extension word polynomial of the zig-zag poset of k,
-    ``w_map(x_star(k))`` term for term."""
-    k = tuple(k)
-    got = _W_STAR_CACHE.get(k)
-    if got is None:
-        got = _W_STAR_CACHE.setdefault(k, w_map(ZigZag(k)))
-    return got
 
 
 def f_series(k: Index, order: int) -> WordSeries:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mzvkit.indexes import (
+    CyclicClass,
     IndexCombo,
     all_cyclic_classes,
     compositions,
@@ -157,6 +158,12 @@ def test_cyclic_classes_examples():
         cyclic_classes(2, 3)
 
 
+def test_empty_index_has_no_cyclic_class():
+    # as s_m, star_invert and the identities do, a cyclic class rejects ()
+    with pytest.raises(ValueError):
+        CyclicClass.of(())
+
+
 def test_cyclic_classes_partition():
     for w in range(1, 8):
         for r in range(1, w + 1):
@@ -175,6 +182,18 @@ def test_s_m_examples():
         s_m((1, 2), 2)
     with pytest.raises(ValueError):
         s_m((1, 2), 1, "bogus")
+    with pytest.raises(ValueError):
+        s_m((), 0)
+
+
+def test_s_m_returns_a_fresh_combination():
+    # every s_m of an index is read off one cached expansion; changing a
+    # returned combination leaves the next call's unchanged
+    k = (1, 2, 1)
+    for policy in ("first", "last"):
+        for m in range(len(k)):
+            s_m(k, m, policy).add_terms([((9,), 1)])
+            assert s_m(k, m, policy) == bit_rotation_s_m(k, m, policy), (m, policy)
 
 
 def test_s_m_depth_and_weight():

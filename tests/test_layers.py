@@ -99,6 +99,41 @@ def test_only_indexes_expands_binomial_shifts():
     }
 
 
+def _imports_tseries(node: ast.AST) -> bool:
+    """True if the node imports tseries or a name from it."""
+    if isinstance(node, ast.ImportFrom):
+        return node.module in ("tseries", "mzvkit.tseries") or (
+            node.module in (None, "mzvkit") and any(a.name == "tseries" for a in node.names)
+        )
+    return isinstance(node, ast.Import) and any(a.name == "mzvkit.tseries" for a in node.names)
+
+
+def test_each_derived_value_has_one_construction():
+    # every s_m is a depth slice of one cached cut expansion, which the
+    # alternating s_m sum reads too; the doubling takes no depth and serves
+    # star_map alone; the star words are cached in posets, where the
+    # zig-zag DP lives, and only the CLI and the package read tseries
+    source = (SOURCES / "indexes.py").read_text()
+    assert list(inspect.signature(indexes._contractions).parameters) == ["k", "plus_sign"]
+    assert _callers(source, ("_contractions", "_cut_expansion")) == {
+        "_contractions": ["star_map"],
+        "_cut_expansion": ["s_m", "_signed_s_m"],
+    }
+    definers = sorted(
+        path.name
+        for path in SOURCES.glob("*.py")
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.FunctionDef) and node.name == "w_star"
+    )
+    assert definers == ["posets.py"]
+    readers = sorted(
+        path.name
+        for path in SOURCES.glob("*.py")
+        if any(_imports_tseries(node) for node in ast.walk(ast.parse(path.read_text())))
+    )
+    assert readers == ["__init__.py", "cli.py"]
+
+
 def _words_names(node: ast.AST) -> list[str]:
     """The names a node reads from words: ``from .words import a`` or ``words.a``."""
     if isinstance(node, ast.ImportFrom) and node.module in ("words", "mzvkit.words"):

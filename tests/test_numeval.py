@@ -23,18 +23,17 @@ from mzvkit.numeval import (
     _holder_num,
     _outer_terms,
     _sum,
-    _zeta_reg,
     mzv_num,
     raw_partial_sum,
     verify_csf,
     z_num,
     z_reg_num,
     zeta_hat_num,
-    zeta_reg,
 )
 from mzvkit.polys import NcPoly, word_of_index
 from mzvkit.regularize import RHO_KINDS, NumericPolyT, numeric_reg_poly, rho_apply
-from mzvkit.tseries import w_csf_hat, w_star, w_star_hat
+from mzvkit.posets import w_star
+from mzvkit.tseries import w_csf_hat, w_star_hat
 from mzvkit.words import harmonic, random_word, shuffle
 
 FAST = EvalConfig(cutoff=20000)
@@ -237,18 +236,8 @@ def test_star_ky_products_match_regularised_words():
 
 def test_reg_known_value():
     # harmonic-regularised zeta(1,1) at T=0 is -zeta(2)/2... T^2/2 - zeta(2)/2
-    v = zeta_reg((1, 1), "ast")
+    v = z_reg_num(NcPoly.from_index((1, 1)), "ast")
     assert abs(v.value + math.pi**2 / 12) < 1e-8
-
-
-def test_zeta_reg_calls_share_one_cache_key():
-    # the index is checked before the cache, so a list and a tuple of it
-    # hit the same entry
-    zeta_reg((1, 2), "sh", star=True)
-    before = _zeta_reg.cache_info()
-    assert zeta_reg([1, 2], "sh", star=True) == zeta_reg((1, 2), "sh", star=True)
-    after = _zeta_reg.cache_info()
-    assert (after.hits - before.hits, after.misses) == (2, before.misses)
 
 
 def test_zeta_hat_examples():

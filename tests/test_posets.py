@@ -9,7 +9,7 @@ from math import comb, factorial
 import numpy as np
 import pytest
 
-from mzvkit import posets, tseries
+from mzvkit import posets
 from mzvkit.indexes import indices_up_to
 from mzvkit.polys import NcPoly, word
 from mzvkit.posets import (
@@ -372,8 +372,10 @@ def test_w_star_builds_no_poset(monkeypatch):
         raise AssertionError("w_star built a TwoPoset")
 
     monkeypatch.setattr(TwoPoset, "_close", refuse)
-    monkeypatch.setattr(tseries, "_W_STAR_CACHE", {})
-    assert tseries.w_star((2, 1, 3)) == w_map(ZigZag((2, 1, 3)))
+    posets._star_word.cache_clear()
+    assert posets.w_star((2, 1, 3)) == w_map(ZigZag((2, 1, 3)))
+    # any iterable of the index reads the same cached star word
+    assert posets.w_star([2, 1, 3]) is posets.w_star((2, 1, 3))
 
 
 def test_w_star_reads_its_words_through_w_map(monkeypatch):
@@ -385,9 +387,9 @@ def test_w_star_reads_its_words_through_w_map(monkeypatch):
         seen.append(p)
         return w_map(p)
 
-    monkeypatch.setattr(tseries, "w_map", recording)
-    monkeypatch.setattr(tseries, "_W_STAR_CACHE", {})
-    tseries.w_star((2, 1, 3))
+    monkeypatch.setattr(posets, "w_map", recording)
+    posets._star_word.cache_clear()
+    posets.w_star((2, 1, 3))
     assert seen == [ZigZag((2, 1, 3))]
     assert seen[0].n == x_star((2, 1, 3)).n == 6
 

@@ -24,7 +24,8 @@ from mzvkit.regularize import (
     verify_reg_relation,
     y_product_power,
 )
-from mzvkit.tseries import w_star, w_star_hat
+from mzvkit.posets import w_star
+from mzvkit.tseries import w_star_hat
 from mzvkit.words import harmonic, random_ncpoly, random_word, reg_shuffle_constant, s_map, shuffle
 
 z = NcPoly.from_index
